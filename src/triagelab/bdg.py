@@ -9,7 +9,6 @@ resolved blockers.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -154,11 +153,3 @@ class DependencyGraph:
             n_nodes=n,
             n_arcs=arcs,
         )
-
-    def write_arcs_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["blocker", "blocked"])
-            for blocker in sorted(self.children):
-                for blocked in sorted(self.children[blocker]):
-                    writer.writerow([blocker, blocked])

@@ -161,13 +161,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    with open(os.path.join(args.out, "dev_profiles.json")) as fh:
+        profiles = pipeline.profiles_from_json(fh.read())
     reports = []
     for path in args.results:
         with open(path) as fh:
             result = pipeline.result_from_json(fh.read())
-        profiles = pipeline.profiles_from_json(
-            open(os.path.join(args.out, "dev_profiles.json")).read()
-        )
         reports.append(metrics_mod.compute_report(result, profiles))
     csv_text, table = metrics_mod.compare_policies(reports)
     with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
@@ -183,8 +182,9 @@ def cmd_sweep(args) -> int:
     args.policy = "dabt"
     config = _sim_config(args, records, cleaned, summary)
     corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
+    table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
     alphas = [float(a) for a in args.alphas.split(",")]
-    rows = metrics_mod.sweep_alpha(config, corpus, models, models.dev_profiles, alphas)
+    rows = metrics_mod.sweep_alpha(config, corpus, table, models.dev_profiles, alphas)
     csv_text = metrics_mod.sweep_to_csv(rows)
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
         fh.write(csv_text)

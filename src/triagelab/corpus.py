@@ -138,30 +138,34 @@ def quartiles(sample) -> tuple[float, float]:
     return float(q1), float(q3)
 
 
+def _optional_int(value):
+    return None if value is None else int(value)
+
+
 def _record_from_obj(obj, line_no):
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", line_no)
     for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise ParseError(f"missing field {name!r}", line_no)
-    deps = tuple(
-        (int(day), kind, int(other))
-        for day, kind, other in obj.get("dependency_events", [])
-    )
     try:
+        deps = tuple(
+            (int(day), kind, int(other))
+            for day, kind, other in obj.get("dependency_events", [])
+        )
         return BugRecord(
             bug_id=int(obj["bug_id"]),
             summary=str(obj["summary"]),
             description=str(obj["description"]),
             component=str(obj["component"]),
             reported_at=int(obj["reported_at"]),
-            assigned_at=obj.get("assigned_at"),
-            resolved_at=obj.get("resolved_at"),
-            actual_assignee=obj.get("actual_assignee"),
+            assigned_at=_optional_int(obj.get("assigned_at")),
+            resolved_at=_optional_int(obj.get("resolved_at")),
+            actual_assignee=_optional_int(obj.get("actual_assignee")),
             status_final=obj.get("status_final", "OTHER"),
             dependency_events=deps,
         )
-    except ValidationError as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise ParseError(str(exc), line_no) from exc
 
 

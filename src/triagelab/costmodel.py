@@ -149,21 +149,22 @@ def arun_measure(model: TopicModel, doc_lengths) -> float:
     return _symmetric_kl(cm1, cm2)
 
 
-def select_topic_count(docs, vocab, candidate_Ks, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS):
-    """Fit each candidate K and return the one minimizing the
-    divergence measure; ties break toward the smaller K."""
+def select_topic_count(docs, vocab, candidate_Ks, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
+    """Fit each candidate K and return the fitted model minimizing the
+    divergence measure (its ``K`` is the chosen count); ties break
+    toward the smaller K."""
     candidates = sorted(set(candidate_Ks))
     if not candidates:
         raise ValidationError("empty candidate grid")
     lengths = [len(_doc_word_ids(d, vocab)) for d in docs]
-    best_k = None
+    best = None
     best_measure = None
     for K in candidates:
         model = fit_lda(docs, vocab, K, seed=seed, iters=iters)
         measure = arun_measure(model, lengths)
         if best_measure is None or measure < best_measure:
-            best_k, best_measure = K, measure
-    return best_k
+            best, best_measure = model, measure
+    return best
 
 
 def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEPS) -> int:
@@ -213,9 +214,6 @@ class CostMatrix:
         if self.filled is None:
             raise ValidationError("cost matrix not filled yet")
         return float(self.filled[self.dev_ids.index(dev_id), topic])
-
-    def cost_row(self, topic: int) -> dict:
-        return {d: self.cost(d, topic) for d in self.dev_ids}
 
     def to_json(self) -> str:
         return json.dumps(

@@ -11,6 +11,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import (
     CleaningRule,
     DeveloperProfile,
@@ -19,20 +21,35 @@ from .corpus import (
     split_train_test,
 )
 from .costmodel import (
+    GLOBAL_TOPIC,
     TopicModel,
     CostMatrix,
     build_cost_matrix,
     fill_missing_cf,
-    fit_lda,
     infer_topic,
     select_topic_count,
 )
 from .errors import ValidationError
-from .simulator import ReplayCorpus, SimConfig, SimResult, TrainedModels, run_simulation
-from .suitability import LinearModel, train_classifier
+from .simulator import FeatureTable, ReplayCorpus, SimConfig, SimResult, run_simulation
+from .suitability import LinearModel, predict_suitability, train_classifier
 from .textprep import Vocabulary, build_vocabulary, preprocess_text, tfidf_transform
 
 DEFAULT_TOPIC_GRID = tuple(range(5, 55, 5))
+
+
+@dataclass
+class TrainedModels:
+    """Frozen artifacts from the training phase."""
+
+    linear_model: LinearModel
+    vocab: Vocabulary
+    topic_model: TopicModel
+    cost_matrix: CostMatrix
+    dev_profiles: dict  # dev_id -> DeveloperProfile (active set)
+
+    @property
+    def dev_ids(self):
+        return sorted(self.dev_profiles)
 
 
 @dataclass
@@ -78,10 +95,9 @@ def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedMod
         epochs=settings.epochs,
         seed=settings.seed,
     )
-    K = select_topic_count(
+    topic_model = select_topic_count(
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
-    topic_model = fit_lda(docs, vocab, K, seed=settings.seed, iters=settings.lda_iters)
     topic_by_bug = {
         doc.bug_id: infer_topic(topic_model, doc, vocab) for doc in docs
     }
@@ -105,9 +121,41 @@ def replay_corpus(all_records, cleaned, boundary_day) -> ReplayCorpus:
     return ReplayCorpus(records=all_records, assignable_ids=assignable)
 
 
-def run_policy(config: SimConfig, all_records, cleaned, models) -> SimResult:
+def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end_day) -> FeatureTable:
+    """Suitability and estimated cost of every assignable bug reported in
+    (boundary_day, end_day], i.e. every bug that enters a replay's pool.
+
+    Each bug's text is preprocessed once and feeds both the classifier
+    and the topic fold-in; its cost row is the filled cost matrix's
+    column for its topic, or the global mean for GLOBAL_TOPIC.
+    """
+    dev_ids = models.dev_ids
+    matrix = models.cost_matrix
+    if matrix.dev_ids != dev_ids or matrix.filled is None:
+        raise ValidationError("cost matrix is not filled for the active developers")
+    global_mean = matrix.global_mean
+    bug_ids = sorted(
+        b for b in corpus.assignable_ids
+        if boundary_day < corpus.history[b].reported_at <= end_day
+    )
+    S = np.empty((len(bug_ids), len(dev_ids)))
+    C = np.empty((len(bug_ids), len(dev_ids)))
+    for i, bug_id in enumerate(bug_ids):
+        rec = corpus.history[bug_id]
+        doc = preprocess_text(rec.summary, rec.description, bug_id)
+        vec = tfidf_transform(doc, models.vocab)
+        S[i] = predict_suitability(models.linear_model, vec, dev_ids)
+        topic = infer_topic(models.topic_model, doc, models.vocab)
+        C[i] = global_mean if topic == GLOBAL_TOPIC else matrix.filled[:, topic]
+    return FeatureTable(dev_ids=tuple(dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
+
+
+def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels) -> SimResult:
     corpus = replay_corpus(all_records, cleaned, config.boundary_day)
-    return run_simulation(config, corpus, models)
+    # the actual policy replays history and reads no table rows
+    end_day = config.boundary_day if config.policy == "actual" else config.end_day
+    table = feature_table(models, corpus, config.boundary_day, end_day)
+    return run_simulation(config, corpus, table, models.dev_profiles)
 
 
 # --- artifact persistence ----------------------------------------------

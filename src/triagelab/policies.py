@@ -1,7 +1,10 @@
 """Daily triage policies behind a uniform decision interface.
 
 Each policy turns the day's open, unassigned bugs into a DailyDecision:
-who gets what, at which estimated cost, and which bugs wait.  CBR and
+who gets what, at which estimated cost, and which bugs wait.  The
+model-driven policies read row-aligned arrays: ``bug_ids`` in ascending
+order, and ``S`` (suitability) and ``C`` (estimated days) with one row
+per bug and one column per developer in ``dev_ids`` order.  CBR and
 CosTriage assign everything immediately (no capacity or precedence);
 RABT and DABT delegate to the exact knapsack solver and defer the
 rest.
@@ -9,8 +12,7 @@ rest.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .solver import (
@@ -18,6 +20,7 @@ from .solver import (
     RABT,
     AssignmentInstance,
     InstanceBug,
+    combined_score,
     solve_dabt,
     solve_rabt,
 )
@@ -31,59 +34,33 @@ class DailyDecision:
     assignments: tuple  # ((bug_id, dev_id, estimated_cost_days), ...)
     deferred: tuple  # bug ids to call back on later days
 
-    def to_jsonl_line(self) -> str:
-        return json.dumps(
-            {
-                "day": self.day,
-                "assignments": [list(a) for a in self.assignments],
-                "deferred": list(self.deferred),
-            },
-            sort_keys=True,
-        )
+
+def _assign_columns(day, bug_ids, dev_ids, C, cols) -> DailyDecision:
+    assignments = tuple(
+        (bug_id, dev_ids[j], float(C[i, j]))
+        for i, (bug_id, j) in enumerate(zip(bug_ids, cols))
+    )
+    return DailyDecision(day=day, assignments=assignments, deferred=())
 
 
-def _combined_score(s: float, s_max: float, c: float, c_min: float, alpha: float) -> float:
-    return alpha * (s / s_max) + (1 - alpha) * (c_min / c)
-
-
-def decide_cbr(day, open_bugs, s_rows, cost_lookup=None) -> DailyDecision:
+def decide_cbr(day, bug_ids, dev_ids, S, C) -> DailyDecision:
     """Every open bug goes to its most suitable developer, immediately.
 
-    No capacity or precedence checks; ties toward the smallest dev_id.
-    The choice ignores costs entirely; ``cost_lookup`` (when given)
-    only annotates the decision with the chosen developer's estimated
-    days so the simulator can schedule the completion.
+    No capacity or precedence checks; ties toward the smallest dev_id
+    (the first column).  Costs never steer the choice; they only
+    annotate it with the chosen developer's estimated days so the
+    simulator can schedule the completion.
     """
-    assignments = []
-    for bug_id in sorted(open_bugs):
-        row = s_rows[bug_id]
-        dev = row.argmax_dev()
-        cost = cost_lookup(bug_id)[dev] if cost_lookup is not None else None
-        assignments.append((bug_id, dev, cost))
-    return DailyDecision(day=day, assignments=tuple(assignments), deferred=())
+    return _assign_columns(day, bug_ids, dev_ids, C, S.argmax(axis=1))
 
 
-def decide_costriage(day, open_bugs, s_rows, cost_lookup, alpha: float) -> DailyDecision:
+def decide_costriage(day, bug_ids, dev_ids, S, C, alpha: float) -> DailyDecision:
     """argmax of the suitability/cost trade-off per bug, no constraints.
 
-    ``cost_lookup(bug_id)`` returns {dev_id: cost_days} for the bug's
-    topic.  alpha=1 reduces to CBR; alpha=0 picks the cheapest
-    developer.
+    alpha=1 reduces to CBR; alpha=0 picks the cheapest developer.
     """
-    assignments = []
-    for bug_id in sorted(open_bugs):
-        row = s_rows[bug_id]
-        costs = cost_lookup(bug_id)
-        s_max = max(row.s.values())
-        c_min = min(costs.values())
-        best_dev = None
-        best_score = -1.0
-        for dev in sorted(row.s):
-            score = _combined_score(row.s[dev], s_max, costs[dev], c_min, alpha)
-            if score > best_score + 1e-12:
-                best_dev, best_score = dev, score
-        assignments.append((bug_id, best_dev, costs[best_dev]))
-    return DailyDecision(day=day, assignments=tuple(assignments), deferred=())
+    cols = combined_score(S, C, alpha).argmax(axis=1)
+    return _assign_columns(day, bug_ids, dev_ids, C, cols)
 
 
 def decide_actual(day, open_bugs, history) -> DailyDecision:
@@ -106,26 +83,21 @@ def decide_actual(day, open_bugs, history) -> DailyDecision:
 
 
 def decide_knapsack(
-    day,
-    open_bugs,
-    s_rows,
-    cost_lookup,
-    capacities,
-    graph,
-    alpha: float,
-    variant: str,
+    day, bug_ids, dev_ids, S, C, capacities, graph, alpha: float, variant: str
 ) -> DailyDecision:
     """Build the day's assignment instance and solve it exactly.
 
-    DABT keeps precedence arcs among in-instance bugs and pre-drops
-    bugs blocked by an open parent that is not itself in the instance
-    (e.g. already assigned and in progress); such bugs are deferred.
-    RABT ignores dependencies entirely.  Unassigned bugs are deferred
-    and called back on later days.
+    ``capacities`` holds each developer's remaining capacity in
+    ``dev_ids`` order.  DABT keeps precedence arcs among in-instance
+    bugs and pre-drops bugs blocked by an open parent that is not
+    itself in the instance (e.g. already assigned and in progress);
+    such bugs are deferred.  RABT ignores dependencies entirely.
+    Unassigned bugs are deferred and called back on later days.
     """
     if variant not in (DABT, RABT):
         raise ValidationError(f"unknown solver variant {variant!r}")
-    candidates = sorted(open_bugs)
+    row_of = {bug_id: i for i, bug_id in enumerate(bug_ids)}
+    candidates = sorted(row_of)
     deferred = []
     if variant == DABT:
         # Dropping a blocked bug can orphan its own children, so the
@@ -147,41 +119,36 @@ def decide_knapsack(
                     changed = True
         candidates = sorted(eligible)
 
-    dev_ids = sorted(dev for dev, _ in capacities.items())
-    bugs = []
-    for bug_id in candidates:
-        row = s_rows[bug_id]
-        costs = cost_lookup(bug_id)
-        bugs.append(
-            InstanceBug(
-                bug_id=bug_id,
-                s=tuple(row.s[d] for d in dev_ids),
-                c=tuple(costs[d] for d in dev_ids),
-            )
+    bugs = [
+        InstanceBug(
+            bug_id=bug_id,
+            s=tuple(S[row_of[bug_id]].tolist()),
+            c=tuple(C[row_of[bug_id]].tolist()),
         )
+        for bug_id in candidates
+    ]
     precedence = []
     if variant == DABT:
-        in_instance = {b.bug_id for b in bugs}
-        for bug_id in sorted(in_instance):
+        in_instance = set(candidates)
+        for bug_id in candidates:
             if bug_id in graph.children:
                 for parent in sorted(graph.blocking_parents(bug_id)):
                     if parent in in_instance:
                         precedence.append((parent, bug_id))
     instance = AssignmentInstance(
         bugs=bugs,
-        developers=[(d, capacities[d]) for d in dev_ids],
+        developers=list(zip(dev_ids, capacities)),
         precedence=precedence,
         alpha=alpha,
     )
     solution = solve_dabt(instance) if variant == DABT else solve_rabt(instance)
-    assigned_ids = {b for b, _ in solution.assignments}
-    cost_of = {b.bug_id: b for b in bugs}
-    dev_pos = {d: i for i, d in enumerate(dev_ids)}
+    col_of = {d: j for j, d in enumerate(dev_ids)}
     assignments = tuple(
-        (bug_id, dev_id, float(cost_of[bug_id].c[dev_pos[dev_id]]))
+        (bug_id, dev_id, float(C[row_of[bug_id], col_of[dev_id]]))
         for bug_id, dev_id in solution.assignments
     )
-    deferred.extend(b for b in sorted(set(candidates) - assigned_ids))
+    assigned_ids = {b for b, _ in solution.assignments}
+    deferred.extend(b for b in candidates if b not in assigned_ids)
     return DailyDecision(
         day=day, assignments=assignments, deferred=tuple(sorted(deferred))
     )

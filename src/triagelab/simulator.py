@@ -7,6 +7,11 @@ bugs, (d) enqueue the assignments and start whatever fits the
 developers' remaining capacity, (e) regenerate one capacity day per
 developer, capped at the horizon L.
 
+The replay reads no text and no model: suitability and estimated cost
+arrive as a FeatureTable, computed once per set of replays that share
+a model and a corpus, and each day the policy reads the rows of the
+open pool.
+
 Capacity-aware policies (RABT/DABT) only ever assign work that starts
 the same day; anything else is a solver contract violation.  CBR and
 CosTriage ignore capacity when choosing, so their assignments queue at
@@ -20,8 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bdg import DependencyGraph
-from .costmodel import infer_topic
 from .errors import ValidationError
 from .policies import (
     POLICY_NAMES,
@@ -30,8 +36,6 @@ from .policies import (
     decide_costriage,
     decide_knapsack,
 )
-from .suitability import predict_suitability
-from .textprep import preprocess_text, tfidf_transform
 
 
 @dataclass
@@ -67,41 +71,25 @@ class ReplayCorpus:
 
 
 @dataclass
-class TrainedModels:
-    """Frozen artifacts from the training phase."""
+class FeatureTable:
+    """Suitability ``S`` (min-max, row max 1) and estimated fixing days
+    ``C``, one row per bug in ``bug_ids`` and one column per developer
+    in sorted ``dev_ids``."""
 
-    linear_model: object
-    vocab: object
-    topic_model: object
-    cost_matrix: object
-    dev_profiles: dict  # dev_id -> DeveloperProfile (active set)
-    _row_cache: dict = field(default_factory=dict)
-    _topic_cache: dict = field(default_factory=dict)
+    dev_ids: tuple
+    bug_ids: tuple
+    S: np.ndarray  # (n_bugs, n_devs)
+    C: np.ndarray  # (n_bugs, n_devs), strictly positive
+    row: dict = field(init=False)  # bug_id -> row index
 
-    @property
-    def dev_ids(self):
-        return sorted(self.dev_profiles)
+    def __post_init__(self):
+        self.row = {b: i for i, b in enumerate(self.bug_ids)}
 
-    def suitability_row(self, record):
-        if record.bug_id not in self._row_cache:
-            doc = preprocess_text(record.summary, record.description, record.bug_id)
-            vec = tfidf_transform(doc, self.vocab)
-            self._row_cache[record.bug_id] = predict_suitability(
-                self.linear_model, vec, self.dev_ids, bug_id=record.bug_id
-            )
-        return self._row_cache[record.bug_id]
-
-    def topic_of(self, record):
-        if record.bug_id not in self._topic_cache:
-            doc = preprocess_text(record.summary, record.description, record.bug_id)
-            self._topic_cache[record.bug_id] = infer_topic(
-                self.topic_model, doc, self.vocab
-            )
-        return self._topic_cache[record.bug_id]
-
-    def cost_map(self, record):
-        topic = self.topic_of(record)
-        return {d: self.cost_matrix.cost(d, topic) for d in self.dev_ids}
+    def rows(self, bug_ids) -> list:
+        try:
+            return [self.row[b] for b in bug_ids]
+        except KeyError as exc:
+            raise ValidationError(f"bug {exc.args[0]} has no feature row") from exc
 
 
 @dataclass
@@ -123,11 +111,6 @@ class SimState:
     daily: list = field(default_factory=list)  # per-day sample dicts
 
 
-def feasible_bugs(state: SimState) -> list:
-    """Open, unassigned, assignable bugs (deferred ones included)."""
-    return sorted(state.open_pool)
-
-
 def _events_by_day(records):
     """(day -> [(kind, bug, other)]) for opens and arc changes, and
     (day -> [bug]) for historical resolutions."""
@@ -146,10 +129,11 @@ def _events_by_day(records):
 class Replay:
     """One deterministic policy run over the testing phase."""
 
-    def __init__(self, config: SimConfig, corpus: ReplayCorpus, models: TrainedModels):
+    def __init__(self, config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, dev_profiles):
         self.config = config
         self.corpus = corpus
-        self.models = models
+        self.table = table
+        self.dev_profiles = dev_profiles
         self.opens, self.arcs, self.hist_resolves = _events_by_day(corpus.records)
         self.graph = DependencyGraph()
         self.state = SimState(
@@ -157,7 +141,7 @@ class Replay:
             graph=self.graph,
             slates={
                 d: DeveloperSlate(dev_id=d, T=config.horizon_L)
-                for d in models.dev_ids
+                for d in table.dev_ids
             },
         )
         self._entered = set()  # assignable bugs that entered the pool
@@ -206,26 +190,19 @@ class Replay:
 
     def _decide(self, day, feasible):
         cfg = self.config
-        history = self.corpus.history
-        s_rows = {b: self.models.suitability_row(history[b]) for b in feasible}
-        cost_lookup = lambda b: self.models.cost_map(history[b])
         if cfg.policy == "actual":
-            return decide_actual(day, feasible, history)
+            return decide_actual(day, feasible, self.corpus.history)
+        table = self.table
+        rows = table.rows(feasible)
+        S, C = table.S[rows], table.C[rows]
         if cfg.policy == "cbr":
-            return decide_cbr(day, feasible, s_rows, cost_lookup)
+            return decide_cbr(day, feasible, table.dev_ids, S, C)
         if cfg.policy == "costriage":
-            return decide_costriage(day, feasible, s_rows, cost_lookup, cfg.alpha)
-        capacities = {d: self.state.slates[d].T for d in self.models.dev_ids}
+            return decide_costriage(day, feasible, table.dev_ids, S, C, cfg.alpha)
+        capacities = [self.state.slates[d].T for d in table.dev_ids]
         variant = "RABT" if cfg.policy == "rabt" else "DABT"
         return decide_knapsack(
-            day,
-            feasible,
-            s_rows,
-            cost_lookup,
-            capacities,
-            self.graph,
-            cfg.alpha,
-            variant,
+            day, feasible, table.dev_ids, S, C, capacities, self.graph, cfg.alpha, variant
         )
 
     def _record_assignment(self, day, bug_id, dev_id, cost, same_batch):
@@ -236,7 +213,7 @@ class Replay:
             else set()
         )
         blocking = {p for p in parents if same_batch.get(p) != dev_id}
-        profile = self.models.dev_profiles.get(dev_id)
+        profile = self.dev_profiles.get(dev_id)
         accurate = (
             profile is not None and rec.component in profile.components_experienced
         )
@@ -285,7 +262,7 @@ class Replay:
         self._apply_world_events(day)
         self._complete_work(day)
 
-        decision = self._decide(day, feasible_bugs(self.state))
+        decision = self._decide(day, sorted(self.state.open_pool))
         same_batch = {b: d for b, d, _ in decision.assignments}
         strict_devs = set()
         for bug_id, dev_id, cost in decision.assignments:
@@ -348,8 +325,15 @@ class SimResult:
     total_entering: int
 
 
-def run_simulation(config: SimConfig, corpus: ReplayCorpus, models: TrainedModels) -> SimResult:
-    """Run one policy over the whole testing phase, deterministically."""
-    if not models.dev_profiles:
+def run_simulation(config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, dev_profiles) -> SimResult:
+    """Run one policy over the whole testing phase, deterministically.
+
+    ``table`` must hold a row for every bug the policy decides on (the
+    actual policy reads none); ``dev_profiles`` maps each active
+    dev_id, the table's columns, to its DeveloperProfile.
+    """
+    if not dev_profiles:
         raise ValidationError("no active developers; refusing to simulate")
-    return Replay(config, corpus, models).run()
+    if list(table.dev_ids) != sorted(dev_profiles):
+        raise ValidationError("feature table columns differ from the active developers")
+    return Replay(config, corpus, table, dev_profiles).run()

@@ -30,6 +30,14 @@ _EPS = 1e-12
 _ORACLE_MAX_BUGS = 12
 
 
+def combined_score(S: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha * s/max(s) + (1-alpha) * min(c)/c per (bug, developer);
+    rows are bugs, columns developers."""
+    s_max = S.max(axis=-1, keepdims=True)
+    c_min = C.min(axis=-1, keepdims=True)
+    return alpha * (S / s_max) + (1 - alpha) * (c_min / C)
+
+
 @dataclass(frozen=True)
 class InstanceBug:
     bug_id: int
@@ -86,16 +94,12 @@ class AssignmentInstance:
 
     def contributions(self, variant: str = DABT) -> np.ndarray:
         """(n_bugs, n_devs) objective coefficient matrix."""
-        n, D = len(self.bugs), len(self.developers)
-        out = np.zeros((n, D))
-        for i, bug in enumerate(self.bugs):
-            s = np.asarray(bug.s, dtype=float)
-            if variant == RABT:
-                out[i] = s
-            else:
-                c = np.asarray(bug.c, dtype=float)
-                out[i] = self.alpha * (s / s.max()) + (1 - self.alpha) * (c.min() / c)
-        return out
+        shape = (len(self.bugs), len(self.developers))
+        S = np.array([b.s for b in self.bugs], dtype=float).reshape(shape)
+        if variant == RABT or S.size == 0:
+            return S
+        C = np.array([b.c for b in self.bugs], dtype=float).reshape(shape)
+        return combined_score(S, C, self.alpha)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -11,7 +11,7 @@ weights.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,17 +78,6 @@ class LinearModel:
         )
 
 
-@dataclass(frozen=True)
-class SuitabilityRow:
-    bug_id: int
-    s: dict  # dev_id -> value in [0, 1]; max over devs is 1
-
-    def argmax_dev(self) -> int:
-        """Best developer; ties broken toward the smallest dev_id."""
-        best = max(self.s.values())
-        return min(d for d, v in self.s.items() if v == best)
-
-
 def train_classifier(
     train_pairs,
     n_features: int,
@@ -138,8 +127,9 @@ def train_classifier(
     )
 
 
-def predict_suitability(model: LinearModel, doc_vector, developers, bug_id: int = -1) -> SuitabilityRow:
-    """Min-max normalized decision values over ``developers``.
+def predict_suitability(model: LinearModel, doc_vector, developers) -> np.ndarray:
+    """Min-max normalized decision values, one per developer in sorted
+    ``developers`` order.
 
     All-equal decision values normalize to all 1.0 (no information:
     every developer equally suitable).
@@ -151,14 +141,10 @@ def predict_suitability(model: LinearModel, doc_vector, developers, bug_id: int 
     decisions = model.decision_values(dense)
     row_index = {dev: i for i, dev in enumerate(model.dev_ids)}
     try:
-        values = np.array([decisions[row_index[d]] for d in developers])
+        values = decisions[[row_index[d] for d in developers]]
     except KeyError as exc:
         raise ValidationError(f"developer {exc.args[0]} not in model") from exc
     lo, hi = values.min(), values.max()
     if hi - lo == 0.0:
-        s = {d: 1.0 for d in developers}
-    else:
-        s = {
-            d: float((v - lo) / (hi - lo)) for d, v in zip(developers, values)
-        }
-    return SuitabilityRow(bug_id=bug_id, s=s)
+        return np.ones(len(developers))
+    return (values - lo) / (hi - lo)

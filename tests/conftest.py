@@ -1,6 +1,7 @@
 """Shared fixtures: record factory, hand-built cleaning fixture, and a
 session-scoped trained mini-corpus environment (generation, cleaning,
-training, and cached policy runs are expensive, so they happen once)."""
+training, the feature table, and cached policy runs are expensive, so
+they happen once)."""
 
 from __future__ import annotations
 
@@ -85,11 +86,13 @@ def mini_records():
 
 @pytest.fixture(scope="session")
 def mini_env(mini_records):
-    """Cleaned + trained mini-corpus environment with a run cache."""
+    """Cleaned + trained mini-corpus environment with one feature table
+    shared by every cached policy run."""
     cleaned, summary, profiles = pipeline.prepare(mini_records, MINI_BOUNDARY)
     train, _ = split_train_test(cleaned, MINI_BOUNDARY)
     models = pipeline.train_models(train, profiles, FAST_TRAIN)
     corpus = pipeline.replay_corpus(mini_records, cleaned, MINI_BOUNDARY)
+    table = pipeline.feature_table(models, corpus, MINI_BOUNDARY, MINI_END)
     cache = {}
 
     class Env:
@@ -103,6 +106,7 @@ def mini_env(mini_records):
     env.train = train
     env.models = models
     env.corpus = corpus
+    env.table = table
     env.horizon = summary.horizon_L
 
     def run(policy, alpha=0.5, seed=0):
@@ -116,7 +120,7 @@ def mini_env(mini_records):
                 seed=seed,
                 horizon_L=env.horizon,
             )
-            result = run_simulation(config, corpus, models)
+            result = run_simulation(config, corpus, table, models.dev_profiles)
             cache[key] = (result, compute_report(result, models.dev_profiles))
         return cache[key]
 

@@ -130,15 +130,13 @@ def test_reduction_identities(mini_env):
         )
 
     # (b) CosTriage at alpha=1 equals CBR's argmax on every test bug
-    models = mini_env.models
+    table = mini_env.table
     test_bugs = [r for r in mini_env.cleaned if r.reported_at > MINI_BOUNDARY]
-    s_rows = {r.bug_id: models.suitability_row(r) for r in test_bugs}
-    lookup = lambda b: models.cost_map(
-        next(r for r in test_bugs if r.bug_id == b)
-    )
-    ids = [r.bug_id for r in test_bugs]
-    ct = decide_costriage(0, ids, s_rows, lookup, alpha=1.0)
-    cbr = decide_cbr(0, ids, s_rows, lookup)
+    ids = sorted(r.bug_id for r in test_bugs)
+    rows = table.rows(ids)
+    S, C = table.S[rows], table.C[rows]
+    ct = decide_costriage(0, ids, table.dev_ids, S, C, alpha=1.0)
+    cbr = decide_cbr(0, ids, table.dev_ids, S, C)
     ok_b = [(b, d) for b, d, _ in ct.assignments] == [
         (b, d) for b, d, _ in cbr.assignments
     ]
@@ -195,9 +193,8 @@ def test_model_invariants(mini_env):
         cm.cost(d, k) == v for (d, k), v in cm.observed.items()
     )
     test_bugs = [r for r in mini_env.cleaned if r.reported_at > MINI_BOUNDARY]
-    suit_ok = all(
-        max(models.suitability_row(r).s.values()) == 1.0 for r in test_bugs[:50]
-    )
+    rows = mini_env.table.rows([r.bug_id for r in test_bugs[:50]])
+    suit_ok = bool(np.all(mini_env.table.S[rows].max(axis=1) == 1.0))
     tfidf_ok = True
     for rec in mini_env.train[:50]:
         doc = preprocess_text(rec.summary, rec.description, rec.bug_id)
@@ -227,8 +224,9 @@ def test_determinism_byte_identical(mini_env):
         alpha=0.5,
         horizon_L=mini_env.horizon,
     )
-    r1 = run_simulation(config, mini_env.corpus, m1)
-    r2 = run_simulation(config, mini_env.corpus, m2)
+    table2 = pipeline.feature_table(m2, mini_env.corpus, MINI_BOUNDARY, MINI_END)
+    r1 = run_simulation(config, mini_env.corpus, mini_env.table, m1.dev_profiles)
+    r2 = run_simulation(config, mini_env.corpus, table2, m2.dev_profiles)
     runs_ok = pipeline.result_to_json(r1) == pipeline.result_to_json(r2)
     _verdict(
         f"determinism: artifacts byte-identical {artifacts_ok}, "

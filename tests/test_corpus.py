@@ -128,13 +128,34 @@ def test_load_events_sorted_by_report_day(tmp_path):
     assert [r.bug_id for r in load_events(path)] == [2, 1]
 
 
-def test_load_events_parse_error_carries_line_number(tmp_path):
+GOOD_LINE = ('{"bug_id": 1, "summary": "s", "description": "d", '
+             '"component": "c", "reported_at": 1, "status_final": "FIXED"}')
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "not json",
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "assigned_at": "six"'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "assigned_at": [6]'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "dependency_events": [["x", "ADD_BLOCKS", 2]]'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "dependency_events": [[4, "ADD_BLOCKS"]]'),
+    ],
+    ids=["not-json", "assigned-at-word", "assigned-at-list", "event-day-word", "event-pair"],
+)
+def test_load_events_parse_error_carries_line_number(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"bug_id": 1, "summary": "s", "description": "d", '
-                    '"component": "c", "reported_at": 1, "status_final": "FIXED"}\n'
-                    "not json\n")
+    path.write_text(GOOD_LINE + "\n" + bad_line + "\n")
     with pytest.raises(ParseError, match="line 2"):
         load_events(path)
+
+
+def test_load_events_casts_integer_fields(tmp_path):
+    # a numeric string is read as its integer, as reported_at always was
+    path = tmp_path / "cast.jsonl"
+    path.write_text(GOOD_LINE.replace('"reported_at": 1', '"reported_at": "1", "assigned_at": "6"'))
+    [record] = load_events(path)
+    assert (record.reported_at, record.assigned_at) == (1, 6)
 
 
 def test_load_events_missing_field(tmp_path):

@@ -64,7 +64,11 @@ def test_lda_rejects_k_below_two():
 def test_topic_count_selection_prefers_planted_count():
     docs, _ = _planted_docs()
     vocab = build_vocabulary(docs, min_df=1)
-    assert select_topic_count(docs, vocab, (2, 8), seed=0, iters=120) == 2
+    model = select_topic_count(docs, vocab, (2, 8), seed=0, iters=120)
+    assert model.K == 2
+    # the selected model is the fit of its K, not a refit
+    again = fit_lda(docs, vocab, 2, seed=0, iters=120)
+    assert model.to_json() == again.to_json()
 
 
 def test_arun_measure_finite_and_deterministic():

@@ -1,0 +1,81 @@
+"""The feature table against the per-bug path it replaced: each bug
+preprocessed, vectorized and scored on its own, and its cost looked up
+one developer at a time."""
+
+import numpy as np
+
+from triagelab import pipeline
+from triagelab.costmodel import GLOBAL_TOPIC, infer_topic
+from triagelab.simulator import ReplayCorpus, SimConfig
+from triagelab.suitability import predict_suitability
+from triagelab.textprep import preprocess_text, tfidf_transform
+
+from conftest import MINI_BOUNDARY, MINI_END, make_bug
+
+
+def _reference_rows(models, rec):
+    doc = preprocess_text(rec.summary, rec.description, rec.bug_id)
+    vec = tfidf_transform(doc, models.vocab)
+    s = predict_suitability(models.linear_model, vec, models.dev_ids)
+    topic = infer_topic(models.topic_model, doc, models.vocab)
+    c = np.array([models.cost_matrix.cost(d, topic) for d in models.dev_ids])
+    return s, c, topic
+
+
+def _assert_matches_reference(table, models, history):
+    for i, bug_id in enumerate(table.bug_ids):
+        s, c, _ = _reference_rows(models, history[bug_id])
+        assert table.S[i].tobytes() == s.tobytes(), bug_id
+        assert table.C[i].tobytes() == c.tobytes(), bug_id
+
+
+def test_table_rows_are_the_entering_bugs(mini_env):
+    history = mini_env.corpus.history
+    entering = sorted(
+        b for b in mini_env.corpus.assignable_ids
+        if MINI_BOUNDARY < history[b].reported_at <= MINI_END
+    )
+    assert mini_env.table.bug_ids == tuple(entering)
+    assert mini_env.table.dev_ids == tuple(mini_env.models.dev_ids)
+    assert mini_env.table.S.shape == mini_env.table.C.shape == (
+        len(entering), len(mini_env.models.dev_ids)
+    )
+
+
+def test_table_bitwise_equals_per_bug_reference(mini_env):
+    _assert_matches_reference(mini_env.table, mini_env.models, mini_env.corpus.history)
+
+
+def test_out_of_vocabulary_bug_costs_the_global_mean(mini_env):
+    models = mini_env.models
+    records = [
+        make_bug(1, reported=MINI_BOUNDARY + 1, summary="qqqq", description="zzzz"),
+        next(r for r in mini_env.cleaned if r.reported_at > MINI_BOUNDARY),
+    ]
+    corpus = ReplayCorpus(records=records, assignable_ids={r.bug_id for r in records})
+    table = pipeline.feature_table(models, corpus, MINI_BOUNDARY, MINI_END)
+    assert _reference_rows(models, records[0])[2] == GLOBAL_TOPIC
+    assert np.all(table.C[table.rows([1])] == models.cost_matrix.global_mean)
+    _assert_matches_reference(table, models, corpus.history)
+
+
+def test_actual_run_builds_no_rows(mini_env, monkeypatch):
+    built = []
+    real = pipeline.feature_table
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "feature_table", recording)
+    config = SimConfig(
+        policy="actual",
+        boundary_day=MINI_BOUNDARY,
+        end_day=MINI_END,
+        horizon_L=mini_env.horizon,
+    )
+    result = pipeline.run_policy(config, mini_env.records, mini_env.cleaned, mini_env.models)
+    assert [table.bug_ids for table in built] == [()]
+    assert pipeline.result_to_json(result) == pipeline.result_to_json(
+        mini_env.run("actual")[0]
+    )

@@ -1,62 +1,70 @@
-import json
-
+import numpy as np
 import pytest
 
 from triagelab.bdg import ADD_ARC, OPEN, DependencyGraph
 from triagelab.errors import ValidationError
 from triagelab.policies import (
-    DailyDecision,
     decide_actual,
     decide_cbr,
     decide_costriage,
     decide_knapsack,
 )
-from triagelab.suitability import SuitabilityRow
 
 from conftest import make_bug
 
 
 def _rows(spec):
-    return {b: SuitabilityRow(bug_id=b, s=dict(s)) for b, s in spec.items()}
+    """(bug_ids, S) from {bug_id: {dev_id: s}}; every bug names the same devs."""
+    bug_ids = sorted(spec)
+    return bug_ids, np.array([[spec[b][d] for d in sorted(spec[b])] for b in bug_ids])
+
+
+def _costs(bug_ids, per_dev):
+    """C with the same {dev_id: days} row for every bug."""
+    return np.array([[per_dev[d] for d in sorted(per_dev)] for _ in bug_ids])
 
 
 def test_cbr_picks_argmax_with_smallest_dev_tie():
-    rows = _rows({1: {1: 0.4, 2: 1.0}, 2: {1: 1.0, 2: 1.0}})
-    decision = decide_cbr(5, [1, 2], rows)
-    assert decision.assignments == ((1, 2, None), (2, 1, None))
+    ids, S = _rows({1: {1: 0.4, 2: 1.0}, 2: {1: 1.0, 2: 1.0}})
+    decision = decide_cbr(5, ids, (1, 2), S, _costs(ids, {1: 7.0, 2: 8.0}))
+    assert decision.assignments == ((1, 2, 8.0), (2, 1, 7.0))
     assert decision.deferred == ()
 
 
 def test_cbr_cost_lookup_annotates_but_never_steers():
-    rows = _rows({1: {1: 1.0, 2: 0.9}})
-    lookup = lambda b: {1: 50.0, 2: 0.1}  # dev 1 is far more expensive
-    decision = decide_cbr(5, [1], rows, lookup)
+    ids, S = _rows({1: {1: 1.0, 2: 0.9}})
+    C = _costs(ids, {1: 50.0, 2: 0.1})  # dev 1 is far more expensive
+    decision = decide_cbr(5, ids, (1, 2), S, C)
     assert decision.assignments == ((1, 1, 50.0),)
 
 
 def test_costriage_alpha_one_equals_cbr():
-    rows = _rows({1: {1: 0.4, 2: 1.0}, 2: {1: 1.0, 2: 0.2}})
-    lookup = lambda b: {1: 9.0, 2: 1.0}
-    ct = decide_costriage(5, [1, 2], rows, lookup, alpha=1.0)
-    cbr = decide_cbr(5, [1, 2], rows, lookup)
+    ids, S = _rows({1: {1: 0.4, 2: 1.0}, 2: {1: 1.0, 2: 0.2}})
+    C = _costs(ids, {1: 9.0, 2: 1.0})
+    ct = decide_costriage(5, ids, (1, 2), S, C, alpha=1.0)
+    cbr = decide_cbr(5, ids, (1, 2), S, C)
     assert [(b, d) for b, d, _ in ct.assignments] == [
         (b, d) for b, d, _ in cbr.assignments
     ]
 
 
 def test_costriage_alpha_zero_picks_cheapest():
-    rows = _rows({1: {1: 1.0, 2: 0.0}})
-    lookup = lambda b: {1: 9.0, 2: 3.0}
-    decision = decide_costriage(5, [1], rows, lookup, alpha=0.0)
+    ids, S = _rows({1: {1: 1.0, 2: 0.0}})
+    decision = decide_costriage(5, ids, (1, 2), S, _costs(ids, {1: 9.0, 2: 3.0}), alpha=0.0)
     assert decision.assignments == ((1, 2, 3.0),)
 
 
 def test_costriage_combined_score_hand_check():
     # alpha=0.5: dev1 = 0.5*1 + 0.5*(3/9) = 0.667; dev2 = 0.5*0.2 + 0.5*1 = 0.6
-    rows = _rows({1: {1: 1.0, 2: 0.2}})
-    lookup = lambda b: {1: 9.0, 2: 3.0}
-    decision = decide_costriage(5, [1], rows, lookup, alpha=0.5)
+    ids, S = _rows({1: {1: 1.0, 2: 0.2}})
+    decision = decide_costriage(5, ids, (1, 2), S, _costs(ids, {1: 9.0, 2: 3.0}), alpha=0.5)
     assert decision.assignments == ((1, 1, 9.0),)
+
+
+def test_costriage_ties_go_to_smallest_dev():
+    ids, S = _rows({1: {3: 1.0, 5: 1.0, 9: 0.2}})
+    decision = decide_costriage(5, ids, (3, 5, 9), S, _costs(ids, {3: 2.0, 5: 2.0, 9: 2.0}), alpha=0.5)
+    assert decision.assignments == ((1, 3, 2.0),)
 
 
 def test_actual_replays_history_and_defers_rest():
@@ -80,58 +88,56 @@ def _graph_with(arcs, nodes):
 
 
 def test_knapsack_rabt_ignores_dependencies():
-    rows = _rows({1: {1: 1.0}, 2: {1: 1.0}})
-    lookup = lambda b: {1: 2.0}
+    ids, S = _rows({2: {1: 1.0}})
     graph = _graph_with([(1, 2)], [1, 2])
-    decision = decide_knapsack(5, [2], rows, lookup, {1: 10.0}, graph, 0.5, "RABT")
+    decision = decide_knapsack(
+        5, ids, (1,), S, _costs(ids, {1: 2.0}), [10.0], graph, 0.5, "RABT"
+    )
     assert decision.assignments == ((2, 1, 2.0),)
 
 
 def test_knapsack_dabt_defers_child_of_out_of_instance_parent():
-    rows = _rows({2: {1: 1.0}})
-    lookup = lambda b: {1: 2.0}
+    ids, S = _rows({2: {1: 1.0}})
     graph = _graph_with([(9, 2)], [2, 9])  # parent 9 open but not assignable
-    decision = decide_knapsack(5, [2], rows, lookup, {1: 10.0}, graph, 0.5, "DABT")
+    decision = decide_knapsack(
+        5, ids, (1,), S, _costs(ids, {1: 2.0}), [10.0], graph, 0.5, "DABT"
+    )
     assert decision.assignments == ()
     assert decision.deferred == (2,)
 
 
 def test_knapsack_dabt_drop_cascades_to_grandchildren():
     # 9 (out of instance) blocks 1 blocks 2: both 1 and 2 must defer
-    rows = _rows({1: {1: 1.0}, 2: {1: 1.0}})
-    lookup = lambda b: {1: 1.0}
+    ids, S = _rows({1: {1: 1.0}, 2: {1: 1.0}})
     graph = _graph_with([(9, 1), (1, 2)], [1, 2, 9])
-    decision = decide_knapsack(5, [1, 2], rows, lookup, {1: 10.0}, graph, 0.5, "DABT")
+    decision = decide_knapsack(
+        5, ids, (1,), S, _costs(ids, {1: 1.0}), [10.0], graph, 0.5, "DABT"
+    )
     assert decision.assignments == ()
     assert sorted(decision.deferred) == [1, 2]
 
 
 def test_knapsack_dabt_coassigns_parent_and_child():
-    rows = _rows({1: {1: 1.0, 2: 0.9}, 2: {1: 1.0, 2: 0.9}})
-    lookup = lambda b: {1: 2.0, 2: 2.0}
+    ids, S = _rows({1: {1: 1.0, 2: 0.9}, 2: {1: 1.0, 2: 0.9}})
     graph = _graph_with([(1, 2)], [1, 2])
     decision = decide_knapsack(
-        5, [1, 2], rows, lookup, {1: 10.0, 2: 10.0}, graph, 0.5, "DABT"
+        5, ids, (1, 2), S, _costs(ids, {1: 2.0, 2: 2.0}), [10.0, 10.0], graph, 0.5, "DABT"
     )
     devs = {b: d for b, d, _ in decision.assignments}
     assert devs[1] == devs[2]
 
 
 def test_knapsack_defers_what_does_not_fit():
-    rows = _rows({1: {1: 1.0}, 2: {1: 1.0}})
-    lookup = lambda b: {1: 3.0}
+    ids, S = _rows({1: {1: 1.0}, 2: {1: 1.0}})
     graph = _graph_with([], [1, 2])
-    decision = decide_knapsack(5, [1, 2], rows, lookup, {1: 4.0}, graph, 1.0, "RABT")
+    decision = decide_knapsack(
+        5, ids, (1,), S, _costs(ids, {1: 3.0}), [4.0], graph, 1.0, "RABT"
+    )
     assert len(decision.assignments) == 1
     assert len(decision.deferred) == 1
 
 
 def test_knapsack_unknown_variant_rejected():
     with pytest.raises(ValidationError):
-        decide_knapsack(5, [], {}, lambda b: {}, {}, DependencyGraph(), 0.5, "XYZ")
-
-
-def test_daily_decision_jsonl_line():
-    decision = DailyDecision(day=3, assignments=((1, 2, 4.0),), deferred=(9,))
-    obj = json.loads(decision.to_jsonl_line())
-    assert obj == {"day": 3, "assignments": [[1, 2, 4.0]], "deferred": [9]}
+        empty = np.zeros((0, 0))
+        decide_knapsack(5, [], (), empty, empty, [], DependencyGraph(), 0.5, "XYZ")

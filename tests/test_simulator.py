@@ -1,21 +1,28 @@
 import math
 
+import numpy as np
 import pytest
 
 from triagelab.corpus import DeveloperProfile
 from triagelab.errors import ValidationError
-from triagelab.simulator import ReplayCorpus, SimConfig, run_simulation
-from triagelab.suitability import SuitabilityRow
+from triagelab.simulator import FeatureTable, ReplayCorpus, SimConfig, run_simulation
 
 from conftest import make_bug
 
 
-class StubModels:
-    """Duck-typed stand-in for TrainedModels with fixed tables."""
+class Stub:
+    """A fixed feature table (the same suitability and cost row for
+    every bug) and matching developer profiles."""
 
     def __init__(self, suit, costs, components=("core",)):
-        self.suit = suit  # dev_id -> suitability
-        self.costs = costs  # dev_id -> estimated days
+        dev_ids = sorted(suit)
+        bug_ids = tuple(range(1, 10))  # every bug id these tests use
+        self.table = FeatureTable(
+            dev_ids=tuple(dev_ids),
+            bug_ids=bug_ids,
+            S=np.tile([suit[d] for d in dev_ids], (len(bug_ids), 1)),
+            C=np.tile([costs[d] for d in dev_ids], (len(bug_ids), 1)),
+        )
         self.dev_profiles = {
             d: DeveloperProfile(
                 dev_id=d,
@@ -27,15 +34,8 @@ class StubModels:
             for d in suit
         }
 
-    @property
-    def dev_ids(self):
-        return sorted(self.dev_profiles)
-
-    def suitability_row(self, record):
-        return SuitabilityRow(bug_id=record.bug_id, s=dict(self.suit))
-
-    def cost_map(self, record):
-        return dict(self.costs)
+    def run(self, config, corpus):
+        return run_simulation(config, corpus, self.table, self.dev_profiles)
 
 
 def _config(policy, **kw):
@@ -61,8 +61,8 @@ def test_simconfig_validation():
 
 def test_rabt_capacity_trace_single_bug():
     records = [make_bug(1, reported=11, assigned=11, resolved=14, dev=1)]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 3.0, 2: 5.0})
-    result = run_simulation(_config("rabt"), _corpus(records, {1}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 3.0, 2: 5.0})
+    result = stub.run(_config("rabt"), _corpus(records, {1}))
     [entry] = result.log
     assert (entry["dev_id"], entry["assigned_day"], entry["start_day"]) == (1, 11, 11)
     assert entry["completion_day"] == 14  # 11 + ceil(3.0)
@@ -76,8 +76,8 @@ def test_rabt_capacity_trace_single_bug():
 
 def test_fractional_cost_rounds_up_to_whole_days():
     records = [make_bug(1, reported=11, assigned=11, resolved=14, dev=1)]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 2.4, 2: 5.0})
-    result = run_simulation(_config("rabt"), _corpus(records, {1}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 2.4, 2: 5.0})
+    result = stub.run(_config("rabt"), _corpus(records, {1}))
     assert result.log[0]["completion_day"] == 11 + math.ceil(2.4)
 
 
@@ -86,8 +86,8 @@ def test_cbr_assignments_queue_until_capacity_frees():
         make_bug(1, reported=11, assigned=11, resolved=15, dev=1),
         make_bug(2, reported=11, assigned=11, resolved=15, dev=1),
     ]
-    models = StubModels(suit={1: 1.0, 2: 0.2}, costs={1: 4.0, 2: 4.0})
-    result = run_simulation(_config("cbr"), _corpus(records, {1, 2}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.2}, costs={1: 4.0, 2: 4.0})
+    result = stub.run(_config("cbr"), _corpus(records, {1, 2}))
     first, second = sorted(result.log, key=lambda e: e["bug_id"])
     # both chosen on day 11; only the first fits L=5 immediately
     assert (first["assigned_day"], first["start_day"]) == (11, 11)
@@ -99,8 +99,8 @@ def test_cbr_assignments_queue_until_capacity_frees():
 
 def test_actual_policy_replays_history_verbatim():
     records = [make_bug(1, reported=11, assigned=13, resolved=19, dev=2)]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
-    result = run_simulation(_config("actual"), _corpus(records, {1}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
+    result = stub.run(_config("actual"), _corpus(records, {1}))
     [entry] = result.log
     assert entry["dev_id"] == 2
     assert entry["assigned_day"] == 13
@@ -110,8 +110,8 @@ def test_actual_policy_replays_history_verbatim():
 
 def test_unfinished_work_cleared_at_end_of_horizon():
     records = [make_bug(1, reported=29, assigned=29, resolved=33, dev=1)]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 4.0, 2: 4.0})
-    result = run_simulation(_config("rabt"), _corpus(records, {1}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 4.0, 2: 4.0})
+    result = stub.run(_config("rabt"), _corpus(records, {1}))
     assert result.log[0]["completion_day"] is None  # 29 + 4 > end_day 30
 
 
@@ -121,8 +121,8 @@ def test_total_entering_counts_assignable_test_bugs_only():
         make_bug(2, reported=12, assigned=12, resolved=13, dev=1),
         make_bug(3, reported=14, status="OTHER"),                 # not assignable
     ]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
-    result = run_simulation(_config("rabt"), _corpus(records, {2}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
+    result = stub.run(_config("rabt"), _corpus(records, {2}))
     assert result.total_entering == 1
 
 
@@ -134,8 +134,8 @@ def test_historical_resolution_unblocks_dependent_test_bug():
                  deps=[(12, "ADD_BLOCKS", 1)]),
         make_bug(1, reported=12, assigned=12, resolved=15, dev=1),
     ]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
-    result = run_simulation(_config("dabt"), _corpus(records, {1}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
+    result = stub.run(_config("dabt"), _corpus(records, {1}))
     [entry] = result.log
     assert entry["assigned_day"] == 13  # deferred on day 12, parent resolved day 13
     assert entry["infeasible"] is False
@@ -146,17 +146,17 @@ def test_accuracy_flag_uses_component_experience():
         make_bug(1, reported=11, assigned=11, resolved=12, dev=1, component="ui"),
         make_bug(2, reported=11, assigned=11, resolved=12, dev=1, component="core"),
     ]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0},
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0},
                         components=("core",))
-    result = run_simulation(_config("rabt"), _corpus(records, {1, 2}), models)
+    result = stub.run(_config("rabt"), _corpus(records, {1, 2}))
     flags = {e["bug_id"]: e["accurate"] for e in result.log}
     assert flags == {1: False, 2: True}
 
 
 def test_no_active_developers_refused():
-    models = StubModels(suit={}, costs={})
+    stub = Stub(suit={}, costs={})
     with pytest.raises(ValidationError):
-        run_simulation(_config("rabt"), _corpus([], set()), models)
+        stub.run(_config("rabt"), _corpus([], set()))
 
 
 def test_simulation_deterministic():
@@ -164,8 +164,8 @@ def test_simulation_deterministic():
         make_bug(i, reported=10 + i % 5, assigned=10 + i % 5, resolved=20, dev=1)
         for i in range(1, 8)
     ]
-    models = StubModels(suit={1: 1.0, 2: 0.5}, costs={1: 2.0, 2: 3.0})
-    a = run_simulation(_config("rabt"), _corpus(records, {1, 2, 3, 4, 5, 6, 7}), models)
-    b = run_simulation(_config("rabt"), _corpus(records, {1, 2, 3, 4, 5, 6, 7}), models)
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 2.0, 2: 3.0})
+    a = stub.run(_config("rabt"), _corpus(records, {1, 2, 3, 4, 5, 6, 7}))
+    b = stub.run(_config("rabt"), _corpus(records, {1, 2, 3, 4, 5, 6, 7}))
     assert a.log == b.log
     assert a.daily == b.daily

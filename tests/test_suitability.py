@@ -4,7 +4,6 @@ import pytest
 from triagelab.errors import ValidationError
 from triagelab.suitability import (
     LinearModel,
-    SuitabilityRow,
     predict_suitability,
     train_classifier,
 )
@@ -32,9 +31,9 @@ def test_separable_fixture_learned():
     model = train_classifier(pairs, n_features=len(vocab))
     for doc, label in zip(docs, [1, 1, 1, 2, 2, 2]):
         row = predict_suitability(model, tfidf_transform(doc, vocab), [1, 2])
-        assert row.argmax_dev() == label
-        assert max(row.s.values()) == 1.0
-        assert min(row.s.values()) >= 0.0
+        assert [1, 2][row.argmax()] == label
+        assert row.max() == 1.0
+        assert row.min() >= 0.0
 
 
 def test_training_deterministic():
@@ -73,7 +72,7 @@ def test_all_equal_scores_normalize_to_one():
         TokenizedDoc(1, ()), build_vocabulary([TokenizedDoc(1, ("a1", "b2"))], min_df=1)
     )
     row = predict_suitability(model, doc_vec, [1, 2, 3])
-    assert row.s == {1: 1.0, 2: 1.0, 3: 1.0}
+    assert row.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_empty_developer_set_rejected():
@@ -88,5 +87,16 @@ def test_empty_developer_set_rejected():
 
 
 def test_argmax_tie_breaks_to_smallest_dev():
-    row = SuitabilityRow(bug_id=1, s={5: 1.0, 3: 1.0, 9: 0.2})
-    assert row.argmax_dev() == 3
+    # raw decision values: dev 5 -> 1.0, dev 3 -> 1.0, dev 9 -> 0.2
+    model = LinearModel(
+        dev_ids=[5, 3, 9],
+        weights=np.zeros((3, 2)),
+        bias=np.array([1.0, 1.0, 0.2]),
+        n_features=2,
+    )
+    vec = tfidf_transform(
+        TokenizedDoc(1, ()), build_vocabulary([TokenizedDoc(1, ("a1", "b2"))], min_df=1)
+    )
+    row = predict_suitability(model, vec, [9, 5, 3])  # columns in sorted order
+    assert row.tolist() == [1.0, 1.0, 0.0]
+    assert [3, 5, 9][row.argmax()] == 3
