@@ -38,10 +38,6 @@ class DependencyGraph:
     rejected_arcs: list = field(default_factory=list)
 
     @property
-    def nodes(self):
-        return set(self.children)
-
-    @property
     def n_arcs(self) -> int:
         return sum(len(kids) for kids in self.children.values())
 
@@ -110,43 +106,40 @@ class DependencyGraph:
             raise ValidationError(f"bug {bug} is not an open node")
         return set(self.parents[bug])
 
-    def depth(self, bug: int) -> int:
-        """Longest chain of unresolved blockers above the bug."""
-        best = 0
-        stack = [(bug, 0)]
-        while stack:
-            node, d = stack.pop()
-            ps = self.parents.get(node, ())
-            if not ps:
-                best = max(best, d)
-            for p in ps:
-                stack.append((p, d + 1))
-        return best
+    def _topological_order(self) -> list:
+        """Open nodes with every blocker before the bugs it blocks (Kahn).
+
+        Nodes on a cycle never become ready and are left out.
+        """
+        waiting = {n: len(ps) for n, ps in self.parents.items()}
+        order = [n for n, k in waiting.items() if k == 0]
+        for node in order:
+            for child in self.children[node]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    order.append(child)
+        return order
 
     def is_acyclic(self) -> bool:
-        """Full topological-sort check (Kahn)."""
-        indegree = {n: len(self.parents[n]) for n in self.children}
-        queue = [n for n, d in indegree.items() if d == 0]
-        visited = 0
-        while queue:
-            node = queue.pop()
-            visited += 1
-            for child in self.children[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    queue.append(child)
-        return visited == len(self.children)
+        """Full topological-sort check."""
+        return len(self._topological_order()) == len(self.children)
 
     def metrics_snapshot(self) -> GraphMetrics:
         """Mean depth and mean degree over open nodes; zeros when empty.
 
+        A node's depth is the longest chain of unresolved blockers above
+        it: 0 without blockers, else 1 + the deepest blocker's depth.
+        One memoized pass in topological order makes this O(V + E).
         mean_degree = |arcs| / |nodes| (half the mean incident degree).
         """
         n = len(self.children)
         if n == 0:
             return GraphMetrics(0.0, 0.0, 0, 0)
         arcs = self.n_arcs
-        total_depth = sum(self.depth(b) for b in self.children)
+        depth = {}
+        for node in self._topological_order():
+            depth[node] = 1 + max((depth[p] for p in self.parents[node]), default=-1)
+        total_depth = sum(depth.values())
         return GraphMetrics(
             mean_depth=total_depth / n,
             mean_degree=arcs / n,

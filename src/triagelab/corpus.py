@@ -138,8 +138,25 @@ def quartiles(sample) -> tuple[float, float]:
     return float(q1), float(q3)
 
 
-def _optional_int(value):
-    return None if value is None else int(value)
+def _int(value, name):
+    """An integer field: an int, an integral float or an integral
+    numeric string.  Bools, fractions, NaN and infinities are rejected,
+    not coerced."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def _optional_int(obj, name):
+    value = obj.get(name)
+    return None if value is None else _int(value, name)
 
 
 def _record_from_obj(obj, line_no):
@@ -150,18 +167,18 @@ def _record_from_obj(obj, line_no):
             raise ParseError(f"missing field {name!r}", line_no)
     try:
         deps = tuple(
-            (int(day), kind, int(other))
+            (_int(day, "event day"), kind, _int(other, "event bug"))
             for day, kind, other in obj.get("dependency_events", [])
         )
         return BugRecord(
-            bug_id=int(obj["bug_id"]),
+            bug_id=_int(obj["bug_id"], "bug_id"),
             summary=str(obj["summary"]),
             description=str(obj["description"]),
             component=str(obj["component"]),
-            reported_at=int(obj["reported_at"]),
-            assigned_at=_optional_int(obj.get("assigned_at")),
-            resolved_at=_optional_int(obj.get("resolved_at")),
-            actual_assignee=_optional_int(obj.get("actual_assignee")),
+            reported_at=_int(obj["reported_at"], "reported_at"),
+            assigned_at=_optional_int(obj, "assigned_at"),
+            resolved_at=_optional_int(obj, "resolved_at"),
+            actual_assignee=_optional_int(obj, "actual_assignee"),
             status_final=obj.get("status_final", "OTHER"),
             dependency_events=deps,
         )

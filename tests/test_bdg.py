@@ -5,6 +5,21 @@ from triagelab.bdg import ADD_ARC, OPEN, REMOVE_ARC, RESOLVE, DependencyGraph
 from triagelab.errors import ValidationError
 
 
+def oracle_depth(graph, bug):
+    """Longest chain of unresolved blockers above the bug, by enumerating
+    every blocker path (exponential on layered DAGs; small graphs only)."""
+    best = 0
+    stack = [(bug, 0)]
+    while stack:
+        node, d = stack.pop()
+        ps = graph.parents.get(node, ())
+        if not ps:
+            best = max(best, d)
+        for p in ps:
+            stack.append((p, d + 1))
+    return best
+
+
 def _graph(arcs, extra_nodes=()):
     g = DependencyGraph()
     for a, b in arcs:
@@ -73,7 +88,28 @@ def test_remove_arc():
 
 def test_depth_on_chain():
     g = _graph([(1, 2), (2, 3), (3, 4)])
-    assert [g.depth(n) for n in (1, 2, 3, 4)] == [0, 1, 2, 3]
+    assert [oracle_depth(g, n) for n in (1, 2, 3, 4)] == [0, 1, 2, 3]
+    assert g.metrics_snapshot().mean_depth == 6 / 4
+
+
+def test_long_chain_does_not_recurse():
+    n = 5000
+    g = _graph([(i, i + 1) for i in range(n - 1)])
+    assert g.metrics_snapshot().mean_depth == (n - 1) / 2
+
+
+def test_layered_dag_mean_depth():
+    # 20 layers of 3, each node blocking every node of the next layer:
+    # enumerating paths would walk about 3**19 per bottom node
+    layers, width = 20, 3
+    g = _graph([
+        (layer * width + a, (layer + 1) * width + b)
+        for layer in range(layers - 1)
+        for a in range(width)
+        for b in range(width)
+    ])
+    snap = g.metrics_snapshot()
+    assert (snap.n_nodes, snap.mean_depth) == (60, 9.5)
 
 
 def test_unknown_event_kind_rejected():
@@ -100,3 +136,22 @@ def test_graph_stays_acyclic_under_any_event_sequence(events):
         assert node not in g.resolved
         for child in g.children[node]:
             assert node in g.parents[child]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([OPEN, ADD_ARC, REMOVE_ARC, RESOLVE]),
+            st.integers(0, 9),
+            st.integers(0, 9),
+        ),
+        max_size=80,
+    )
+)
+def test_snapshot_depth_matches_path_enumeration(events):
+    g = DependencyGraph()
+    for kind, a, b in events:
+        g.apply_event(kind, a, b if kind in (ADD_ARC, REMOVE_ARC) else None)
+    snap = g.metrics_snapshot()
+    depths = [oracle_depth(g, node) for node in g.children]
+    assert snap.mean_depth == (sum(depths) / len(depths) if depths else 0.0)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triagelab.corpus import (
     BugRecord,
@@ -140,8 +141,17 @@ GOOD_LINE = ('{"bug_id": 1, "summary": "s", "description": "d", '
         GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "assigned_at": [6]'),
         GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "dependency_events": [["x", "ADD_BLOCKS", 2]]'),
         GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "dependency_events": [[4, "ADD_BLOCKS"]]'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "assigned_at": 6.7'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "actual_assignee": true'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 1.9'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2').replace('"reported_at": 1', '"reported_at": Infinity'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "resolved_at": -Infinity'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "resolved_at": NaN'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "dependency_events": [[4, "ADD_BLOCKS", false]]'),
     ],
-    ids=["not-json", "assigned-at-word", "assigned-at-list", "event-day-word", "event-pair"],
+    ids=["not-json", "assigned-at-word", "assigned-at-list", "event-day-word", "event-pair",
+         "assigned-at-fraction", "assignee-bool", "bug-id-fraction", "reported-at-infinity",
+         "resolved-at-minus-infinity", "resolved-at-nan", "event-other-bool"],
 )
 def test_load_events_parse_error_carries_line_number(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
@@ -151,11 +161,62 @@ def test_load_events_parse_error_carries_line_number(tmp_path, bad_line):
 
 
 def test_load_events_casts_integer_fields(tmp_path):
-    # a numeric string is read as its integer, as reported_at always was
+    # a numeric string or an integral float is read as its integer
     path = tmp_path / "cast.jsonl"
-    path.write_text(GOOD_LINE.replace('"reported_at": 1', '"reported_at": "1", "assigned_at": "6"'))
+    path.write_text(GOOD_LINE.replace(
+        '"reported_at": 1', '"reported_at": "1", "assigned_at": "6", "resolved_at": 7.0'))
     [record] = load_events(path)
-    assert (record.reported_at, record.assigned_at) == (1, 6)
+    assert (record.reported_at, record.assigned_at, record.resolved_at) == (1, 6, 7)
+    assert type(record.resolved_at) is int
+
+
+FULL_OBJ = {
+    "bug_id": 1, "summary": "s", "description": "d", "component": "c",
+    "reported_at": 1, "assigned_at": 2, "resolved_at": 3, "actual_assignee": 4,
+    "status_final": "FIXED", "dependency_events": [[2, "ADD_BLOCKS", 5]],
+}
+INT_FIELDS = ("bug_id", "reported_at", "assigned_at", "resolved_at", "actual_assignee")
+# where a fuzzed value goes: the whole line, one field, or one slot of an event
+INT_SLOTS = [(name,) for name in INT_FIELDS] + [("dependency_events", 0, 0), ("dependency_events", 0, 2)]
+FUZZ_SLOTS = [()] + [(name,) for name in FULL_OBJ] + [("dependency_events", 0, i) for i in range(3)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+# values that int() would coerce or choke on, drawn often enough to reach every slot
+EDGE_VALUES = st.sampled_from(
+    [True, False, 6.7, -1.9, 2.0, float("inf"), float("-inf"), float("nan"), "6", "6.5", "x"]
+)
+
+
+@settings(max_examples=300)
+@given(slot=st.sampled_from(FUZZ_SLOTS), value=EDGE_VALUES | JSON_VALUES)
+def test_load_events_any_json_value_gives_record_or_parse_error(tmp_path_factory, slot, value):
+    # json.dumps writes NaN and +-Infinity, and json.loads reads them back
+    if slot:
+        obj = json.loads(json.dumps(FULL_OBJ))
+        target = obj
+        for key in slot[:-1]:
+            target = target[key]
+        target[slot[-1]] = value
+    else:
+        obj = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_text("\n" + json.dumps(obj) + "\n")
+    try:
+        [record] = load_events(path)
+    except ParseError as exc:
+        assert str(exc).startswith("line 2: ")
+        return
+    ints = [getattr(record, name) for name in INT_FIELDS]
+    ints += [x for day, _, other in record.dependency_events for x in (day, other)]
+    assert all(x is None or type(x) is int for x in ints)
+    if slot in INT_SLOTS:
+        # an accepted integer field holds exactly the value written
+        read = record.dependency_events[0][slot[2]] if len(slot) == 3 else getattr(record, slot[0])
+        assert not isinstance(value, bool)
+        assert isinstance(value, str) or read == value
 
 
 def test_load_events_missing_field(tmp_path):
