@@ -15,7 +15,7 @@ import sys
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import pipeline
-from .errors import TriageError
+from .errors import TriageError, ValidationError
 from .policies import POLICY_NAMES
 from .simulator import SimConfig
 from .solver import AssignmentInstance, brute_force_oracle, solve_dabt, solve_rabt
@@ -111,13 +111,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sim_config(args, records, cleaned, summary) -> SimConfig:
-    horizon = args.L
+def _sim_config(args, records, summary) -> SimConfig:
+    horizon = args.L if args.L is not None else summary.horizon_L
     if horizon is None:
-        horizon = summary.horizon_L
-    if horizon is None:
-        train, _ = corpus_mod.split_train_test(cleaned, args.boundary)
-        horizon = corpus_mod.compute_horizon_L([r.fixing_time for r in train])
+        raise ValidationError("no cleaned training bug to set the horizon L; pass --L")
     end_day = args.end if args.end is not None else max(
         r.reported_at for r in records
     ) + 30
@@ -135,7 +132,7 @@ def cmd_simulate(args) -> int:
     records = _load_corpus(args)
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     models = pipeline.load_models(args.out)
-    config = _sim_config(args, records, cleaned, summary)
+    config = _sim_config(args, records, summary)
     result = pipeline.run_policy(config, records, cleaned, models)
     tag = f"{config.policy}_a{config.alpha:g}"
     with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
@@ -161,13 +158,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(os.path.join(args.out, "dev_profiles.json")) as fh:
-        profiles = pipeline.profiles_from_json(fh.read())
-    reports = []
-    for path in args.results:
-        with open(path) as fh:
-            result = pipeline.result_from_json(fh.read())
-        reports.append(metrics_mod.compute_report(result, profiles))
+    profiles = pipeline.read_json_file(
+        os.path.join(args.out, "dev_profiles.json"), pipeline.profiles_from_json
+    )
+    reports = [
+        metrics_mod.compute_report(
+            pipeline.read_json_file(path, pipeline.result_from_json), profiles
+        )
+        for path in args.results
+    ]
     csv_text, table = metrics_mod.compare_policies(reports)
     with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
         fh.write(csv_text)
@@ -180,7 +179,7 @@ def cmd_sweep(args) -> int:
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     models = pipeline.load_models(args.out)
     args.policy = "dabt"
-    config = _sim_config(args, records, cleaned, summary)
+    config = _sim_config(args, records, summary)
     corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
     table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
     alphas = [float(a) for a in args.alphas.split(",")]
@@ -193,8 +192,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.instance) as fh:
-        instance = AssignmentInstance.from_json(fh.read())
+    instance = pipeline.read_json_file(args.instance, AssignmentInstance.from_json)
     if args.variant == "rabt":
         solution = solve_rabt(instance)
     elif args.variant == "oracle":
@@ -265,10 +263,7 @@ def dispatch(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except TriageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (TriageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

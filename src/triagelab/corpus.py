@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,20 +194,26 @@ def load_events(path) -> list[BugRecord]:
     """
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-            record = _record_from_obj(obj, line_no)
-            if record.bug_id in seen:
-                raise ValidationError(f"duplicate bug_id {record.bug_id}")
-            seen.add(record.bug_id)
-            records.append(record)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # \n, \r\n and \r, as text mode reads
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason}", line_no) from exc
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        except RecursionError as exc:
+            raise ParseError("invalid JSON: nested too deeply", line_no) from exc
+        record = _record_from_obj(obj, line_no)
+        if record.bug_id in seen:
+            raise ValidationError(f"duplicate bug_id {record.bug_id}")
+        seen.add(record.bug_id)
+        records.append(record)
     records.sort(key=lambda r: (r.reported_at, r.bug_id))
     return records
 
@@ -236,6 +242,16 @@ def select_active_developers(records) -> list[DeveloperProfile]:
     per-developer fix counts.  With a single developer the IQR is 0, so
     any positive count is active.
     """
+    profiles = developer_profiles(records, active=())
+    if not profiles:
+        return []
+    q1, q3 = quartiles([p.fixed_bug_count for p in profiles])
+    return [replace(p, is_active=p.fixed_bug_count > q3 - q1) for p in profiles]
+
+
+def developer_profiles(records, active) -> list[DeveloperProfile]:
+    """One profile per developer with a fix in ``records``, flagged
+    active when in ``active``."""
     counts: dict[int, int] = {}
     components: dict[int, set] = {}
     for rec in records:
@@ -244,17 +260,13 @@ def select_active_developers(records) -> list[DeveloperProfile]:
             continue
         counts[dev] = counts.get(dev, 0) + 1
         components.setdefault(dev, set()).add(rec.component)
-    if not counts:
-        return []
-    q1, q3 = quartiles(list(counts.values()))
-    iqr = q3 - q1
     return [
         DeveloperProfile(
             dev_id=dev,
             name=f"dev-{dev}",
             fixed_bug_count=n,
             components_experienced=frozenset(components[dev]),
-            is_active=n > iqr,
+            is_active=dev in active,
         )
         for dev, n in sorted(counts.items())
     ]

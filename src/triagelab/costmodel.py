@@ -11,12 +11,11 @@ user-based cosine collaborative filter with deterministic fallbacks
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .textprep import preprocess_text
 
 GLOBAL_TOPIC = -1  # sentinel for docs with no in-vocabulary tokens
 
@@ -198,8 +197,8 @@ class CostMatrix:
     dev_ids: list  # sorted
     K: int
     observed: dict  # (dev_id, k) -> mean fixing days
-    filled: np.ndarray | None = None  # (D, K), complete and positive
-    provenance: dict = field(default_factory=dict)  # (dev_id, k) -> str
+    filled: np.ndarray  # (D, K), complete and positive
+    provenance: dict  # (dev_id, k) -> OBSERVED, CF or GLOBAL_MEAN
 
     @property
     def global_mean(self) -> float:
@@ -211,8 +210,6 @@ class CostMatrix:
         """Estimated fixing days; GLOBAL_TOPIC maps to the global mean."""
         if topic == GLOBAL_TOPIC:
             return self.global_mean
-        if self.filled is None:
-            raise ValidationError("cost matrix not filled yet")
         return float(self.filled[self.dev_ids.index(dev_id), topic])
 
     def to_json(self) -> str:
@@ -223,7 +220,7 @@ class CostMatrix:
                 "observed": [
                     [d, k, v] for (d, k), v in sorted(self.observed.items())
                 ],
-                "filled": None if self.filled is None else self.filled.tolist(),
+                "filled": self.filled.tolist(),
                 "provenance": [
                     [d, k, p] for (d, k), p in sorted(self.provenance.items())
                 ],
@@ -238,43 +235,23 @@ class CostMatrix:
             dev_ids=obj["dev_ids"],
             K=obj["K"],
             observed={(d, k): v for d, k, v in obj["observed"]},
-            filled=None if obj["filled"] is None else np.array(obj["filled"]),
+            filled=np.array(obj["filled"]),
             provenance={(d, k): p for d, k, p in obj["provenance"]},
         )
 
 
-def build_cost_matrix(train_records, model: TopicModel, vocab, dev_ids=None, topic_by_bug=None) -> CostMatrix:
-    """Per-(developer, topic) mean fixing days over training records.
+def build_cost_matrix(train_records, topics) -> dict:
+    """Observed cells: (developer, topic) -> mean fixing days.
 
-    Records must have an assignee and a fixing time.  Topic per bug is
-    inferred from its text unless supplied in ``topic_by_bug``.
-    Missing cells stay absent until ``fill_missing_cf``.
+    ``topics`` holds each record's fold-in topic, aligned with
+    ``train_records``; every record has an assignee and a fixing time.
+    GLOBAL_TOPIC records have no cell.
     """
-    if dev_ids is None:
-        dev_ids = sorted(
-            {r.actual_assignee for r in train_records if r.actual_assignee is not None}
-        )
     samples: dict[tuple, list] = {}
-    for rec in train_records:
-        if rec.actual_assignee is None or rec.fixing_time is None:
-            continue
-        if rec.actual_assignee not in dev_ids:
-            continue
-        if topic_by_bug is not None:
-            topic = topic_by_bug[rec.bug_id]
-        else:
-            doc = preprocess_text(rec.summary, rec.description, rec.bug_id)
-            topic = infer_topic(model, doc, vocab)
-        if topic == GLOBAL_TOPIC:
-            continue
-        samples.setdefault((rec.actual_assignee, topic), []).append(rec.fixing_time)
-    observed = {
-        cell: float(np.mean(times)) for cell, times in sorted(samples.items())
-    }
-    provenance = {cell: OBSERVED for cell in observed}
-    return CostMatrix(
-        dev_ids=list(dev_ids), K=model.K, observed=observed, provenance=provenance
-    )
+    for rec, topic in zip(train_records, topics):
+        if topic != GLOBAL_TOPIC:
+            samples.setdefault((rec.actual_assignee, topic), []).append(rec.fixing_time)
+    return {cell: float(np.mean(times)) for cell, times in sorted(samples.items())}
 
 
 def _dev_similarity(obs_a: dict, obs_b: dict) -> float | None:
@@ -290,29 +267,29 @@ def _dev_similarity(obs_a: dict, obs_b: dict) -> float | None:
     return float(a @ b / denom)
 
 
-def fill_missing_cf(matrix: CostMatrix) -> CostMatrix:
-    """Complete the matrix; observed cells are never altered.
+def fill_missing_cf(observed: dict, dev_ids, K: int) -> CostMatrix:
+    """The complete (developer, topic) matrix over sorted ``dev_ids``;
+    observed cells are never altered.
 
     Missing (d, k): similarity-weighted average of other developers'
     observed topic-k costs; falls back to the topic column mean (tagged
     CF, the uniform-weight degenerate case), then to the global mean.
     """
-    if not matrix.observed:
+    if not observed:
         raise ValidationError("cannot fill a matrix with no observed cells")
-    dev_ids = matrix.dev_ids
-    K = matrix.K
+    dev_ids = list(dev_ids)
     by_dev: dict[int, dict] = {d: {} for d in dev_ids}
-    for (d, k), v in matrix.observed.items():
+    for (d, k), v in observed.items():
         by_dev[d][k] = v
-    global_mean = matrix.global_mean
+    global_mean = float(np.mean(list(observed.values())))
 
     filled = np.zeros((len(dev_ids), K))
-    provenance = dict(matrix.provenance)
+    provenance = {}
     for i, d in enumerate(dev_ids):
         for k in range(K):
-            if (d, k) in matrix.observed:
-                filled[i, k] = matrix.observed[(d, k)]
-                provenance.setdefault((d, k), OBSERVED)
+            if (d, k) in observed:
+                filled[i, k] = observed[(d, k)]
+                provenance[(d, k)] = OBSERVED
                 continue
             num = den = 0.0
             for other in dev_ids:
@@ -337,9 +314,5 @@ def fill_missing_cf(matrix: CostMatrix) -> CostMatrix:
     if not np.all(filled > 0):
         raise ValidationError("filled cost matrix must be strictly positive")
     return CostMatrix(
-        dev_ids=dev_ids,
-        K=K,
-        observed=dict(matrix.observed),
-        filled=filled,
-        provenance=provenance,
+        dev_ids=dev_ids, K=K, observed=dict(observed), filled=filled, provenance=provenance
     )

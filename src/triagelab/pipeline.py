@@ -17,7 +17,7 @@ from .corpus import (
     CleaningRule,
     DeveloperProfile,
     clean_bugs,
-    select_active_developers,
+    developer_profiles,
     split_train_test,
 )
 from .costmodel import (
@@ -57,21 +57,20 @@ class TrainSettings:
     topic_grid: tuple = DEFAULT_TOPIC_GRID
     C: float = 1000.0
     seed: int = 0
-    epochs: int = 200
     lda_iters: int = 1000
-    min_df: int = 2
 
 
 def prepare(records, boundary_day):
     """Clean the corpus and profile the active developers.
 
-    Returns (cleaned, summary, profiles) where profiles covers the
-    active developers with their training-phase component experience.
+    Returns (cleaned, summary, profiles).  Cleaning keeps only active
+    developers' bugs, so profiles covers every developer with a cleaned
+    training bug, with their training-phase component experience.
     """
     cleaned, summary = clean_bugs(records, CleaningRule(boundary_day=boundary_day))
     train, _ = split_train_test(cleaned, boundary_day)
     profiles = {
-        p.dev_id: p for p in select_active_developers(train) if p.is_active
+        p.dev_id: p for p in developer_profiles(train, summary.active_dev_ids)
     }
     return cleaned, summary, profiles
 
@@ -83,28 +82,18 @@ def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedMod
         raise ValidationError("no active developers to train on")
     train = [r for r in cleaned_train if r.actual_assignee in profiles]
     docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
-    vocab = build_vocabulary(docs, min_df=settings.min_df)
-    pairs = [
-        (tfidf_transform(doc, vocab), rec.actual_assignee)
-        for doc, rec in zip(docs, train)
-    ]
+    vocab = build_vocabulary(docs)
+    X = np.array([tfidf_transform(doc, vocab) for doc in docs])
     linear = train_classifier(
-        pairs,
-        n_features=len(vocab),
-        C=settings.C,
-        epochs=settings.epochs,
-        seed=settings.seed,
+        X, [r.actual_assignee for r in train], C=settings.C, seed=settings.seed
     )
     topic_model = select_topic_count(
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
-    topic_by_bug = {
-        doc.bug_id: infer_topic(topic_model, doc, vocab) for doc in docs
-    }
-    cost = build_cost_matrix(
-        train, topic_model, vocab, dev_ids=sorted(profiles), topic_by_bug=topic_by_bug
+    topics = [infer_topic(topic_model, doc, vocab) for doc in docs]
+    cost = fill_missing_cf(
+        build_cost_matrix(train, topics), sorted(profiles), topic_model.K
     )
-    cost = fill_missing_cf(cost)
     return TrainedModels(
         linear_model=linear,
         vocab=vocab,
@@ -131,8 +120,8 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     """
     dev_ids = models.dev_ids
     matrix = models.cost_matrix
-    if matrix.dev_ids != dev_ids or matrix.filled is None:
-        raise ValidationError("cost matrix is not filled for the active developers")
+    if matrix.dev_ids != dev_ids:
+        raise ValidationError("cost matrix developers differ from the active developers")
     global_mean = matrix.global_mean
     bug_ids = sorted(
         b for b in corpus.assignable_ids
@@ -143,8 +132,8 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     for i, bug_id in enumerate(bug_ids):
         rec = corpus.history[bug_id]
         doc = preprocess_text(rec.summary, rec.description, bug_id)
-        vec = tfidf_transform(doc, models.vocab)
-        S[i] = predict_suitability(models.linear_model, vec, dev_ids)
+        row = tfidf_transform(doc, models.vocab)
+        S[i] = predict_suitability(models.linear_model, row, dev_ids)
         topic = infer_topic(models.topic_model, doc, models.vocab)
         C[i] = global_mean if topic == GLOBAL_TOPIC else matrix.filled[:, topic]
     return FeatureTable(dev_ids=tuple(dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
@@ -203,20 +192,32 @@ def save_models(models: TrainedModels, out_dir) -> None:
             fh.write(text)
 
 
+def read_json_file(path, parse):
+    """``parse`` applied to the text of the JSON file at ``path``.  A
+    file that is not UTF-8 JSON of the expected shape raises
+    ValidationError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ValidationError(
+            f"{path}: not a valid file ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def load_models(out_dir) -> TrainedModels:
-    def read(name):
+    def read(name, parse):
         path = os.path.join(out_dir, name)
         if not os.path.exists(path):
             raise ValidationError(f"missing artifact {name}; run `train` first")
-        with open(path) as fh:
-            return fh.read()
+        return read_json_file(path, parse)
 
     return TrainedModels(
-        linear_model=LinearModel.from_json(read("classifier.json")),
-        vocab=Vocabulary.from_json(read("vocabulary.json")),
-        topic_model=TopicModel.from_json(read("topic_model.json")),
-        cost_matrix=CostMatrix.from_json(read("cost_matrix.json")),
-        dev_profiles=profiles_from_json(read("dev_profiles.json")),
+        linear_model=read("classifier.json", LinearModel.from_json),
+        vocab=read("vocabulary.json", Vocabulary.from_json),
+        topic_model=read("topic_model.json", TopicModel.from_json),
+        cost_matrix=read("cost_matrix.json", CostMatrix.from_json),
+        dev_profiles=read("dev_profiles.json", profiles_from_json),
     )
 
 

@@ -94,19 +94,16 @@ class FeatureTable:
 
 @dataclass
 class DeveloperSlate:
-    dev_id: int
     T: float
-    in_progress: list = field(default_factory=list)  # (bug_id, completion_day)
-    queue: list = field(default_factory=list)  # FIFO of (bug_id, cost)
+    queue: list = field(default_factory=list)  # FIFO of (bug_id, cost, log entry)
 
 
 @dataclass
 class SimState:
     day: int
-    graph: DependencyGraph
     slates: dict  # dev_id -> DeveloperSlate
     open_pool: set = field(default_factory=set)  # assignable, unassigned
-    assigned: dict = field(default_factory=dict)  # bug_id -> dev_id
+    in_progress: list = field(default_factory=list)  # (bug_id, completion_day)
     log: list = field(default_factory=list)  # assignment dicts
     daily: list = field(default_factory=list)  # per-day sample dicts
 
@@ -138,11 +135,7 @@ class Replay:
         self.graph = DependencyGraph()
         self.state = SimState(
             day=config.boundary_day,
-            graph=self.graph,
-            slates={
-                d: DeveloperSlate(dev_id=d, T=config.horizon_L)
-                for d in table.dev_ids
-            },
+            slates={d: DeveloperSlate(T=config.horizon_L) for d in table.dev_ids},
         )
         self._entered = set()  # assignable bugs that entered the pool
         self._warm_up()
@@ -155,38 +148,33 @@ class Replay:
         for day in days:
             if day > self.config.boundary_day:
                 break
-            self._apply_world_events(day, simulate_everything=False)
+            self._apply_world_events(day)
 
-    def _apply_world_events(self, day, simulate_everything=True):
+    def _apply_world_events(self, day):
+        # Assignable bugs reported after the boundary are simulated: they
+        # enter the pool and resolve when the simulated developer
+        # finishes, not on the historical date.
+        simulated = day > self.config.boundary_day
         for bug_id in sorted(self.opens.get(day, ())):
             self.graph.apply_event("OPEN", bug_id)
-            if (
-                simulate_everything
-                and bug_id in self.corpus.assignable_ids
-                and day > self.config.boundary_day
-            ):
+            if simulated and bug_id in self.corpus.assignable_ids:
                 self.state.open_pool.add(bug_id)
                 self._entered.add(bug_id)
         for kind, bug_id, other in self.arcs.get(day, ()):
             arc_kind = "ADD_ARC" if kind == "ADD_BLOCKS" else "REMOVE_ARC"
             self.graph.apply_event(arc_kind, bug_id, other)
         for bug_id in sorted(self.hist_resolves.get(day, ())):
-            # Simulated bugs resolve when the simulated developer
-            # finishes, not on the historical date.
-            if simulate_everything and bug_id in self.corpus.assignable_ids:
-                continue
-            self.graph.apply_event("RESOLVE", bug_id)
+            if not (simulated and bug_id in self.corpus.assignable_ids):
+                self.graph.apply_event("RESOLVE", bug_id)
 
     def _complete_work(self, day):
-        for dev_id in sorted(self.state.slates):
-            slate = self.state.slates[dev_id]
-            still = []
-            for bug_id, completion_day in slate.in_progress:
-                if completion_day <= day:
-                    self.graph.apply_event("RESOLVE", bug_id)
-                else:
-                    still.append((bug_id, completion_day))
-            slate.in_progress = still
+        still = []
+        for bug_id, completion_day in self.state.in_progress:
+            if completion_day <= day:
+                self.graph.apply_event("RESOLVE", bug_id)
+            else:
+                still.append((bug_id, completion_day))
+        self.state.in_progress = still
 
     def _decide(self, day, feasible):
         cfg = self.config
@@ -229,7 +217,6 @@ class Replay:
             "start_day": None,
             "completion_day": None,
         }
-        self.state.assigned[bug_id] = dev_id
         self.state.open_pool.discard(bug_id)
         self.state.log.append(entry)
         return entry
@@ -246,7 +233,7 @@ class Replay:
                     completion = day + max(1, math.ceil(cost))
                     entry["start_day"] = day
                     entry["completion_day"] = completion
-                    slate.in_progress.append((bug_id, completion))
+                    self.state.in_progress.append((bug_id, completion))
                 else:
                     remaining.append((bug_id, cost, entry))
             if remaining and dev_id in strict_devs:
@@ -268,12 +255,11 @@ class Replay:
         for bug_id, dev_id, cost in decision.assignments:
             entry = self._record_assignment(day, bug_id, dev_id, cost, same_batch)
             if cfg.policy == "actual":
+                # no slate: the assignee may have no profile
                 rec = self.corpus.history[bug_id]
                 entry["start_day"] = day
                 entry["completion_day"] = rec.resolved_at
-                self.state.slates[dev_id].in_progress.append(
-                    (bug_id, rec.resolved_at)
-                )
+                self.state.in_progress.append((bug_id, rec.resolved_at))
             else:
                 self.state.slates[dev_id].queue.append((bug_id, cost, entry))
                 if cfg.policy in ("rabt", "dabt"):

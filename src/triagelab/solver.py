@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +60,13 @@ class AssignmentInstance:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate bug ids in instance")
         for _, cap in self.developers:
-            if cap < 0:
-                raise ValidationError("negative developer capacity")
+            if not 0 <= cap < math.inf:
+                raise ValidationError(f"developer capacity {cap} is not finite and non-negative")
         for bug in self.bugs:
             if len(bug.s) != len(self.developers) or len(bug.c) != len(self.developers):
                 raise ValidationError(f"bug {bug.bug_id}: row size mismatch")
+            if not all(map(math.isfinite, (*bug.s, *bug.c))):
+                raise ValidationError(f"bug {bug.bug_id}: suitability and cost must be finite")
             if min(bug.c) <= 0:
                 raise ValidationError(f"bug {bug.bug_id}: costs must be positive")
             if self.developers and abs(max(bug.s) - 1.0) > 1e-9:

@@ -1,6 +1,6 @@
 """Developer-suitability scoring from bug text.
 
-A one-vs-rest linear max-margin classifier maps a TF-IDF vector to a
+A one-vs-rest linear max-margin classifier maps a TF-IDF row to a
 raw score per active developer.  Raw scores are min-max normalized per
 bug, so each row has max 1 and only the within-bug ordering matters.
 Training is full-batch subgradient descent on the hinge loss with a
@@ -31,8 +31,8 @@ class LinearModel:
     epochs: int = DEFAULT_EPOCHS
     seed: int = 0
 
-    def decision_values(self, dense_vec: np.ndarray) -> np.ndarray:
-        return self.weights @ dense_vec + self.bias
+    def decision_values(self, row: np.ndarray) -> np.ndarray:
+        return self.weights @ row + self.bias
 
     def to_json(self) -> str:
         per_dev = []
@@ -79,32 +79,29 @@ class LinearModel:
 
 
 def train_classifier(
-    train_pairs,
-    n_features: int,
+    X: np.ndarray,
+    labels,
     C: float = DEFAULT_C,
     epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
 ) -> LinearModel:
     """Fit one-vs-rest hinge-loss linear separators.
 
-    ``train_pairs`` is a list of (TfidfVector, dev_id).  Requires at
-    least two distinct labels.  Deterministic: fixed epoch count,
-    full-batch updates, no shuffling.
+    ``X`` holds one TF-IDF row per training bug and ``labels`` its
+    developer.  Requires at least two distinct labels.  Deterministic:
+    fixed epoch count, full-batch updates, no shuffling.
     """
-    labels = sorted({dev for _, dev in train_pairs})
-    if len(labels) < 2:
+    dev_ids = sorted(set(labels))
+    if len(dev_ids) < 2:
         raise ValidationError("need at least two developer labels to train")
-    n = len(train_pairs)
-    X = np.zeros((n, n_features + 1))  # last column: constant bias feature
-    X[:, n_features] = 1.0
-    for i, (vec, _) in enumerate(train_pairs):
-        for idx, w in vec.entries:
-            X[i, idx] = w
+    n, n_features = X.shape
+    X = np.hstack([X, np.ones((n, 1))])  # last column: constant bias feature
+    labels = np.array(labels)
     lam = 1.0 / (C * n)
-    weights = np.zeros((len(labels), n_features))
-    bias = np.zeros(len(labels))
-    for row, dev in enumerate(labels):
-        y = np.where(np.array([d for _, d in train_pairs]) == dev, 1.0, -1.0)
+    weights = np.zeros((len(dev_ids), n_features))
+    bias = np.zeros(len(dev_ids))
+    for row, dev in enumerate(dev_ids):
+        y = np.where(labels == dev, 1.0, -1.0)
         w = np.zeros(n_features + 1)
         for t in range(1, epochs + 1):
             margins = y * (X @ w)
@@ -117,7 +114,7 @@ def train_classifier(
         weights[row] = w[:-1]
         bias[row] = w[-1]
     return LinearModel(
-        dev_ids=labels,
+        dev_ids=dev_ids,
         weights=weights,
         bias=bias,
         n_features=n_features,
@@ -127,9 +124,9 @@ def train_classifier(
     )
 
 
-def predict_suitability(model: LinearModel, doc_vector, developers) -> np.ndarray:
-    """Min-max normalized decision values, one per developer in sorted
-    ``developers`` order.
+def predict_suitability(model: LinearModel, row: np.ndarray, developers) -> np.ndarray:
+    """Min-max normalized decision values of a TF-IDF ``row``, one per
+    developer in sorted ``developers`` order.
 
     All-equal decision values normalize to all 1.0 (no information:
     every developer equally suitable).
@@ -137,8 +134,7 @@ def predict_suitability(model: LinearModel, doc_vector, developers) -> np.ndarra
     developers = sorted(developers)
     if not developers:
         raise ValidationError("empty developer set")
-    dense = doc_vector.to_dense(model.n_features)
-    decisions = model.decision_values(dense)
+    decisions = model.decision_values(row)
     row_index = {dev: i for i, dev in enumerate(model.dev_ids)}
     try:
         values = decisions[[row_index[d] for d in developers]]

@@ -14,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 MAX_TOKEN_LEN = 20
@@ -164,44 +166,26 @@ def build_vocabulary(docs, min_df: int = 2) -> Vocabulary:
     )
 
 
-@dataclass(frozen=True)
-class TfidfVector:
-    """Sparse L2-normalized vector: ((index, weight), ...) sorted by index."""
+def tfidf_transform(doc: TokenizedDoc, vocab: Vocabulary) -> np.ndarray:
+    """Dense row of tf * (ln((1+N)/(1+df)) + 1), L2-normalized; OOV
+    terms ignored.  Weights and their norm are summed in first-occurrence
+    order.
 
-    entries: tuple
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.entries))
-
-    def to_dense(self, size: int):
-        import numpy as np
-
-        dense = np.zeros(size)
-        for idx, weight in self.entries:
-            dense[idx] = weight
-        return dense
-
-
-def tfidf_transform(doc: TokenizedDoc, vocab: Vocabulary) -> TfidfVector:
-    """tf * (ln((1+N)/(1+df)) + 1), L2-normalized; OOV terms ignored.
-
-    A doc with no in-vocabulary terms yields the zero vector.
+    A doc with no in-vocabulary terms yields the zero row.
     """
-    counts: dict[int, int] = {}
+    counts: dict[str, int] = {}
     for token in doc.tokens:
-        idx = vocab.index.get(token)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
+        if token in vocab.index:
+            counts[token] = counts.get(token, 0) + 1
+    row = np.zeros(len(vocab))
     if not counts:
-        return TfidfVector(entries=())
+        return row
     n = vocab.n_docs
-    df_by_index = {vocab.index[t]: df for t, df in vocab.doc_freq.items()}
     weights = {
-        idx: tf * (math.log((1 + n) / (1 + df_by_index[idx])) + 1.0)
-        for idx, tf in counts.items()
+        term: tf * (math.log((1 + n) / (1 + vocab.doc_freq[term])) + 1.0)
+        for term, tf in counts.items()
     }
     norm = math.sqrt(sum(w * w for w in weights.values()))
-    return TfidfVector(
-        entries=tuple((idx, weights[idx] / norm) for idx in sorted(weights))
-    )
+    for term, weight in weights.items():
+        row[vocab.index[term]] = weight / norm
+    return row

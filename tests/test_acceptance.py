@@ -198,9 +198,9 @@ def test_model_invariants(mini_env):
     tfidf_ok = True
     for rec in mini_env.train[:50]:
         doc = preprocess_text(rec.summary, rec.description, rec.bug_id)
-        vec = tfidf_transform(doc, models.vocab)
-        if vec.entries:
-            tfidf_ok &= abs(vec.norm - 1.0) <= 1e-12
+        row = tfidf_transform(doc, models.vocab)
+        if row.any():
+            tfidf_ok &= abs(np.linalg.norm(row) - 1.0) <= 1e-12
     _verdict(
         f"model invariants: phi rows {phi_ok}, cost cells {cost_ok}, "
         f"suitability max {suit_ok}, tfidf norm {tfidf_ok}",

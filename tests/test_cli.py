@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -125,3 +126,77 @@ def test_missing_artifacts_suggest_train(workdir, tmp_path, capsys):
                      "--out", str(tmp_path / "empty")])
     assert code == 1
     assert "train" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe not utf-8\n", ("[" * 100_000 + "]" * 100_000 + "\n").encode()],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_validate_bad_bytes_is_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(content)
+    assert dispatch(["validate", str(path)]) == 1
+    assert "line 1" in _one_error_line(capsys)
+
+
+def test_validate_directory_is_one_error_line(tmp_path, capsys):
+    assert dispatch(["validate", str(tmp_path)]) == 1
+    _one_error_line(capsys)
+
+
+def test_simulate_corrupt_artifact_is_one_error_line(workdir, tmp_path, capsys):
+    _, data, out, _ = workdir
+    bad = tmp_path / "out"
+    shutil.copytree(out, bad)
+    text = (bad / "classifier.json").read_text()
+    (bad / "classifier.json").write_text(text[: len(text) // 2])
+    code = dispatch(["simulate", "--data", str(data), "--boundary", "120",
+                     "--out", str(bad), "--end", "240"])
+    assert code == 1
+    assert "classifier.json" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "content", ["not json", '{"x": 1}', '{"config": {"policy": "dabt"}}', "[]"],
+    ids=["not-json", "no-config", "partial-config", "list"],
+)
+def test_report_bad_result_is_one_error_line(workdir, tmp_path, capsys, content):
+    _, _, _, args = workdir
+    path = tmp_path / "result_bad.json"
+    path.write_text(content)
+    assert dispatch(["report"] + args + [str(path)]) == 1
+    assert "result_bad.json" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json",
+        '{"developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7, NaN]]}',
+        '{"bugs": [{"bug_id": 1, "s": [NaN], "c": [2.0]}], "developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [Infinity]}], "developers": [[7, 5.0]]}',
+    ],
+    ids=["not-json", "no-bugs", "capacity-nan", "suitability-nan", "cost-infinity"],
+)
+def test_solve_bad_instance_is_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "instance.json"
+    path.write_text(content)
+    assert dispatch(["solve", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+def test_simulate_without_cleaned_training_bug_needs_L(workdir, tmp_path, capsys):
+    _, _, out, _ = workdir
+    data = tmp_path / "late.jsonl"
+    write_jsonl(generate(SMALL)[-5:], data)  # reported after the boundary only
+    args = ["--data", str(data), "--boundary", "120", "--out", str(out), "--end", "240"]
+    assert dispatch(["simulate"] + args) == 1
+    assert "--L" in _one_error_line(capsys)

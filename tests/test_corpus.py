@@ -148,14 +148,19 @@ GOOD_LINE = ('{"bug_id": 1, "summary": "s", "description": "d", '
         GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "resolved_at": -Infinity'),
         GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "resolved_at": NaN'),
         GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2, "dependency_events": [[4, "ADD_BLOCKS", false]]'),
+        GOOD_LINE.replace('"bug_id": 1', '"bug_id": 2').replace('"s"', '"s\xff"').encode("latin-1"),
+        "[" * 100_000 + "]" * 100_000,
     ],
     ids=["not-json", "assigned-at-word", "assigned-at-list", "event-day-word", "event-pair",
          "assigned-at-fraction", "assignee-bool", "bug-id-fraction", "reported-at-infinity",
-         "resolved-at-minus-infinity", "resolved-at-nan", "event-other-bool"],
+         "resolved-at-minus-infinity", "resolved-at-nan", "event-other-bool", "not-utf8",
+         "nested-too-deep"],
 )
 def test_load_events_parse_error_carries_line_number(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
-    path.write_text(GOOD_LINE + "\n" + bad_line + "\n")
+    if isinstance(bad_line, str):
+        bad_line = bad_line.encode()
+    path.write_bytes(GOOD_LINE.encode() + b"\n" + bad_line + b"\n")
     with pytest.raises(ParseError, match="line 2"):
         load_events(path)
 

@@ -94,57 +94,35 @@ def test_infer_topic_deterministic_and_oov_sentinel():
     assert t1 != t2
 
 
-def _tiny_model(K=3):
-    return TopicModel(
-        K=K,
-        phi=np.full((K, 4), 0.25),
-        alpha_lda=50.0 / K,
-        beta_lda=0.01,
-        seed=0,
-        iters=1,
-        vocab_size=4,
-    )
-
-
 def test_build_cost_matrix_hand_means():
     records = [
         make_bug(1, reported=1, assigned=1, resolved=2, dev=1),   # 2 days
         make_bug(2, reported=1, assigned=1, resolved=4, dev=1),   # 4 days
         make_bug(3, reported=1, assigned=1, resolved=6, dev=2),   # 6 days
+        make_bug(4, reported=1, assigned=1, resolved=9, dev=2),   # no topic: no cell
     ]
-    topics = {1: 0, 2: 0, 3: 1}
-    matrix = build_cost_matrix(records, _tiny_model(), None, dev_ids=[1, 2], topic_by_bug=topics)
-    assert matrix.observed == {(1, 0): 3.0, (2, 1): 6.0}
-    assert matrix.provenance == {(1, 0): OBSERVED, (2, 1): OBSERVED}
+    observed = build_cost_matrix(records, [0, 0, 1, GLOBAL_TOPIC])
+    assert observed == {(1, 0): 3.0, (2, 1): 6.0}
+    matrix = fill_missing_cf(observed, [1, 2], K=3)
+    assert matrix.provenance[(1, 0)] == matrix.provenance[(2, 1)] == OBSERVED
     assert matrix.global_mean == pytest.approx(4.5)
 
 
 def test_cf_fill_similarity_weighted_hand_value():
-    matrix = CostMatrix(
-        dev_ids=[1, 2, 3],
-        K=2,
-        observed={(1, 0): 2.0, (1, 1): 4.0, (2, 0): 2.0, (3, 0): 4.0, (3, 1): 8.0},
-        provenance={},
-    )
-    filled = fill_missing_cf(matrix)
+    observed = {(1, 0): 2.0, (1, 1): 4.0, (2, 0): 2.0, (3, 0): 4.0, (3, 1): 8.0}
+    filled = fill_missing_cf(observed, [1, 2, 3], K=2)
     # dev 2 topic 1: 1-D overlaps give cosine 1 to both dev 1 and dev 3
     # -> (4 + 8) / 2 = 6
     assert filled.cost(2, 1) == pytest.approx(6.0)
     assert filled.provenance[(2, 1)] == CF
     # observed cells untouched
-    for (d, k), v in matrix.observed.items():
+    for (d, k), v in observed.items():
         assert filled.cost(d, k) == v
         assert filled.provenance[(d, k)] is not CF
 
 
 def test_cf_fill_column_mean_and_global_fallbacks():
-    matrix = CostMatrix(
-        dev_ids=[1, 2],
-        K=3,
-        observed={(1, 0): 3.0, (1, 1): 5.0},
-        provenance={(1, 0): OBSERVED, (1, 1): OBSERVED},
-    )
-    filled = fill_missing_cf(matrix)
+    filled = fill_missing_cf({(1, 0): 3.0, (1, 1): 5.0}, [1, 2], K=3)
     # dev 2 has no observations: no similarity, column-mean fallback
     assert filled.cost(2, 0) == pytest.approx(3.0)
     assert filled.provenance[(2, 0)] == CF
@@ -156,21 +134,17 @@ def test_cf_fill_column_mean_and_global_fallbacks():
 
 
 def test_cost_global_topic_sentinel_maps_to_global_mean():
-    matrix = fill_missing_cf(
-        CostMatrix(dev_ids=[1], K=2, observed={(1, 0): 2.0, (1, 1): 6.0})
-    )
+    matrix = fill_missing_cf({(1, 0): 2.0, (1, 1): 6.0}, [1], K=2)
     assert matrix.cost(1, GLOBAL_TOPIC) == pytest.approx(4.0)
 
 
 def test_empty_matrix_rejected():
     with pytest.raises(ValidationError):
-        fill_missing_cf(CostMatrix(dev_ids=[1], K=2, observed={}))
+        fill_missing_cf({}, [1], K=2)
 
 
 def test_cost_matrix_json_roundtrip():
-    matrix = fill_missing_cf(
-        CostMatrix(dev_ids=[1, 2], K=2, observed={(1, 0): 2.0, (2, 1): 3.0})
-    )
+    matrix = fill_missing_cf({(1, 0): 2.0, (2, 1): 3.0}, [1, 2], K=2)
     again = CostMatrix.from_json(matrix.to_json())
     assert again.dev_ids == matrix.dev_ids
     assert again.observed == matrix.observed

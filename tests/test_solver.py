@@ -135,6 +135,12 @@ def test_instance_validation_errors():
         )  # non-positive cost
     with pytest.raises(ValidationError):
         AssignmentInstance(bugs=[bug], developers=[(1, -1.0)])
+    for cap in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            AssignmentInstance(bugs=[bug], developers=[(1, cap)])
+    for s, c in (((float("nan"),), (2.0,)), ((1.0,), (float("nan"),)), ((1.0,), (float("inf"),))):
+        with pytest.raises(ValidationError, match="finite"):
+            AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
     with pytest.raises(ValidationError):
         AssignmentInstance(bugs=[bug], developers=[(1, 5.0)], precedence=[(1, 99)])
     two = [InstanceBug(1, (1.0,), (1.0,)), InstanceBug(2, (1.0,), (1.0,))]

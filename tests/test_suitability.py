@@ -21,15 +21,15 @@ def _separable_fixture():
         TokenizedDoc(6, ("timeout", "proxy", "socket")),
     ]
     vocab = build_vocabulary(docs, min_df=1)
-    labels = [1, 1, 1, 2, 2, 2]
-    pairs = [(tfidf_transform(d, vocab), y) for d, y in zip(docs, labels)]
-    return docs, vocab, pairs
+    X = np.array([tfidf_transform(d, vocab) for d in docs])
+    return docs, vocab, X, [1, 1, 1, 2, 2, 2]
 
 
 def test_separable_fixture_learned():
-    docs, vocab, pairs = _separable_fixture()
-    model = train_classifier(pairs, n_features=len(vocab))
-    for doc, label in zip(docs, [1, 1, 1, 2, 2, 2]):
+    docs, vocab, X, labels = _separable_fixture()
+    model = train_classifier(X, labels)
+    assert model.n_features == len(vocab)
+    for doc, label in zip(docs, labels):
         row = predict_suitability(model, tfidf_transform(doc, vocab), [1, 2])
         assert [1, 2][row.argmax()] == label
         assert row.max() == 1.0
@@ -37,28 +37,27 @@ def test_separable_fixture_learned():
 
 
 def test_training_deterministic():
-    _, vocab, pairs = _separable_fixture()
-    a = train_classifier(pairs, n_features=len(vocab))
-    b = train_classifier(pairs, n_features=len(vocab))
+    _, _, X, labels = _separable_fixture()
+    a = train_classifier(X, labels)
+    b = train_classifier(X, labels)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
     assert a.to_json() == b.to_json()
 
 
 def test_model_json_roundtrip_preserves_decisions():
-    docs, vocab, pairs = _separable_fixture()
-    model = train_classifier(pairs, n_features=len(vocab), C=1000.0)
+    docs, vocab, X, labels = _separable_fixture()
+    model = train_classifier(X, labels, C=1000.0)
     again = LinearModel.from_json(model.to_json())
     assert again.C == 1000.0
-    vec = tfidf_transform(docs[0], vocab).to_dense(len(vocab))
-    assert np.allclose(model.decision_values(vec), again.decision_values(vec))
+    row = tfidf_transform(docs[0], vocab)
+    assert np.allclose(model.decision_values(row), again.decision_values(row))
 
 
 def test_requires_two_labels():
-    _, vocab, pairs = _separable_fixture()
-    only_one = [(v, 1) for v, _ in pairs]
+    _, _, X, labels = _separable_fixture()
     with pytest.raises(ValidationError):
-        train_classifier(only_one, n_features=len(vocab))
+        train_classifier(X, [1] * len(labels))
 
 
 def test_all_equal_scores_normalize_to_one():
@@ -68,22 +67,16 @@ def test_all_equal_scores_normalize_to_one():
         bias=np.zeros(3),
         n_features=4,
     )
-    doc_vec = tfidf_transform(
-        TokenizedDoc(1, ()), build_vocabulary([TokenizedDoc(1, ("a1", "b2"))], min_df=1)
-    )
-    row = predict_suitability(model, doc_vec, [1, 2, 3])
+    row = predict_suitability(model, np.zeros(4), [1, 2, 3])
     assert row.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_empty_developer_set_rejected():
     model = LinearModel([1, 2], np.zeros((2, 3)), np.zeros(2), 3)
-    vec = tfidf_transform(
-        TokenizedDoc(1, ()), build_vocabulary([TokenizedDoc(1, ("a1", "b2"))], min_df=1)
-    )
     with pytest.raises(ValidationError):
-        predict_suitability(model, vec, [])
+        predict_suitability(model, np.zeros(3), [])
     with pytest.raises(ValidationError):
-        predict_suitability(model, vec, [1, 99])
+        predict_suitability(model, np.zeros(3), [1, 99])
 
 
 def test_argmax_tie_breaks_to_smallest_dev():
@@ -94,9 +87,6 @@ def test_argmax_tie_breaks_to_smallest_dev():
         bias=np.array([1.0, 1.0, 0.2]),
         n_features=2,
     )
-    vec = tfidf_transform(
-        TokenizedDoc(1, ()), build_vocabulary([TokenizedDoc(1, ("a1", "b2"))], min_df=1)
-    )
-    row = predict_suitability(model, vec, [9, 5, 3])  # columns in sorted order
+    row = predict_suitability(model, np.zeros(2), [9, 5, 3])  # columns in sorted order
     assert row.tolist() == [1.0, 1.0, 0.0]
     assert [3, 5, 9][row.argmax()] == 3

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,20 +78,22 @@ def test_vocabulary_json_roundtrip():
 def test_tfidf_hand_example():
     docs = [TokenizedDoc(1, ("cat", "dog")), TokenizedDoc(2, ("cat", "cat", "fish"))]
     vocab = build_vocabulary(docs, min_df=1)
-    vec = tfidf_transform(docs[1], vocab)
+    row = tfidf_transform(docs[1], vocab)
     # idf(cat) = ln(3/3) + 1 = 1; idf(fish) = ln(3/2) + 1
     w_cat = 2 * 1.0
     w_fish = 1 * (math.log(3 / 2) + 1.0)
     norm = math.hypot(w_cat, w_fish)
     expected = {vocab.index["cat"]: w_cat / norm, vocab.index["fish"]: w_fish / norm}
-    assert dict(vec.entries) == pytest.approx(expected, abs=1e-12)
-    assert vec.norm == pytest.approx(1.0, abs=1e-12)
+    assert row.shape == (len(vocab),)
+    assert {i: row[i] for i in np.nonzero(row)[0]} == pytest.approx(expected, abs=1e-12)
+    assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tfidf_oov_only_doc_is_zero_vector():
     docs = [TokenizedDoc(1, ("cat", "dog")), TokenizedDoc(2, ("cat", "dog"))]
     vocab = build_vocabulary(docs)
-    assert tfidf_transform(TokenizedDoc(3, ("unseen",)), vocab).entries == ()
+    row = tfidf_transform(TokenizedDoc(3, ("unseen",)), vocab)
+    assert row.tolist() == [0.0] * len(vocab)
 
 
 @given(
@@ -106,9 +109,9 @@ def test_tfidf_unit_norm_property(tokens):
         TokenizedDoc(2, ("alpha", "beta", "gamma", "delta", "epsilon")),
     ]
     vocab = build_vocabulary(base, min_df=1)
-    vec = tfidf_transform(TokenizedDoc(9, tuple(tokens)), vocab)
-    assert vec.norm == pytest.approx(1.0, abs=1e-12)
-    assert [i for i, _ in vec.entries] == sorted({i for i, _ in vec.entries})
+    row = tfidf_transform(TokenizedDoc(9, tuple(tokens)), vocab)
+    assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+    assert set(np.nonzero(row)[0]) == {vocab.index[t] for t in tokens}
 
 
 def test_preprocess_deterministic():
