@@ -24,10 +24,18 @@ ENV_PREFIX = "TRIAGELAB_"
 
 
 def _env_default(name, fallback, cast=str):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+    var = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
-    return cast(raw)
+    return _cast(raw, cast, var)
+
+
+def _cast(raw, cast, what):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValidationError(f"{what}: expected {cast.__name__}, got {raw!r}") from None
 
 
 def _add_common(parser):
@@ -50,13 +58,19 @@ def _add_train_flags(parser):
 
 
 def _parse_topic_grid(spec: str):
+    def num(x):
+        return _cast(x, int, f"--topics {spec!r}")
+
     if "," in spec:
-        return tuple(int(x) for x in spec.split(","))
+        return tuple(num(x) for x in spec.split(","))
     if "-" in spec:
         span, _, step = spec.partition(":")
         lo, _, hi = span.partition("-")
-        return tuple(range(int(lo), int(hi) + 1, int(step or 5)))
-    return (int(spec),)
+        step = num(step or "5")
+        if step < 1:
+            raise ValidationError(f"--topics {spec!r}: step must be at least 1")
+        return tuple(range(num(lo), num(hi) + 1, step))
+    return (num(spec),)
 
 
 def _load_corpus(args):
@@ -91,11 +105,12 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    topic_grid = _parse_topic_grid(args.topics)
     records = _load_corpus(args)
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     train, _ = corpus_mod.split_train_test(cleaned, args.boundary)
     settings = pipeline.TrainSettings(
-        topic_grid=_parse_topic_grid(args.topics),
+        topic_grid=topic_grid,
         C=args.C,
         seed=args.seed,
         lda_iters=args.lda_iters,
@@ -175,6 +190,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    alphas = [_cast(a, float, f"--alphas {args.alphas!r}") for a in args.alphas.split(",")]
     records = _load_corpus(args)
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     models = pipeline.load_models(args.out)
@@ -182,7 +198,6 @@ def cmd_sweep(args) -> int:
     config = _sim_config(args, records, summary)
     corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
     table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
-    alphas = [float(a) for a in args.alphas.split(",")]
     rows = metrics_mod.sweep_alpha(config, corpus, table, models.dev_profiles, alphas)
     csv_text = metrics_mod.sweep_to_csv(rows)
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
@@ -256,12 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
+        parser = build_parser()  # reads the TRIAGELAB_* defaults
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else 2
         return args.func(args)
     except (TriageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

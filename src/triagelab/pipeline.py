@@ -8,6 +8,7 @@ implementations).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -199,7 +200,7 @@ def read_json_file(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, ValidationError) as exc:
         raise ValidationError(
             f"{path}: not a valid file ({type(exc).__name__}: {exc})"
         ) from exc
@@ -241,8 +242,43 @@ def result_to_json(result: SimResult) -> str:
     )
 
 
+# The JSON types of the log and daily fields that metrics.compute_report
+# reads, as a replay writes them.
+_NUMBER = (int, float)
+_LOG_FIELDS = {
+    "dev_id": (int,),
+    "reported_day": (int,),
+    "estimated_cost": _NUMBER,
+    "completion_day": (int, type(None)),
+    "accurate": (bool,),
+    "infeasible": (bool,),
+}
+_DAILY_FIELDS = {"mean_depth": _NUMBER, "mean_degree": _NUMBER}
+
+
+def _check_rows(rows, fields, what):
+    if not isinstance(rows, list):
+        raise ValidationError(f"{what!r} is not a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValidationError(f"{what} entry {i} is not an object")
+        for name, types in fields.items():
+            if name not in row:
+                raise ValidationError(f"{what} entry {i} has no {name!r}")
+            value = row[name]
+            if type(value) not in types or (
+                type(value) is float and not math.isfinite(value)
+            ):
+                raise ValidationError(f"{what} entry {i}: bad {name!r} {value!r}")
+
+
 def result_from_json(text) -> SimResult:
     obj = json.loads(text)
+    _check_rows(obj["log"], _LOG_FIELDS, "log")
+    _check_rows(obj["daily"], _DAILY_FIELDS, "daily")
+    total = obj["total_entering"]
+    if type(total) is not int or total < len(obj["log"]):
+        raise ValidationError(f"bad 'total_entering' {total!r}")
     return SimResult(
         config=SimConfig(**obj["config"]),
         log=obj["log"],

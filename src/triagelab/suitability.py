@@ -91,6 +91,8 @@ def train_classifier(
     developer.  Requires at least two distinct labels.  Deterministic:
     fixed epoch count, full-batch updates, no shuffling.
     """
+    if not C > 0:
+        raise ValidationError(f"C must be positive, got {C}")
     dev_ids = sorted(set(labels))
     if len(dev_ids) < 2:
         raise ValidationError("need at least two developer labels to train")

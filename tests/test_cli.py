@@ -175,6 +175,83 @@ def test_report_bad_result_is_one_error_line(workdir, tmp_path, capsys, content)
     assert "result_bad.json" in _one_error_line(capsys)
 
 
+def _result_obj():
+    """A well-formed result file's content: one assignment, one day."""
+    return {
+        "config": {"policy": "dabt", "boundary_day": 120, "end_day": 121,
+                   "alpha": 0.5, "seed": 0, "horizon_L": 10.0},
+        "log": [{"bug_id": 9, "dev_id": 1, "reported_day": 121, "assigned_day": 121,
+                 "estimated_cost": 2.5, "infeasible": False, "accurate": True,
+                 "component": "core", "start_day": 121, "completion_day": None}],
+        "daily": [{"day": 121, "mean_depth": 0.0, "mean_degree": 0.0,
+                   "n_nodes": 0, "n_arcs": 0, "capacity": {}}],
+        "total_entering": 1,
+    }
+
+
+def test_report_reads_well_formed_result(workdir, tmp_path):
+    _, _, _, args = workdir
+    path = tmp_path / "result_ok.json"
+    path.write_text(json.dumps(_result_obj()))
+    assert dispatch(["report"] + args + [str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("log", [1]),
+        ("log", {"dev_id": 1}),
+        ("log", [{"dev_id": 1}]),
+        ("log", [dict(_result_obj()["log"][0], estimated_cost="2")]),
+        ("log", [dict(_result_obj()["log"][0], estimated_cost=float("nan"))]),
+        ("log", [dict(_result_obj()["log"][0], completion_day=1.5)]),
+        ("log", [dict(_result_obj()["log"][0], dev_id=True)]),
+        ("daily", [{"day": 1}]),
+        ("daily", [{"day": 1, "mean_depth": None, "mean_degree": 0.0}]),
+        ("daily", "x"),
+        ("total_entering", 0),
+        ("total_entering", "1"),
+    ],
+    ids=["log-int", "log-object", "log-missing-keys", "cost-string", "cost-nan",
+         "completion-float", "dev-bool", "daily-missing-keys", "depth-null",
+         "daily-string", "total-below-log", "total-string"],
+)
+def test_report_malformed_result_rows_are_one_error_line(workdir, tmp_path, capsys,
+                                                         key, value):
+    _, _, _, args = workdir
+    path = tmp_path / "result_bad.json"
+    path.write_text(json.dumps(dict(_result_obj(), **{key: value})))
+    assert dispatch(["report"] + args + [str(path)]) == 1
+    assert "result_bad.json" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("train", ["--topics", "abc"], "--topics 'abc'"),
+        ("train", ["--topics", "5-50:0"], "step must be at least 1"),
+        ("train", ["--topics", "4", "--lda-iters", "-5"], "LDA iterations"),
+        ("train", ["--topics", "4", "--C", "0"], "C must be positive"),
+        ("sweep", ["--alphas", "0,x"], "--alphas '0,x'"),
+    ],
+    ids=["topics-abc", "topics-step-0", "lda-iters-negative", "C-zero", "alphas-x"],
+)
+def test_malformed_flag_value_is_one_error_line(workdir, tmp_path, capsys,
+                                                command, flags, message):
+    _, data, out, _ = workdir
+    scratch = tmp_path / "out"
+    shutil.copytree(out, scratch)  # a failed run must not touch the shared artifacts
+    args = ["--data", str(data), "--boundary", "120", "--out", str(scratch)]
+    assert dispatch([command] + args + flags) == 1
+    assert message in _one_error_line(capsys)
+
+
+def test_malformed_env_default_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("TRIAGELAB_SEED", "abc")
+    assert dispatch(["validate", "x"]) == 1
+    assert "TRIAGELAB_SEED" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from triagelab import pipeline
+from triagelab.corpus import split_train_test
 from triagelab.costmodel import (
+    BETA_LDA,
     CF,
     GLOBAL_MEAN,
     GLOBAL_TOPIC,
     OBSERVED,
     CostMatrix,
     TopicModel,
+    _draw,
     arun_measure,
     build_cost_matrix,
     fill_missing_cf,
@@ -16,9 +21,69 @@ from triagelab.costmodel import (
     select_topic_count,
 )
 from triagelab.errors import ValidationError
-from triagelab.textprep import TokenizedDoc, build_vocabulary
+from triagelab.textprep import TokenizedDoc, build_vocabulary, preprocess_text
 
-from conftest import make_bug
+from conftest import MINI_BOUNDARY, make_bug
+
+
+def reference_fit_lda(docs, vocab, K, seed, iters):
+    """(phi, doc_topic) of collapsed Gibbs drawing with ``rng.choice``,
+    as fit_lda did before its draw was inlined; the exactness reference."""
+    word_ids = [[vocab.index[t] for t in d.tokens if t in vocab.index] for d in docs]
+    V = len(vocab)
+    alpha = 50.0 / K
+    beta = BETA_LDA
+    rng = np.random.default_rng(seed)
+    n_dk = np.zeros((len(docs), K))
+    n_kw = np.zeros((K, V))
+    n_k = np.zeros(K)
+    assignments = []
+    for d, ids in enumerate(word_ids):
+        z = rng.integers(0, K, size=len(ids))
+        assignments.append(z)
+        for w, k in zip(ids, z):
+            n_dk[d, k] += 1
+            n_kw[k, w] += 1
+            n_k[k] += 1
+    for _ in range(iters):
+        for d, ids in enumerate(word_ids):
+            z = assignments[d]
+            row = n_dk[d]
+            for j, w in enumerate(ids):
+                k = z[j]
+                row[k] -= 1
+                n_kw[k, w] -= 1
+                n_k[k] -= 1
+                p = (row + alpha) * (n_kw[:, w] + beta) / (n_k + V * beta)
+                p /= p.sum()
+                k = int(rng.choice(K, p=p))
+                z[j] = k
+                row[k] += 1
+                n_kw[k, w] += 1
+                n_k[k] += 1
+    phi = (n_kw + beta) / (n_k + V * beta)[:, None]
+    theta = (n_dk + alpha) / (n_dk.sum(axis=1) + K * alpha)[:, None]
+    return phi, theta
+
+
+def reference_infer_topic(model, doc, vocab, sweeps):
+    """Fold-in Gibbs drawing with ``rng.choice``; the exactness reference."""
+    ids = [vocab.index[t] for t in doc.tokens if t in vocab.index]
+    if not ids:
+        return GLOBAL_TOPIC
+    rng = np.random.default_rng(model.seed)
+    K = model.K
+    z = rng.integers(0, K, size=len(ids))
+    counts = np.bincount(z, minlength=K).astype(float)
+    for _ in range(sweeps):
+        for j, w in enumerate(ids):
+            counts[z[j]] -= 1
+            p = (counts + model.alpha_lda) * model.phi[:, w]
+            p /= p.sum()
+            k = int(rng.choice(K, p=p))
+            z[j] = k
+            counts[k] += 1
+    return int(np.argmax(counts))
 
 TOPIC_A = ["render", "pixel", "canvas", "glyph", "font", "redraw"]
 TOPIC_B = ["socket", "timeout", "packet", "proxy", "stream", "buffer"]
@@ -59,6 +124,77 @@ def test_lda_rejects_k_below_two():
     vocab = build_vocabulary(docs, min_df=1)
     with pytest.raises(ValidationError):
         fit_lda(docs, vocab, K=1)
+
+
+@pytest.mark.parametrize("iters", [0, -5])
+def test_lda_rejects_iters_below_one(iters):
+    docs, _ = _planted_docs(3)
+    vocab = build_vocabulary(docs, min_df=1)
+    with pytest.raises(ValidationError, match="at least 1"):
+        fit_lda(docs, vocab, K=2, iters=iters)
+
+
+_BIG = st.floats(min_value=1e-6, max_value=1.0)
+_TINY = st.floats(min_value=1e-300, max_value=1e-200)
+
+
+@given(
+    weights=st.lists(st.one_of(_BIG, _TINY), min_size=2, max_size=60).filter(
+        lambda w: max(w) >= 1e-6
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_draw_matches_generator_choice(weights, seed):
+    p = np.array(weights)
+    p /= p.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        assert _draw(ours, p) == int(theirs.choice(len(p), p=p))
+    # both consumed the stream identically
+    assert ours.random() == theirs.random()
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_normalizes_a_cdf_that_ends_below_one():
+    p = np.full(7, 0.3)
+    p /= p.sum()
+    assert p.cumsum()[-1] < 1.0  # rounding leaves a gap below 1
+    # as in choice, the largest uniform below 1 lands on the last index
+    assert _draw(_FixedUniform(np.nextafter(1.0, 0.0)), p) == 6
+    assert _draw(_FixedUniform(0.0), p) == 0
+    # a uniform equal to a cumulative value goes right, as in choice
+    assert _draw(_FixedUniform(0.25), np.array([0.25, 0.75])) == 1
+
+
+@pytest.fixture(scope="module")
+def mini_training_docs(mini_records):
+    """The docs and vocabulary train_models fits LDA on, for the mini corpus."""
+    cleaned, _, profiles = pipeline.prepare(mini_records, MINI_BOUNDARY)
+    train, _ = split_train_test(cleaned, MINI_BOUNDARY)
+    docs = [
+        preprocess_text(r.summary, r.description, r.bug_id)
+        for r in train
+        if r.actual_assignee in profiles
+    ]
+    return docs, build_vocabulary(docs)
+
+
+@pytest.mark.parametrize("K,iters", [(4, 3), (50, 2)])
+def test_gibbs_bitwise_equal_to_choice_reference(mini_training_docs, K, iters):
+    docs, vocab = mini_training_docs
+    model = fit_lda(docs, vocab, K, seed=0, iters=iters)
+    phi, theta = reference_fit_lda(docs, vocab, K, seed=0, iters=iters)
+    assert model.phi.tobytes() == phi.tobytes()
+    assert model.doc_topic.tobytes() == theta.tobytes()
+    topics = [infer_topic(model, doc, vocab, sweeps=3) for doc in docs]
+    assert topics == [reference_infer_topic(model, doc, vocab, 3) for doc in docs]
 
 
 def test_topic_count_selection_prefers_planted_count():
