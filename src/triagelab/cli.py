@@ -38,10 +38,18 @@ def _cast(raw, cast, what):
         raise ValidationError(f"{what}: expected {cast.__name__}, got {raw!r}") from None
 
 
+def _flag(cast, flag):
+    """An argparse ``type=`` for ``flag``.  argparse would turn the
+    ValueError of a bad value into its usage line and exit 2; the
+    ValidationError raised instead reaches ``dispatch``, which prints one
+    ``error:`` line and exits 1."""
+    return lambda raw: _cast(raw, cast, flag)
+
+
 def _add_common(parser):
     parser.add_argument("--data", default=_env_default("data", None),
                         help="bug-history JSONL file")
-    parser.add_argument("--boundary", type=int,
+    parser.add_argument("--boundary", type=_flag(int, "--boundary"),
                         default=_env_default("boundary", None, int),
                         help="last training day (reports after it are test)")
     parser.add_argument("--out", default=_env_default("out", "out"),
@@ -51,9 +59,11 @@ def _add_common(parser):
 def _add_train_flags(parser):
     parser.add_argument("--topics", default=_env_default("topics", "5-50:5"),
                         help="topic-count grid, e.g. '4' or '5-50:5' or '2,8'")
-    parser.add_argument("--C", type=float, default=_env_default("c", 1000.0, float))
-    parser.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    parser.add_argument("--lda-iters", type=int,
+    parser.add_argument("--C", type=_flag(float, "--C"),
+                        default=_env_default("c", 1000.0, float))
+    parser.add_argument("--seed", type=_flag(int, "--seed"),
+                        default=_env_default("seed", 0, int))
+    parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"),
                         default=_env_default("lda_iters", 1000, int))
 
 
@@ -241,11 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--policy", choices=POLICY_NAMES,
                    default=_env_default("policy", "dabt"))
-    p.add_argument("--alpha", type=float, default=_env_default("alpha", 0.5, float))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    p.add_argument("--L", type=float, default=_env_default("l", None, float),
+    p.add_argument("--alpha", type=_flag(float, "--alpha"),
+                   default=_env_default("alpha", 0.5, float))
+    p.add_argument("--seed", type=_flag(int, "--seed"),
+                   default=_env_default("seed", 0, int))
+    p.add_argument("--L", type=_flag(float, "--L"),
+                   default=_env_default("l", None, float),
                    help="capacity horizon override (default: training Q3)")
-    p.add_argument("--end", type=int, default=_env_default("end", None, int))
+    p.add_argument("--end", type=_flag(int, "--end"),
+                   default=_env_default("end", None, int))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="recompute reports and compare runs")
@@ -256,10 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="DABT alpha sensitivity series")
     _add_common(p)
     p.add_argument("--alphas", default=_env_default("alphas", "0,0.25,0.5,0.75,1"))
-    p.add_argument("--alpha", type=float, default=0.5, help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    p.add_argument("--L", type=float, default=_env_default("l", None, float))
-    p.add_argument("--end", type=int, default=_env_default("end", None, int))
+    p.add_argument("--alpha", type=_flag(float, "--alpha"), default=0.5,
+                   help=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_flag(int, "--seed"),
+                   default=_env_default("seed", 0, int))
+    p.add_argument("--L", type=_flag(float, "--L"),
+                   default=_env_default("l", None, float))
+    p.add_argument("--end", type=_flag(int, "--end"),
+                   default=_env_default("end", None, int))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("solve", help="solve a standalone instance JSON")

@@ -10,13 +10,19 @@ user-based cosine collaborative filter with deterministic fallbacks
 Each Gibbs draw, in the fit and in the fold-in, repeats numpy's
 ``Generator.choice(K, p=p)`` arithmetic on the same random stream, so
 it picks the index ``choice`` would, without ``choice``'s per-call
-overhead.
+overhead.  The fit's sweep is scalar Python over lists of counts: it
+repeats each draw's numpy arithmetic float for float, numpy's pairwise
+summation order included (``_add_reduce``), so its topics are
+byte-identical to a numpy loop's (tests/test_costmodel.py keeps one as
+the reference).  The fold-in still computes ``p`` in numpy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -85,53 +91,101 @@ def _draw(rng, p) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _add_reduce(x) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit.
+
+    numpy sums pairwise: a fold from 0.0 below 8 terms; up to 128, eight
+    interleaved accumulators combined as a tree, then a fold of the
+    tail; above, a split at half, rounded down to a multiple of 8.  The
+    builtin ``sum`` is no substitute: from Python 3.12 on it compensates
+    its rounding.
+    """
+    n = len(x)
+    if n < 8:
+        return reduce(add, x, 0.0)
+    if n <= 128:
+        stop = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+        for i in range(8, stop, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = x[i:i + 8]
+            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        return reduce(add, x[stop:], s)
+    half = n // 2
+    half -= half % 8
+    return _add_reduce(x[:half]) + _add_reduce(x[half:])
+
+
 def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
     """Collapsed Gibbs sampling; alpha = 50/K, beta = 0.01.
 
     Deterministic given the seed.  Docs with no in-vocabulary tokens
     contribute nothing but keep their row in the mixture.
+
+    The sweep is scalar Python over lists, and each draw repeats, float
+    for float, the numpy draw ``p = (n_dk[d] + alpha) * (n_kw[:, w] +
+    beta) / (n_k + V * beta)``, ``p /= p.sum()``, ``_draw(rng, p)``.
     """
     if K < 2:
         raise ValidationError("topic count must be at least 2")
     if iters < 1:
         raise ValidationError(f"LDA iterations must be at least 1, got {iters}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     word_ids = [_doc_word_ids(d, vocab) for d in docs]
-    if sum(len(ids) for ids in word_ids) == 0:
+    n_tokens = sum(len(ids) for ids in word_ids)
+    if n_tokens == 0:
         raise ValidationError("corpus has no in-vocabulary tokens")
     V = len(vocab)
     alpha = 50.0 / K
     beta = BETA_LDA
+    v_beta = V * beta
     rng = np.random.default_rng(seed)
 
-    n_dk = np.zeros((len(docs), K))
-    n_kw = np.zeros((K, V))
-    n_k = np.zeros(K)
+    # float counts, as in numpy (exact: they stay far below 2**53)
+    n_dk = [[0.0] * K for _ in docs]
+    n_wk = [[0.0] * K for _ in range(V)]  # word-major: a token touches one list
+    n_k = [0.0] * K
     assignments = []
-    for d, ids in enumerate(word_ids):
-        z = rng.integers(0, K, size=len(ids))
+    for ids, row in zip(word_ids, n_dk):
+        z = rng.integers(0, K, size=len(ids)).tolist()
         assignments.append(z)
         for w, k in zip(ids, z):
-            n_dk[d, k] += 1
-            n_kw[k, w] += 1
-            n_k[k] += 1
+            row[k] += 1.0
+            n_wk[w][k] += 1.0
+            n_k[k] += 1.0
 
     for _ in range(iters):
-        for d, ids in enumerate(word_ids):
-            z = assignments[d]
-            row = n_dk[d]
+        # the values n_tokens successive rng.random() calls would give
+        uniforms = iter(rng.random(n_tokens).tolist())
+        for ids, z, row in zip(word_ids, assignments, n_dk):
             for j, w in enumerate(ids):
+                col = n_wk[w]
                 k = z[j]
-                row[k] -= 1
-                n_kw[k, w] -= 1
-                n_k[k] -= 1
-                p = (row + alpha) * (n_kw[:, w] + beta) / (n_k + V * beta)
-                p /= p.sum()
-                k = _draw(rng, p)
+                row[k] -= 1.0
+                col[k] -= 1.0
+                n_k[k] -= 1.0
+                p = [(a + alpha) * (b + beta) / (c + v_beta)
+                     for a, b, c in zip(row, col, n_k)]
+                # _add_reduce's fold below 8 terms, without the call
+                s = reduce(add, p, 0.0) if K < 8 else _add_reduce(p)
+                acc = 0.0
+                cdf = [acc := acc + x / s for x in p]  # cumsum of p / s
+                # _draw's right-sided search of cdf / cdf[-1]; the last
+                # ratio is 1.0, above any uniform
+                u = next(uniforms)
+                k = 0
+                while cdf[k] / acc <= u:
+                    k += 1
                 z[j] = k
-                row[k] += 1
-                n_kw[k, w] += 1
-                n_k[k] += 1
+                row[k] += 1.0
+                col[k] += 1.0
+                n_k[k] += 1.0
 
+    n_kw = np.array(n_wk).T.copy()  # (K, V), C order
+    n_k = np.array(n_k)
+    n_dk = np.array(n_dk)
     phi = (n_kw + beta) / (n_k + V * beta)[:, None]
     theta = (n_dk + alpha) / (n_dk.sum(axis=1) + K * alpha)[:, None]
     return TopicModel(

@@ -252,6 +252,35 @@ def test_malformed_env_default_is_one_error_line(monkeypatch, capsys):
     assert "TRIAGELAB_SEED" in _one_error_line(capsys)
 
 
+_INT_FLAGS = [("prepare", "--boundary"), ("simulate", "--end"), ("train", "--seed"),
+              ("train", "--lda-iters")]
+_FLOAT_FLAGS = [("train", "--C"), ("simulate", "--alpha"), ("simulate", "--L")]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [(c, f, v) for c, f in _INT_FLAGS for v in ("abc", "7.5")]
+    + [(c, f, v) for c, f in _FLOAT_FLAGS for v in ("abc", "1,5")],
+)
+def test_unconvertible_flag_value_is_one_error_line(capsys, command, flag, value):
+    assert dispatch([command, flag, value]) == 1
+    err = _one_error_line(capsys)
+    assert err.startswith(f"error: {flag}: ") and repr(value) in err
+    assert "usage:" not in err
+
+
+def test_negative_seed_is_one_error_line(workdir, tmp_path, monkeypatch, capsys):
+    _, data, _, _ = workdir
+    args = ["train", "--data", str(data), "--boundary", "120",
+            "--out", str(tmp_path / "out"), "--topics", "4", "--lda-iters", "1"]
+    assert dispatch(args + ["--seed", "-1"]) == 1
+    assert "seed must be non-negative" in _one_error_line(capsys)
+    monkeypatch.setenv("TRIAGELAB_SEED", "-1")
+    assert dispatch(args) == 1
+    assert "seed must be non-negative" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [

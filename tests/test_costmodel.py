@@ -12,6 +12,7 @@ from triagelab.costmodel import (
     OBSERVED,
     CostMatrix,
     TopicModel,
+    _add_reduce,
     _draw,
     arun_measure,
     build_cost_matrix,
@@ -27,8 +28,9 @@ from conftest import MINI_BOUNDARY, make_bug
 
 
 def reference_fit_lda(docs, vocab, K, seed, iters):
-    """(phi, doc_topic) of collapsed Gibbs drawing with ``rng.choice``,
-    as fit_lda did before its draw was inlined; the exactness reference."""
+    """(phi, doc_topic) of collapsed Gibbs in numpy, drawing with
+    ``rng.choice``, as fit_lda did before its sweep became scalar Python;
+    the exactness reference."""
     word_ids = [[vocab.index[t] for t in d.tokens if t in vocab.index] for d in docs]
     V = len(vocab)
     alpha = 50.0 / K
@@ -134,6 +136,30 @@ def test_lda_rejects_iters_below_one(iters):
         fit_lda(docs, vocab, K=2, iters=iters)
 
 
+def test_lda_rejects_negative_seed():
+    docs, _ = _planted_docs(3)
+    vocab = build_vocabulary(docs, min_df=1)
+    with pytest.raises(ValidationError, match="non-negative"):
+        fit_lda(docs, vocab, K=2, seed=-1)
+
+
+# mantissa in [1, 10) times a power of ten: magnitudes spread from 1e-300 to 1e300
+_MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e,
+                       st.floats(min_value=1.0, max_value=9.999), st.integers(-300, 299))
+
+
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda n: st.lists(st.one_of(_MAGNITUDE, st.floats(min_value=1e-300, max_value=1e300)),
+                           min_size=n, max_size=n)
+    )
+)
+def test_add_reduce_is_numpy_sum_bit_for_bit(values):
+    # lengths 1-300 cover numpy's fold (< 8), its eight accumulators
+    # (8-128) and its recursive split (> 128)
+    assert _add_reduce(values) == np.add.reduce(np.array(values))
+
+
 _BIG = st.floats(min_value=1e-6, max_value=1.0)
 _TINY = st.floats(min_value=1e-300, max_value=1e-200)
 
@@ -186,7 +212,10 @@ def mini_training_docs(mini_records):
     return docs, build_vocabulary(docs)
 
 
-@pytest.mark.parametrize("K,iters", [(4, 3), (50, 2)])
+@pytest.mark.parametrize(
+    "K,iters",
+    [(4, 3), (50, 2), (2, 3), (3, 2), (7, 1), (8, 2), (9, 1), (16, 1), (129, 1)],
+)
 def test_gibbs_bitwise_equal_to_choice_reference(mini_training_docs, K, iters):
     docs, vocab = mini_training_docs
     model = fit_lda(docs, vocab, K, seed=0, iters=iters)
