@@ -27,7 +27,7 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     "$@" train "${common[@]}" --topics 4 --lda-iters 20
     "$@" simulate "${common[@]}" --policy dabt --end 730
     "$@" simulate "${common[@]}" --policy cbr --end 730
-    "$@" report "${common[@]}" "$out/run/result_dabt_a0.5.json" "$out/run/result_cbr_a0.5.json"
+    "$@" report --out "$out/run" "$out/run/result_dabt_a0.5.json" "$out/run/result_cbr_a0.5.json"
 } >&2
 
 cd "$out"

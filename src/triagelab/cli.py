@@ -46,14 +46,18 @@ def _flag(cast, flag):
     return lambda raw: _cast(raw, cast, flag)
 
 
+def _add_out(parser):
+    parser.add_argument("--out", default=_env_default("out", "out"),
+                        help="artifact/output directory")
+
+
 def _add_common(parser):
     parser.add_argument("--data", default=_env_default("data", None),
                         help="bug-history JSONL file")
     parser.add_argument("--boundary", type=_flag(int, "--boundary"),
                         default=_env_default("boundary", None, int),
                         help="last training day (reports after it are test)")
-    parser.add_argument("--out", default=_env_default("out", "out"),
-                        help="artifact/output directory")
+    _add_out(parser)
 
 
 def _add_train_flags(parser):
@@ -100,13 +104,8 @@ def cmd_validate(args) -> int:
 
 def cmd_prepare(args) -> int:
     records = _load_corpus(args)
-    cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        fh.write(summary.to_json())
-    summary.write_cleaning_log(os.path.join(args.out, "cleaning_log.csv"))
-    with open(os.path.join(args.out, "dev_profiles.json"), "w") as fh:
-        fh.write(pipeline.profiles_to_json(profiles))
+    _, summary, profiles = pipeline.prepare(records, args.boundary)
+    pipeline.save_prepared(summary, profiles, args.out)
     print(
         f"cleaned {summary.counts_by_step[0]} -> {summary.counts_by_step[-1]} bugs; "
         f"{len(profiles)} active developers"
@@ -127,8 +126,7 @@ def cmd_train(args) -> int:
     )
     models = pipeline.train_models(train, profiles, settings)
     pipeline.save_models(models, args.out)
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        fh.write(summary.to_json())
+    pipeline.save_prepared(summary, profiles, args.out)
     print(
         f"trained on {len(train)} bugs: |V|={len(models.vocab)}, "
         f"K={models.topic_model.K}, D={len(models.dev_profiles)}"
@@ -136,7 +134,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sim_config(args, records, summary) -> SimConfig:
+def _sim_config(args, policy, alpha, records, summary) -> SimConfig:
     horizon = args.L if args.L is not None else summary.horizon_L
     if horizon is None:
         raise ValidationError("no cleaned training bug to set the horizon L; pass --L")
@@ -144,10 +142,10 @@ def _sim_config(args, records, summary) -> SimConfig:
         r.reported_at for r in records
     ) + 30
     return SimConfig(
-        policy=args.policy,
+        policy=policy,
         boundary_day=args.boundary,
         end_day=end_day,
-        alpha=args.alpha,
+        alpha=alpha,
         seed=args.seed,
         horizon_L=float(horizon),
     )
@@ -155,9 +153,9 @@ def _sim_config(args, records, summary) -> SimConfig:
 
 def cmd_simulate(args) -> int:
     records = _load_corpus(args)
-    cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
+    cleaned, summary, _ = pipeline.prepare(records, args.boundary)
     models = pipeline.load_models(args.out)
-    config = _sim_config(args, records, summary)
+    config = _sim_config(args, args.policy, args.alpha, records, summary)
     result = pipeline.run_policy(config, records, cleaned, models)
     tag = f"{config.policy}_a{config.alpha:g}"
     with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
@@ -172,7 +170,7 @@ def cmd_simulate(args) -> int:
                 f"{row['day']},{row['mean_depth']:.6g},{row['mean_degree']:.6g},"
                 f"{row['n_nodes']},{row['n_arcs']}\n"
             )
-    report = metrics_mod.compute_report(result, models.dev_profiles)
+    report = metrics_mod.compute_report(result)
     with open(os.path.join(args.out, f"report_{tag}.json"), "w") as fh:
         fh.write(report.to_json())
     print(
@@ -183,16 +181,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    profiles = pipeline.read_json_file(
-        os.path.join(args.out, "dev_profiles.json"), pipeline.profiles_from_json
-    )
-    reports = [
-        metrics_mod.compute_report(
-            pipeline.read_json_file(path, pipeline.result_from_json), profiles
-        )
-        for path in args.results
+    results = [
+        pipeline.read_json_file(path, pipeline.result_from_json) for path in args.results
     ]
+    reports = [metrics_mod.compute_report(result) for result in results]
     csv_text, table = metrics_mod.compare_policies(reports)
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
         fh.write(csv_text)
     print(table)
@@ -202,10 +196,9 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     alphas = [_cast(a, float, f"--alphas {args.alphas!r}") for a in args.alphas.split(",")]
     records = _load_corpus(args)
-    cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
+    cleaned, summary, _ = pipeline.prepare(records, args.boundary)
     models = pipeline.load_models(args.out)
-    args.policy = "dabt"
-    config = _sim_config(args, records, summary)
+    config = _sim_config(args, "dabt", alphas[0], records, summary)
     corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
     table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
     rows = metrics_mod.sweep_alpha(config, corpus, table, models.dev_profiles, alphas)
@@ -263,15 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="recompute reports and compare runs")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("results", nargs="+", help="result_*.json files")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="DABT alpha sensitivity series")
     _add_common(p)
     p.add_argument("--alphas", default=_env_default("alphas", "0,0.25,0.5,0.75,1"))
-    p.add_argument("--alpha", type=_flag(float, "--alpha"), default=0.5,
-                   help=argparse.SUPPRESS)
     p.add_argument("--seed", type=_flag(int, "--seed"),
                    default=_env_default("seed", 0, int))
     p.add_argument("--L", type=_flag(float, "--L"),

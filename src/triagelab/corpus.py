@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,24 +81,8 @@ class BugRecord:
 @dataclass(frozen=True)
 class DeveloperProfile:
     dev_id: int
-    name: str
     fixed_bug_count: int
     components_experienced: frozenset
-    is_active: bool
-
-
-@dataclass
-class CleaningRule:
-    """Frozen statistical parameters for the cleaning filters.
-
-    When a field is None it is computed from the data being cleaned;
-    freezing both fields makes ``clean_bugs`` a projection (idempotent
-    under re-application of the same rule).
-    """
-
-    active_dev_ids: frozenset | None = None
-    max_fix_threshold: float | None = None
-    boundary_day: int | None = None
 
 
 @dataclass
@@ -235,23 +220,22 @@ def record_to_obj(record: BugRecord) -> dict:
     return obj
 
 
-def select_active_developers(records) -> list[DeveloperProfile]:
-    """Profile developers from (training) records; flag the active ones.
-
-    A developer is active when their fix count exceeds the IQR of all
-    per-developer fix counts.  With a single developer the IQR is 0, so
-    any positive count is active.
+def active_developers(records) -> frozenset:
+    """Ids of the developers whose fix count in ``records`` exceeds the
+    IQR of all per-developer fix counts.  With a single developer the
+    IQR is 0, so any positive count is active.
     """
-    profiles = developer_profiles(records, active=())
-    if not profiles:
-        return []
-    q1, q3 = quartiles([p.fixed_bug_count for p in profiles])
-    return [replace(p, is_active=p.fixed_bug_count > q3 - q1) for p in profiles]
+    counts = Counter(
+        r.actual_assignee for r in records if r.actual_assignee is not None
+    )
+    if not counts:
+        return frozenset()
+    q1, q3 = quartiles(list(counts.values()))
+    return frozenset(dev for dev, n in counts.items() if n > q3 - q1)
 
 
-def developer_profiles(records, active) -> list[DeveloperProfile]:
-    """One profile per developer with a fix in ``records``, flagged
-    active when in ``active``."""
+def developer_profiles(records) -> list[DeveloperProfile]:
+    """One profile per developer with a fix in ``records``, by dev_id."""
     counts: dict[int, int] = {}
     components: dict[int, set] = {}
     for rec in records:
@@ -263,10 +247,8 @@ def developer_profiles(records, active) -> list[DeveloperProfile]:
     return [
         DeveloperProfile(
             dev_id=dev,
-            name=f"dev-{dev}",
             fixed_bug_count=n,
             components_experienced=frozenset(components[dev]),
-            is_active=dev in active,
         )
         for dev, n in sorted(counts.items())
     ]
@@ -278,18 +260,20 @@ def fixing_time_threshold(fixing_times) -> float:
     return q3 + 1.5 * (q3 - q1)
 
 
-def clean_bugs(records, rule: CleaningRule | None = None):
+def clean_bugs(records, boundary_day: int | None = None):
     """Apply the four cleaning filters; returns (kept, DatasetSummary).
 
     Filters, in order:
       1. status FIXED/CLOSED with a resolution date;
-      2. assigned to an active developer (computed from step-1
-         survivors in the training window unless frozen in ``rule``);
+      2. assigned to an active developer, computed from the step-1
+         survivors reported up to ``boundary_day`` (all of them when it
+         is None);
       3. assignment date present and not after resolution;
-      4. fixing time within Q3 + 1.5*IQR of the step-3 survivors
-         (unless frozen in ``rule``).
+      4. fixing time within Q3 + 1.5*IQR of the step-3 survivors.
+
+    With a ``boundary_day`` the summary also carries the horizon L of
+    the kept training bugs.
     """
-    rule = rule or CleaningRule()
     counts = [len(records)]
 
     step1 = [
@@ -299,15 +283,10 @@ def clean_bugs(records, rule: CleaningRule | None = None):
     ]
     counts.append(len(step1))
 
-    if rule.active_dev_ids is not None:
-        active = rule.active_dev_ids
-    else:
-        pool = step1
-        if rule.boundary_day is not None:
-            pool = [r for r in step1 if r.reported_at <= rule.boundary_day]
-        active = frozenset(
-            p.dev_id for p in select_active_developers(pool) if p.is_active
-        )
+    pool = step1
+    if boundary_day is not None:
+        pool = [r for r in step1 if r.reported_at <= boundary_day]
+    active = active_developers(pool)
     step2 = [r for r in step1 if r.actual_assignee in active]
     counts.append(len(step2))
 
@@ -318,26 +297,22 @@ def clean_bugs(records, rule: CleaningRule | None = None):
     ]
     counts.append(len(step3))
 
-    threshold = rule.max_fix_threshold
-    if threshold is None and step3:
+    threshold = None
+    if step3:
         threshold = fixing_time_threshold([r.fixing_time for r in step3])
-    step4 = (
-        [r for r in step3 if r.fixing_time <= threshold]
-        if threshold is not None
-        else list(step3)
-    )
+    step4 = [r for r in step3 if r.fixing_time <= threshold]
     counts.append(len(step4))
 
     horizon = None
-    if rule.boundary_day is not None:
+    if boundary_day is not None:
         train_times = [
-            r.fixing_time for r in step4 if r.reported_at <= rule.boundary_day
+            r.fixing_time for r in step4 if r.reported_at <= boundary_day
         ]
         if train_times:
             horizon = compute_horizon_L(train_times)
     summary = DatasetSummary(
         counts_by_step=counts,
-        boundary_day=rule.boundary_day,
+        boundary_day=boundary_day,
         horizon_L=horizon,
         max_fix_threshold=threshold,
         active_dev_ids=active,

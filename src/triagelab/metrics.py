@@ -40,17 +40,11 @@ class MetricsReport:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
 
-
-def compute_report(result, dev_profiles) -> MetricsReport:
-    """Table-style metric vector for one finished policy run.
-
-    ``result`` is a SimResult; ``dev_profiles`` maps active dev_id to
-    DeveloperProfile (the training-phase component experience used for
-    the accuracy ground truth).
+def compute_report(result) -> MetricsReport:
+    """Table-style metric vector for one finished policy run (a
+    SimResult).  Accuracy counts the log's ``accurate`` flags, which the
+    replay set from the assignee's training-phase component experience.
     """
     log = result.log
     total = result.total_entering
@@ -156,7 +150,7 @@ def sweep_alpha(base_config, corpus, table, dev_profiles, alphas):
     for alpha in sorted(set(alphas)):
         config = replace(base_config, policy="dabt", alpha=alpha)
         result = run_simulation(config, corpus, table, dev_profiles)
-        report = compute_report(result, dev_profiles)
+        report = compute_report(result)
         rows.append((alpha, report.accuracy_pct, report.pct_overdue))
     return rows
 

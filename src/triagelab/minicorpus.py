@@ -11,7 +11,7 @@ blocking relations with overlapping lifetimes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -225,18 +225,7 @@ def generate(spec: MiniCorpusSpec | None = None) -> list[BugRecord]:
     for rec in records:
         events = tuple(sorted(arc_events.get(rec.bug_id, ())))
         if events:
-            rec = BugRecord(
-                bug_id=rec.bug_id,
-                summary=rec.summary,
-                description=rec.description,
-                component=rec.component,
-                reported_at=rec.reported_at,
-                assigned_at=rec.assigned_at,
-                resolved_at=rec.resolved_at,
-                actual_assignee=rec.actual_assignee,
-                status_final=rec.status_final,
-                dependency_events=events,
-            )
+            rec = replace(rec, dependency_events=events)
         out.append(rec)
     out.sort(key=lambda r: (r.reported_at, r.bug_id))
     return out

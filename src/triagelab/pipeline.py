@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (
-    CleaningRule,
-    DeveloperProfile,
-    clean_bugs,
-    developer_profiles,
-    split_train_test,
-)
+from .corpus import DeveloperProfile, clean_bugs, developer_profiles, split_train_test
 from .costmodel import (
     GLOBAL_TOPIC,
     TopicModel,
@@ -68,11 +62,9 @@ def prepare(records, boundary_day):
     developers' bugs, so profiles covers every developer with a cleaned
     training bug, with their training-phase component experience.
     """
-    cleaned, summary = clean_bugs(records, CleaningRule(boundary_day=boundary_day))
+    cleaned, summary = clean_bugs(records, boundary_day)
     train, _ = split_train_test(cleaned, boundary_day)
-    profiles = {
-        p.dev_id: p for p in developer_profiles(train, summary.active_dev_ids)
-    }
+    profiles = {p.dev_id: p for p in developer_profiles(train)}
     return cleaned, summary, profiles
 
 
@@ -85,9 +77,7 @@ def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedMod
     docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
     vocab = build_vocabulary(docs)
     X = np.array([tfidf_transform(doc, vocab) for doc in docs])
-    linear = train_classifier(
-        X, [r.actual_assignee for r in train], C=settings.C, seed=settings.seed
-    )
+    linear = train_classifier(X, [r.actual_assignee for r in train], C=settings.C)
     topic_model = select_topic_count(
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
@@ -155,10 +145,8 @@ def profiles_to_json(profiles) -> str:
         [
             {
                 "dev_id": p.dev_id,
-                "name": p.name,
                 "fixed_bug_count": p.fixed_bug_count,
                 "components_experienced": sorted(p.components_experienced),
-                "is_active": p.is_active,
             }
             for p in sorted(profiles.values(), key=lambda p: p.dev_id)
         ],
@@ -170,13 +158,22 @@ def profiles_from_json(text) -> dict:
     return {
         obj["dev_id"]: DeveloperProfile(
             dev_id=obj["dev_id"],
-            name=obj["name"],
             fixed_bug_count=obj["fixed_bug_count"],
             components_experienced=frozenset(obj["components_experienced"]),
-            is_active=obj["is_active"],
         )
         for obj in json.loads(text)
     }
+
+
+def save_prepared(summary, profiles, out_dir) -> None:
+    """Write what ``prepare`` computes: the cleaning summary, its
+    per-step log and the developer profiles."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        fh.write(summary.to_json())
+    summary.write_cleaning_log(os.path.join(out_dir, "cleaning_log.csv"))
+    with open(os.path.join(out_dir, "dev_profiles.json"), "w") as fh:
+        fh.write(profiles_to_json(profiles))
 
 
 def save_models(models: TrainedModels, out_dir) -> None:
@@ -186,7 +183,6 @@ def save_models(models: TrainedModels, out_dir) -> None:
         "classifier.json": models.linear_model.to_json(),
         "topic_model.json": models.topic_model.to_json(),
         "cost_matrix.json": models.cost_matrix.to_json(),
-        "dev_profiles.json": profiles_to_json(models.dev_profiles),
     }
     for name, text in artifacts.items():
         with open(os.path.join(out_dir, name), "w") as fh:

@@ -308,7 +308,7 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             for i, j in best_choice.items()
         )
     )
-    check_feasible(instance, assignments, variant)
+    # objective_value raises unless the assignments are feasible
     return AssignmentSolution(
         assignments=assignments,
         objective_value=objective_value(instance, assignments, variant),

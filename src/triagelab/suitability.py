@@ -11,6 +11,7 @@ weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ class LinearModel:
     n_features: int
     C: float = DEFAULT_C
     epochs: int = DEFAULT_EPOCHS
-    seed: int = 0
 
     def decision_values(self, row: np.ndarray) -> np.ndarray:
         return self.weights @ row + self.bias
@@ -50,7 +50,6 @@ class LinearModel:
                 "n_features": self.n_features,
                 "C": self.C,
                 "epochs": self.epochs,
-                "seed": self.seed,
                 "developers": per_dev,
             },
             indent=2,
@@ -74,7 +73,6 @@ class LinearModel:
             n_features=n_features,
             C=obj["C"],
             epochs=obj["epochs"],
-            seed=obj["seed"],
         )
 
 
@@ -83,7 +81,6 @@ def train_classifier(
     labels,
     C: float = DEFAULT_C,
     epochs: int = DEFAULT_EPOCHS,
-    seed: int = 0,
 ) -> LinearModel:
     """Fit one-vs-rest hinge-loss linear separators.
 
@@ -100,6 +97,11 @@ def train_classifier(
     X = np.hstack([X, np.ones((n, 1))])  # last column: constant bias feature
     labels = np.array(labels)
     lam = 1.0 / (C * n)
+    if not 0.0 < lam < math.inf:  # C = inf gives 0; a subnormal C overflows to inf
+        raise ValidationError(
+            f"C={C} gives regularization 1/(C*n) = {lam} for n={n} bugs; "
+            "it must be finite and positive"
+        )
     weights = np.zeros((len(dev_ids), n_features))
     bias = np.zeros(len(dev_ids))
     for row, dev in enumerate(dev_ids):
@@ -122,7 +124,6 @@ def train_classifier(
         n_features=n_features,
         C=C,
         epochs=epochs,
-        seed=seed,
     )
 
 

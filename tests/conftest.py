@@ -121,7 +121,7 @@ def mini_env(mini_records):
                 horizon_L=env.horizon,
             )
             result = run_simulation(config, corpus, table, models.dev_profiles)
-            cache[key] = (result, compute_report(result, models.dev_profiles))
+            cache[key] = (result, compute_report(result))
         return cache[key]
 
     env.run = run

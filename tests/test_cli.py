@@ -49,6 +49,20 @@ def test_prepare_wrote_artifacts(workdir):
     assert (out / "dev_profiles.json").exists()
 
 
+def test_train_writes_what_prepare_writes(workdir, tmp_path):
+    # out holds prepare then train; trained holds train alone
+    _, data, out, _ = workdir
+    common = ["--data", str(data), "--boundary", "120", "--out"]
+    prepared, trained = tmp_path / "prepared", tmp_path / "trained"
+    assert dispatch(["prepare"] + common + [str(prepared)]) == 0
+    assert dispatch(["train"] + common + [str(trained), "--topics", "4",
+                                          "--lda-iters", "1"]) == 0
+    for name in ("summary.json", "cleaning_log.csv", "dev_profiles.json"):
+        expected = (prepared / name).read_bytes()
+        assert (out / name).read_bytes() == expected, name
+        assert (trained / name).read_bytes() == expected, name
+
+
 def test_train_wrote_model_artifacts(workdir):
     _, _, out, _ = workdir
     for name in ("vocabulary.json", "classifier.json", "topic_model.json",
@@ -65,7 +79,7 @@ def test_simulate_and_report(workdir, capsys):
         assert code == 0
     capsys.readouterr()
     code = dispatch(
-        ["report"] + args
+        ["report", "--out", str(out)]
         + [str(out / "result_dabt_a0.5.json"), str(out / "result_cbr_a0.5.json")]
     )
     assert code == 0
@@ -111,6 +125,7 @@ def test_solve_subcommand(tmp_path, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert dispatch(["frobnicate"]) == 2
     assert dispatch(["simulate", "--no-such-flag"]) == 2
+    assert dispatch(["report", "--data", "bugs.jsonl", "result.json"]) == 2
 
 
 def test_missing_data_is_clean_error(tmp_path, capsys):
@@ -167,11 +182,10 @@ def test_simulate_corrupt_artifact_is_one_error_line(workdir, tmp_path, capsys):
     "content", ["not json", '{"x": 1}', '{"config": {"policy": "dabt"}}', "[]"],
     ids=["not-json", "no-config", "partial-config", "list"],
 )
-def test_report_bad_result_is_one_error_line(workdir, tmp_path, capsys, content):
-    _, _, _, args = workdir
+def test_report_bad_result_is_one_error_line(tmp_path, capsys, content):
     path = tmp_path / "result_bad.json"
     path.write_text(content)
-    assert dispatch(["report"] + args + [str(path)]) == 1
+    assert dispatch(["report", "--out", str(tmp_path), str(path)]) == 1
     assert "result_bad.json" in _one_error_line(capsys)
 
 
@@ -189,11 +203,13 @@ def _result_obj():
     }
 
 
-def test_report_reads_well_formed_result(workdir, tmp_path):
-    _, _, _, args = workdir
+def test_report_reads_well_formed_result(tmp_path):
+    # report reads only its result files: no corpus and no dev_profiles.json
     path = tmp_path / "result_ok.json"
     path.write_text(json.dumps(_result_obj()))
-    assert dispatch(["report"] + args + [str(path)]) == 0
+    out = tmp_path / "report"
+    assert dispatch(["report", "--out", str(out), str(path)]) == 0
+    assert (out / "comparison.csv").read_text().startswith("metric,dabt\n")
 
 
 @pytest.mark.parametrize(
@@ -216,12 +232,10 @@ def test_report_reads_well_formed_result(workdir, tmp_path):
          "completion-float", "dev-bool", "daily-missing-keys", "depth-null",
          "daily-string", "total-below-log", "total-string"],
 )
-def test_report_malformed_result_rows_are_one_error_line(workdir, tmp_path, capsys,
-                                                         key, value):
-    _, _, _, args = workdir
+def test_report_malformed_result_rows_are_one_error_line(tmp_path, capsys, key, value):
     path = tmp_path / "result_bad.json"
     path.write_text(json.dumps(dict(_result_obj(), **{key: value})))
-    assert dispatch(["report"] + args + [str(path)]) == 1
+    assert dispatch(["report", "--out", str(tmp_path), str(path)]) == 1
     assert "result_bad.json" in _one_error_line(capsys)
 
 
@@ -233,8 +247,12 @@ def test_report_malformed_result_rows_are_one_error_line(workdir, tmp_path, caps
         ("train", ["--topics", "4", "--lda-iters", "-5"], "LDA iterations"),
         ("train", ["--topics", "4", "--C", "0"], "C must be positive"),
         ("sweep", ["--alphas", "0,x"], "--alphas '0,x'"),
+        # 1/(C*n) is 0 for C = inf and overflows to inf for a subnormal C
+        ("train", ["--topics", "4", "--C", "inf"], "must be finite and positive"),
+        ("train", ["--topics", "4", "--C", "1e-320"], "must be finite and positive"),
     ],
-    ids=["topics-abc", "topics-step-0", "lda-iters-negative", "C-zero", "alphas-x"],
+    ids=["topics-abc", "topics-step-0", "lda-iters-negative", "C-zero", "alphas-x",
+         "C-inf", "C-subnormal"],
 )
 def test_malformed_flag_value_is_one_error_line(workdir, tmp_path, capsys,
                                                 command, flags, message):

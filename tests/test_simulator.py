@@ -26,10 +26,8 @@ class Stub:
         self.dev_profiles = {
             d: DeveloperProfile(
                 dev_id=d,
-                name=f"dev-{d}",
                 fixed_bug_count=10,
                 components_experienced=frozenset(components),
-                is_active=True,
             )
             for d in suit
         }
