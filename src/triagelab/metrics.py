@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -114,10 +116,23 @@ _ROWS = [
 ]
 
 
+def _column_labels(reports) -> list[str]:
+    """The policy names when they differ; otherwise ``<policy>_a<alpha>``,
+    the tag of the run's files."""
+    names = [r.policy for r in reports]
+    if len(set(names)) == len(names):
+        return names
+    names = [f"{r.policy}_a{r.alpha:g}" for r in reports]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValidationError(f"two results are both {name}; compare distinct runs")
+    return names
+
+
 def compare_policies(reports) -> tuple[str, str]:
     """(csv_text, aligned_text) comparison; unique best per row gets *."""
     reports = list(reports)
-    names = [r.policy for r in reports]
+    names = _column_labels(reports)
     csv_buf = io.StringIO()
     csv_buf.write("metric," + ",".join(names) + "\n")
     lines = []

@@ -7,10 +7,18 @@ precedence rule that an assigned bug's unresolved in-instance blockers
 are assigned to the same developer in the same batch.  RABT maximizes
 plain suitability under capacity only.
 
-Solved by depth-first branch and bound with an admissible bound (sum of
-each remaining bug's best capacity-ignoring contribution).  A separate
-vectorized exhaustive-enumeration oracle exists for verification and
-never shares code with the search.
+Solved by depth-first branch and bound.  A node is pruned on the smaller
+of two admissible bounds on what the undecided bugs can still add: the
+sum of each one's best contribution, ignoring capacity, and the sum over
+developers of their m best contributions, where m is how many of the
+cheapest undecided bugs fit the developer's remaining capacity (the
+cardinality form of the generalized-assignment relaxation; Ross & Soland
+1975, Martello & Toth 1990).  Pruning only skips subtrees that hold no
+completion the search would accept, so the solution is the one the
+first bound alone finds, from fewer nodes.  The search recurses once per
+bug, so a pool deeper than Python's recursion limit is refused with a
+ValidationError.  A separate vectorized exhaustive-enumeration oracle
+exists for verification and never shares code with the search.
 """
 
 from __future__ import annotations
@@ -18,7 +26,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate, takewhile
 
 import numpy as np
 
@@ -235,6 +246,41 @@ def _greedy_incumbent(instance, contrib, order, parents_of, caps):
     return chosen, value
 
 
+def _capacity_tables(order, contrib_rows, cost_rows, caps):
+    """Tables of the capacity-aware bound, over the undecided bugs order[r:].
+
+    ``fits[r][j]`` holds the running sums of developer j's costs, cheapest
+    first, while they stay within caps[j] + 2 * slack (no query reaches
+    past that); ``gains[r][j][m]`` is the sum of j's m largest
+    non-negative contributions.  The search admits each bug with + _EPS
+    and `remaining` picks up rounding over a search, so the fit count
+    ``bisect_right(fits[r][j], remaining[j] + slack)`` gets slack for both
+    (1e-9 is check_feasible's tolerance) and never undercounts a set the
+    search would accept.  Returns (fits, gains, slack).
+    """
+    n = len(order)
+    slack = (n + 1) * _EPS + 1e-9
+    fits = [None] * (n + 1)
+    gains = [None] * (n + 1)
+    costs = [[] for _ in caps]  # ascending, over order[r:]
+    negated = [[] for _ in caps]  # -max(contribution, 0), ascending
+    for r in range(n, -1, -1):
+        if r < n:
+            i = order[r]
+            for j in range(len(caps)):
+                insort(costs[j], cost_rows[i][j])
+                insort(negated[j], -max(contrib_rows[i][j], 0.0))
+        fits_r, gains_r = [], []
+        for j, cap in enumerate(caps):
+            limit = cap + 2 * slack
+            fit = list(takewhile(lambda total: total <= limit, accumulate(costs[j])))
+            fits_r.append(fit)
+            best = (-g for g in negated[j][: len(fit)])
+            gains_r.append(list(accumulate(best, initial=0.0)))
+        fits[r], gains[r] = fits_r, gains_r
+    return fits, gains, slack
+
+
 def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentSolution:
     n = len(instance.bugs)
     D = len(instance.developers)
@@ -243,18 +289,26 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     contrib = instance.contributions(variant)
     with_prec = variant == DABT
     order = _search_order(instance, contrib, with_prec)
-    pos_in_order = {i: r for r, i in enumerate(order)}
     bug_pos = {b.bug_id: i for i, b in enumerate(instance.bugs)}
     parents_of = [[] for _ in range(n)]
     if with_prec:
         for p, ch in instance.precedence:
             parents_of[bug_pos[ch]].append(bug_pos[p])
     caps = [cap for _, cap in instance.developers]
+    # The search runs on Python floats: the same IEEE arithmetic as numpy
+    # scalars, without their per-operation overhead.
+    contrib_rows = contrib.tolist()
+    cost_rows = [b.c for b in instance.bugs]
 
     # suffix_best[r]: capacity-ignoring upper bound on bugs order[r:]
-    suffix_best = np.zeros(n + 1)
+    suffix_best = [0.0] * (n + 1)
     for r in range(n - 1, -1, -1):
-        suffix_best[r] = suffix_best[r + 1] + max(contrib[order[r]].max(), 0.0)
+        suffix_best[r] = suffix_best[r + 1] + max(max(contrib_rows[order[r]]), 0.0)
+
+    # capacity-aware bound: developer j fits at most the m cheapest
+    # undecided bugs into its remaining capacity, so adds at most its m
+    # best contributions
+    fits, gains, slack = _capacity_tables(order, contrib_rows, cost_rows, caps)
 
     # per-bug developer option order: contribution desc, then dev_id
     dev_order = []
@@ -273,6 +327,8 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     node_count = 0
 
     def dfs(rank: int, value: float):
+        # Below the root, entered only when both bounds leave room above
+        # best_value + _EPS.
         nonlocal best_value, best_choice, node_count
         node_count += 1
         if rank == n:
@@ -280,10 +336,7 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                 best_value = value
                 best_choice = dict(choice)
             return
-        if value + suffix_best[rank] <= best_value + _EPS:
-            return
         i = order[rank]
-        bug = instance.bugs[i]
         allowed = dev_order[i]
         if parents_of[i]:
             parent_devs = {choice.get(p, -1) for p in parents_of[i]}
@@ -291,17 +344,36 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                 allowed = []
             else:
                 allowed = list(parent_devs)
+        nxt = rank + 1
+        fit, gain, suffix = fits[nxt], gains[nxt], suffix_best[nxt]
+        terms = [
+            gain[k][bisect_right(fit[k], remaining[k] + slack)] for k in range(D)
+        ]
+        total = sum(terms)
+        row, cost = contrib_rows[i], cost_rows[i]
         for j in allowed:
-            if bug.c[j] > remaining[j] + _EPS:
+            c = cost[j]
+            if c > remaining[j] + _EPS:
+                continue
+            child = value + row[j]
+            term = gain[j][bisect_right(fit[j], remaining[j] - c + slack)]
+            if child + min(suffix, total - terms[j] + term) <= best_value + _EPS:
                 continue
             choice[i] = j
-            remaining[j] -= bug.c[j]
-            dfs(rank + 1, value + contrib[i, j])
-            remaining[j] += bug.c[j]
+            remaining[j] -= c
+            dfs(nxt, child)
+            remaining[j] += c
             del choice[i]
-        dfs(rank + 1, value)  # leave unassigned
+        if value + min(suffix, total) > best_value + _EPS:
+            dfs(nxt, value)  # leave unassigned
 
-    dfs(0, 0.0)
+    try:
+        dfs(0, 0.0)
+    except RecursionError:
+        raise ValidationError(
+            f"a pool of {n} bugs is deeper than the exact search can recurse "
+            f"(Python's recursion limit is {sys.getrecursionlimit()})"
+        ) from None
     assignments = tuple(
         sorted(
             (instance.bugs[i].bug_id, instance.developers[j][0])

@@ -317,6 +317,26 @@ def test_solve_bad_instance_is_one_error_line(tmp_path, capsys, content):
     _one_error_line(capsys)
 
 
+def test_solve_pool_deeper_than_the_search_is_one_error_line(tmp_path, capsys):
+    bugs = [
+        InstanceBug(i, tuple(1.0 if j == i % 3 else 0.5 for j in range(3)),
+                    tuple(float(1 + (i * 7 + j) % 3) for j in range(3)))
+        for i in range(1100)
+    ]
+    inst = AssignmentInstance(bugs=bugs, developers=[(d, 40.0) for d in range(3)])
+    path = tmp_path / "instance.json"
+    path.write_text(inst.to_json())
+    assert dispatch(["solve", str(path)]) == 1
+    assert "pool of 1100 bugs" in _one_error_line(capsys)
+
+
+def test_report_repeated_run_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "result_dabt_a0.5.json"
+    path.write_text(json.dumps(_result_obj()))
+    assert dispatch(["report", "--out", str(tmp_path), str(path), str(path)]) == 1
+    assert "dabt_a0.5" in _one_error_line(capsys)
+
+
 def test_simulate_without_cleaned_training_bug_needs_L(workdir, tmp_path, capsys):
     _, _, out, _ = workdir
     data = tmp_path / "late.jsonl"

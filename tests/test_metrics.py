@@ -22,8 +22,8 @@ def _entry(bug, dev, reported, completion, cost=2.0, accurate=True, infeasible=F
     }
 
 
-def _result(log, total, daily=()):
-    config = SimConfig(policy="dabt", boundary_day=0, end_day=100, alpha=0.5,
+def _result(log, total, daily=(), policy="dabt", alpha=0.5):
+    config = SimConfig(policy=policy, boundary_day=0, end_day=100, alpha=alpha,
                        horizon_L=5.0)
     return SimResult(config=config, log=log, daily=list(daily), total_entering=total)
 
@@ -70,14 +70,20 @@ def test_report_json_roundtrip():
 
 
 def test_compare_policies_csv_and_star():
-    a = compute_report(_result([_entry(1, 1, 10, 12)], total=2))
+    a = compute_report(_result([_entry(1, 1, 10, 12)], total=2, alpha=0.0))
     b_log = [_entry(1, 1, 10, 12), _entry(2, 2, 10, 12)]
-    b = compute_report(_result(b_log, total=2))
+    b = compute_report(_result(b_log, total=2, alpha=1.0))
     csv_text, table = compare_policies([a, b])
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "metric,dabt,dabt"
+    assert lines[0] == "metric,dabt_a0,dabt_a1"
     assert len(lines) == 13  # header + 12 metric rows
     assert "*" in table  # at least one unique best is flagged
+    assert table.splitlines()[0].split() == ["dabt_a0", "dabt_a1"]
+
+
+def test_compare_policies_labels_distinct_policies_by_name():
+    runs = [compute_report(_result([], total=1, policy=p)) for p in ("dabt", "cbr")]
+    assert compare_policies(runs)[0].startswith("metric,dabt,cbr\n")
 
 
 def test_sweep_csv_format():
