@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
     models = pipeline.load_models(args.out)
     config = _sim_config(args, args.policy, args.alpha, records, summary)
     result = pipeline.run_policy(config, records, cleaned, models)
-    tag = f"{config.policy}_a{config.alpha:g}"
+    tag = metrics_mod.run_tag(config.policy, config.alpha)
     with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
         fh.write(pipeline.result_to_json(result))
     with open(os.path.join(args.out, f"decisions_{tag}.jsonl"), "w") as fh:

@@ -2,10 +2,12 @@
 
 Bugs are grouped into topics with collapsed-Gibbs LDA (topic count
 picked by the singular-value / document-mixture divergence criterion).
-Each developer's cost for a topic is the arithmetic mean of their
-training fixing times on that topic; missing cells are filled by a
-user-based cosine collaborative filter with deterministic fallbacks
-(topic column mean, then global mean).
+A training bug's topic is its dominant topic in the fitted mixture
+(``fitted_topics``); only a bug the fit never saw is folded in
+(``infer_topic``).  Each developer's cost for a topic is the arithmetic
+mean of their training fixing times on that topic; missing cells are
+filled by a user-based cosine collaborative filter with deterministic
+fallbacks (topic column mean, then global mean).
 
 Each Gibbs draw, in the fit and in the fold-in, repeats numpy's
 ``Generator.choice(K, p=p)`` arithmetic on the same random stream, so
@@ -48,7 +50,8 @@ class TopicModel:
     seed: int
     iters: int
     vocab_size: int
-    doc_topic: np.ndarray | None = None  # (D, K) training mixture, for selection
+    # (D, K) training mixture, for selection and the training bugs' topics
+    doc_topic: np.ndarray | None = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -236,6 +239,17 @@ def select_topic_count(docs, vocab, candidate_Ks, seed: int = 0, iters: int = DE
     return best
 
 
+def fitted_topics(model: TopicModel, docs, vocab) -> list:
+    """The dominant topic of each doc ``model`` was fitted on, read off its
+    mixture ``doc_topic`` (argmax takes the smallest tied index, as
+    ``infer_topic`` does); a doc with no in-vocabulary tokens gets the
+    GLOBAL_TOPIC sentinel."""
+    return [
+        int(k) if _doc_word_ids(doc, vocab) else GLOBAL_TOPIC
+        for doc, k in zip(docs, model.doc_topic.argmax(axis=1))
+    ]
+
+
 def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEPS) -> int:
     """Fold-in Gibbs for a single doc; returns the dominant topic.
 
@@ -313,7 +327,7 @@ class CostMatrix:
 def build_cost_matrix(train_records, topics) -> dict:
     """Observed cells: (developer, topic) -> mean fixing days.
 
-    ``topics`` holds each record's fold-in topic, aligned with
+    ``topics`` holds each record's topic, aligned with
     ``train_records``; every record has an assignee and a fixing time.
     GLOBAL_TOPIC records have no cell.
     """

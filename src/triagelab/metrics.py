@@ -116,13 +116,20 @@ _ROWS = [
 ]
 
 
+def run_tag(policy, alpha) -> str:
+    """``<policy>_a<alpha>``, the tag of a run's files.  ``alpha`` is
+    written in ``:g`` form (``a0.5``, ``a0``, ``a1``) when that reads back
+    as ``alpha``, else as its repr, so distinct alphas get distinct tags."""
+    short = f"{alpha:g}"
+    return f"{policy}_a{short if float(short) == alpha else repr(float(alpha))}"
+
+
 def _column_labels(reports) -> list[str]:
-    """The policy names when they differ; otherwise ``<policy>_a<alpha>``,
-    the tag of the run's files."""
+    """The policy names when they differ; otherwise each run's tag."""
     names = [r.policy for r in reports]
     if len(set(names)) == len(names):
         return names
-    names = [f"{r.policy}_a{r.alpha:g}" for r in reports]
+    names = [run_tag(r.policy, r.alpha) for r in reports]
     for name in names:
         if names.count(name) > 1:
             raise ValidationError(f"two results are both {name}; compare distinct runs")

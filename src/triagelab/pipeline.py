@@ -21,6 +21,7 @@ from .costmodel import (
     CostMatrix,
     build_cost_matrix,
     fill_missing_cf,
+    fitted_topics,
     infer_topic,
     select_topic_count,
 )
@@ -81,7 +82,7 @@ def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedMod
     topic_model = select_topic_count(
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
-    topics = [infer_topic(topic_model, doc, vocab) for doc in docs]
+    topics = fitted_topics(topic_model, docs, vocab)
     cost = fill_missing_cf(
         build_cost_matrix(train, topics), sorted(profiles), topic_model.K
     )

@@ -95,6 +95,24 @@ def test_simulate_reruns_identically(workdir):
     assert (out / "result_dabt_a0.5.json").read_bytes() == first
 
 
+def test_alphas_equal_to_six_digits_write_distinct_runs(workdir, tmp_path, capsys):
+    _, _, out, args = workdir
+    for alpha in ("0.5", "0.5000001"):
+        assert dispatch(["simulate"] + args + ["--alpha", alpha, "--end", "240"]) == 0
+    for kind, ext in (("result", "json"), ("decisions", "jsonl"), ("daily", "csv"),
+                      ("report", "json")):
+        assert (out / f"{kind}_dabt_a0.5.{ext}").exists()
+        assert (out / f"{kind}_dabt_a0.5000001.{ext}").exists()
+    for tag, alpha in (("a0.5", 0.5), ("a0.5000001", 0.5000001)):
+        result = json.loads((out / f"result_dabt_{tag}.json").read_text())
+        assert result["config"]["alpha"] == alpha
+    capsys.readouterr()
+    results = [str(out / "result_dabt_a0.5.json"), str(out / "result_dabt_a0.5000001.json")]
+    assert dispatch(["report", "--out", str(tmp_path)] + results) == 0
+    header = (tmp_path / "comparison.csv").read_text().splitlines()[0]
+    assert header == "metric,dabt_a0.5,dabt_a0.5000001"
+
+
 def test_sweep(workdir):
     _, _, out, args = workdir
     assert dispatch(["sweep"] + args + ["--alphas", "0,1", "--end", "240"]) == 0

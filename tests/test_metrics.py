@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from triagelab.metrics import compare_policies, compute_report, sweep_to_csv
+from triagelab.metrics import compare_policies, compute_report, run_tag, sweep_to_csv
 from triagelab.simulator import SimConfig, SimResult
 
 
@@ -84,6 +84,15 @@ def test_compare_policies_csv_and_star():
 def test_compare_policies_labels_distinct_policies_by_name():
     runs = [compute_report(_result([], total=1, policy=p)) for p in ("dabt", "cbr")]
     assert compare_policies(runs)[0].startswith("metric,dabt,cbr\n")
+
+
+@pytest.mark.parametrize(
+    "alpha, tag",
+    [(0.5, "dabt_a0.5"), (0.0, "dabt_a0"), (1.0, "dabt_a1"), (0.25, "dabt_a0.25"),
+     (0.5000001, "dabt_a0.5000001"), (1 / 3, "dabt_a0.3333333333333333")],
+)
+def test_run_tag_is_short_when_exact_and_full_otherwise(alpha, tag):
+    assert run_tag("dabt", alpha) == tag
 
 
 def test_sweep_csv_format():

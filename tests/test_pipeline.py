@@ -1,9 +1,13 @@
-"""prepare's active developers and the actual replay over them."""
+"""prepare's active developers, the actual replay over them, and the
+training topics train_models reads off the fitted LDA."""
 
 import numpy as np
 
-from triagelab import pipeline
+from triagelab import costmodel, pipeline
+from triagelab.corpus import DeveloperProfile
+from triagelab.costmodel import GLOBAL_TOPIC, OBSERVED, build_cost_matrix
 from triagelab.simulator import FeatureTable, SimConfig, run_simulation
+from triagelab.textprep import preprocess_text
 
 from conftest import make_bug
 
@@ -60,3 +64,61 @@ def test_actual_replays_a_bug_whose_assignee_has_no_profile():
     [entry] = _replay_actual(records, cleaned, profiles).log
     assert (entry["dev_id"], entry["assigned_day"], entry["completion_day"]) == (5, 111, 112)
     assert entry["accurate"] is False
+
+
+def _fold_in_forbidden(*args, **kwargs):
+    raise AssertionError("training must not fold in a training doc")
+
+
+def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
+    # dev 1 fixes network bugs, dev 2 rendering bugs; dev 3's only bug uses
+    # words no other bug has, so min_df=2 leaves it no in-vocabulary token
+    network = "socket packet timeout proxy"
+    render = "pixel font layout glyph"
+    records = [
+        make_bug(i, reported=1, assigned=1, resolved=i % 3 + 1, dev=dev,
+                 summary=text, description=text)
+        for i, (dev, text) in enumerate([(1, network)] * 4 + [(2, render)] * 4)
+    ]
+    records.append(make_bug(99, reported=1, assigned=1, resolved=5, dev=3,
+                            summary="zebra quokka", description="narwhal"))
+    profiles = {d: DeveloperProfile(dev_id=d, fixed_bug_count=1,
+                                    components_experienced=frozenset({"core"}))
+                for d in (1, 2, 3)}
+    monkeypatch.setattr(pipeline, "infer_topic", _fold_in_forbidden)
+    monkeypatch.setattr(costmodel, "infer_topic", _fold_in_forbidden)
+    models = pipeline.train_models(
+        records, profiles, pipeline.TrainSettings(topic_grid=(2,), lda_iters=5)
+    )
+    topics = models.topic_model.doc_topic.argmax(axis=1).tolist()
+    assert models.cost_matrix.observed == build_cost_matrix(
+        records, topics[:-1] + [GLOBAL_TOPIC]
+    )
+    assert not any(d == 3 for d, _ in models.cost_matrix.observed)
+    assert all(models.cost_matrix.provenance[(3, k)] != OBSERVED for k in range(2))
+
+
+def _mini_training(env):
+    train = [r for r in env.train if r.actual_assignee in env.profiles]
+    docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
+    return train, docs
+
+
+def test_mini_cost_cells_average_the_fitted_topics(mini_env):
+    train, docs = _mini_training(mini_env)
+    vocab, model = mini_env.models.vocab, mini_env.models.topic_model
+    assert model.doc_topic.shape == (len(train), model.K)
+    assert all(any(t in vocab.index for t in doc.tokens) for doc in docs)
+    topics = model.doc_topic.argmax(axis=1).tolist()
+    assert mini_env.models.cost_matrix.observed == build_cost_matrix(train, topics)
+
+
+def test_mini_training_topics_recover_planted_components(mini_env):
+    # purity: the share of training bugs whose planted topic t (component
+    # comp<t>a or comp<t>b) is the most common one in their fitted topic
+    train, _ = _mini_training(mini_env)
+    topics = mini_env.models.topic_model.doc_topic.argmax(axis=1)
+    planted = np.array([int(r.component[4]) for r in train])
+    hits = sum(np.bincount(planted[topics == k]).max()
+               for k in np.unique(topics))
+    assert hits / len(train) >= 0.95
