@@ -28,6 +28,7 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     "$@" simulate "${common[@]}" --policy dabt --end 730
     "$@" simulate "${common[@]}" --policy cbr --end 730
     "$@" report --out "$out/run" "$out/run/result_dabt_a0.5.json" "$out/run/result_cbr_a0.5.json"
+    "$@" sweep "${common[@]}" --alphas 0,0.5,1 --end 730
 } >&2
 
 cd "$out"

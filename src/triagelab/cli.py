@@ -71,6 +71,16 @@ def _add_train_flags(parser):
                         default=_env_default("lda_iters", 1000, int))
 
 
+def _add_replay_flags(parser):
+    parser.add_argument("--seed", type=_flag(int, "--seed"),
+                        default=_env_default("seed", 0, int))
+    parser.add_argument("--L", type=_flag(float, "--L"),
+                        default=_env_default("l", None, float),
+                        help="capacity horizon override (default: training Q3)")
+    parser.add_argument("--end", type=_flag(int, "--end"),
+                        default=_env_default("end", None, int))
+
+
 def _parse_topic_grid(spec: str):
     def num(x):
         return _cast(x, int, f"--topics {spec!r}")
@@ -246,13 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_env_default("policy", "dabt"))
     p.add_argument("--alpha", type=_flag(float, "--alpha"),
                    default=_env_default("alpha", 0.5, float))
-    p.add_argument("--seed", type=_flag(int, "--seed"),
-                   default=_env_default("seed", 0, int))
-    p.add_argument("--L", type=_flag(float, "--L"),
-                   default=_env_default("l", None, float),
-                   help="capacity horizon override (default: training Q3)")
-    p.add_argument("--end", type=_flag(int, "--end"),
-                   default=_env_default("end", None, int))
+    _add_replay_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="recompute reports and compare runs")
@@ -263,12 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="DABT alpha sensitivity series")
     _add_common(p)
     p.add_argument("--alphas", default=_env_default("alphas", "0,0.25,0.5,0.75,1"))
-    p.add_argument("--seed", type=_flag(int, "--seed"),
-                   default=_env_default("seed", 0, int))
-    p.add_argument("--L", type=_flag(float, "--L"),
-                   default=_env_default("l", None, float))
-    p.add_argument("--end", type=_flag(int, "--end"),
-                   default=_env_default("end", None, int))
+    _add_replay_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("solve", help="solve a standalone instance JSON")

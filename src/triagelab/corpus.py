@@ -73,10 +73,6 @@ class BugRecord:
             return None
         return self.resolved_at - self.assigned_at + 1
 
-    @property
-    def text(self) -> str:
-        return f"{self.summary} {self.description}"
-
 
 @dataclass(frozen=True)
 class DeveloperProfile:

@@ -70,9 +70,12 @@ class TopicModel:
     @classmethod
     def from_json(cls, text: str) -> "TopicModel":
         obj = json.loads(text)
+        phi = np.array(obj["phi"])
+        if phi.shape != (obj["K"], obj["vocab_size"]):
+            raise ValueError(f"phi has shape {phi.shape}, not (K, vocab_size)")
         return cls(
             K=obj["K"],
-            phi=np.array(obj["phi"]),
+            phi=phi,
             alpha_lda=obj["alpha_lda"],
             beta_lda=obj["beta_lda"],
             seed=obj["seed"],
@@ -315,11 +318,14 @@ class CostMatrix:
     @classmethod
     def from_json(cls, text: str) -> "CostMatrix":
         obj = json.loads(text)
+        filled = np.array(obj["filled"])
+        if filled.shape != (len(obj["dev_ids"]), obj["K"]):
+            raise ValueError(f"filled has shape {filled.shape}, not (len(dev_ids), K)")
         return cls(
             dev_ids=obj["dev_ids"],
             K=obj["K"],
             observed={(d, k): v for d, k, v in obj["observed"]},
-            filled=np.array(obj["filled"]),
+            filled=filled,
             provenance={(d, k): p for d, k, p in obj["provenance"]},
         )
 

@@ -48,7 +48,6 @@ class MiniCorpusSpec:
     test_start: int = 366
     test_stop: int = 700
     expert_own_fixes: int = 26
-    expert_off_fixes: int = 4
     generalist_fixes_per_topic: int = 7
     inactive_fixes: int = 11
     test_rate_per_topic: float = 0.15
@@ -134,9 +133,9 @@ def generate(spec: MiniCorpusSpec | None = None) -> list[BugRecord]:
         for _ in range(spec.expert_own_fixes):
             add(t, _component(rng, t), rng.choice(train_days), expert,
                 _expert_fix_days(rng))
-        # a little cross-topic history in every component, so expert
-        # experience covers the whole component space and the cost
-        # matrix has observed cells off the diagonal
+        # a little cross-topic history, one fix in each other topic's
+        # components, so expert experience covers the whole component
+        # space and the cost matrix has observed cells off the diagonal
         for other in range(N_TOPICS):
             if other == t:
                 continue

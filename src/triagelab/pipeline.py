@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,32 +204,46 @@ def read_json_file(path, parse):
 
 
 def load_models(out_dir) -> TrainedModels:
-    def read(name, parse):
-        path = os.path.join(out_dir, name)
-        if not os.path.exists(path):
-            raise ValidationError(f"missing artifact {name}; run `train` first")
-        return read_json_file(path, parse)
+    """The artifacts ``save_models`` and ``save_prepared`` wrote to
+    ``out_dir``.  Files that disagree on the topic count, the vocabulary
+    size or the developers, as files from two runs can, raise
+    ValidationError naming both."""
+    def path(name):
+        return os.path.join(out_dir, name)
 
-    return TrainedModels(
+    def read(name, parse):
+        if not os.path.exists(path(name)):
+            raise ValidationError(f"missing artifact {name}; run `train` first")
+        return read_json_file(path(name), parse)
+
+    models = TrainedModels(
         linear_model=read("classifier.json", LinearModel.from_json),
         vocab=read("vocabulary.json", Vocabulary.from_json),
         topic_model=read("topic_model.json", TopicModel.from_json),
         cost_matrix=read("cost_matrix.json", CostMatrix.from_json),
         dev_profiles=read("dev_profiles.json", profiles_from_json),
     )
+    topics, n_terms = models.topic_model, len(models.vocab)
+    for name, what, value, other, other_what, expected in (
+        ("topic_model.json", "K", topics.K, "cost_matrix.json", "K", models.cost_matrix.K),
+        ("topic_model.json", "vocab_size", topics.vocab_size, "vocabulary.json", "size", n_terms),
+        ("classifier.json", "n_features", models.linear_model.n_features,
+         "vocabulary.json", "size", n_terms),
+        ("cost_matrix.json", "dev_ids", models.cost_matrix.dev_ids,
+         "dev_profiles.json", "developers", models.dev_ids),
+    ):
+        if value != expected:
+            raise ValidationError(
+                f"{path(name)}: {what} {value} does not match {path(other)}: "
+                f"{other_what} {expected}; run `train` again"
+            )
+    return models
 
 
 def result_to_json(result: SimResult) -> str:
     return json.dumps(
         {
-            "config": {
-                "policy": result.config.policy,
-                "boundary_day": result.config.boundary_day,
-                "end_day": result.config.end_day,
-                "alpha": result.config.alpha,
-                "seed": result.config.seed,
-                "horizon_L": result.config.horizon_L,
-            },
+            "config": asdict(result.config),
             "log": result.log,
             "daily": result.daily,
             "total_entering": result.total_entering,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bdg import topological_order
 from .errors import ValidationError
 from .solver import (
     DABT,
@@ -89,9 +90,10 @@ def decide_knapsack(
 
     ``capacities`` holds each developer's remaining capacity in
     ``dev_ids`` order.  DABT keeps precedence arcs among in-instance
-    bugs and pre-drops bugs blocked by an open parent that is not
-    itself in the instance (e.g. already assigned and in progress);
-    such bugs are deferred.  RABT ignores dependencies entirely.
+    bugs and pre-drops bugs blocked, directly or through a chain, by an
+    open parent that is not itself in the instance (e.g. already
+    assigned and in progress); such bugs are deferred.  RABT ignores
+    dependencies entirely.
     Unassigned bugs are deferred and called back on later days.
     """
     if variant not in (DABT, RABT):
@@ -99,25 +101,25 @@ def decide_knapsack(
     row_of = {bug_id: i for i, bug_id in enumerate(bug_ids)}
     candidates = sorted(row_of)
     deferred = []
+    precedence = []
     if variant == DABT:
-        # Dropping a blocked bug can orphan its own children, so the
-        # drop has to run to a fixed point or an arc would silently
-        # fall out of the instance.
-        eligible = set(candidates)
-        changed = True
-        while changed:
-            changed = False
-            for bug_id in sorted(eligible):
-                parents = (
-                    graph.blocking_parents(bug_id)
-                    if bug_id in graph.children
-                    else set()
-                )
-                if parents - eligible:
-                    eligible.discard(bug_id)
-                    deferred.append(bug_id)
-                    changed = True
+        # In blocker order a bug's in-pool blockers are decided before
+        # it, so one pass also defers the chains an ineligible bug
+        # orphans, and no arc falls out of the instance.
+        pool = {
+            bug_id: [kid for kid in graph.children.get(bug_id, ()) if kid in row_of]
+            for bug_id in candidates
+        }
+        eligible = set()
+        for bug_id in topological_order(pool):
+            parents = graph.parents.get(bug_id, ())
+            if eligible.issuperset(parents):
+                eligible.add(bug_id)
+                precedence.extend((parent, bug_id) for parent in parents)
+            else:
+                deferred.append(bug_id)
         candidates = sorted(eligible)
+        precedence.sort(key=lambda arc: (arc[1], arc[0]))
 
     bugs = [
         InstanceBug(
@@ -127,14 +129,6 @@ def decide_knapsack(
         )
         for bug_id in candidates
     ]
-    precedence = []
-    if variant == DABT:
-        in_instance = set(candidates)
-        for bug_id in candidates:
-            if bug_id in graph.children:
-                for parent in sorted(graph.blocking_parents(bug_id)):
-                    if parent in in_instance:
-                        precedence.append((parent, bug_id))
     instance = AssignmentInstance(
         bugs=bugs,
         developers=list(zip(dev_ids, capacities)),

@@ -7,23 +7,24 @@ precedence rule that an assigned bug's unresolved in-instance blockers
 are assigned to the same developer in the same batch.  RABT maximizes
 plain suitability under capacity only.
 
-Solved by depth-first branch and bound.  A node is pruned on the smaller
-of two admissible bounds on what the undecided bugs can still add: the
-sum of each one's best contribution, ignoring capacity, and the sum over
-developers of their m best contributions, where m is how many of the
-cheapest undecided bugs fit the developer's remaining capacity (the
-cardinality form of the generalized-assignment relaxation; Ross & Soland
-1975, Martello & Toth 1990).  Pruning only skips subtrees that hold no
-completion the search would accept, so the solution is the one the
-first bound alone finds, from fewer nodes.  The search recurses once per
-bug, so a pool deeper than Python's recursion limit is refused with a
-ValidationError.  A separate vectorized exhaustive-enumeration oracle
-exists for verification and never shares code with the search.
+Solved by depth-first branch and bound over the bugs in
+``bdg.topological_order``, best contribution first among ready bugs.  A
+node is pruned on the smaller of two admissible bounds on what the
+undecided bugs can still add: the sum of each one's best contribution,
+ignoring capacity, and the sum over developers of their m best
+contributions, where m is how many of the cheapest undecided bugs fit
+the developer's remaining capacity (the cardinality form of the
+generalized-assignment relaxation; Ross & Soland 1975, Martello & Toth
+1990).  Pruning only skips subtrees that hold no completion the search
+would accept, so the solution is the one the first bound alone finds,
+from fewer nodes.  The search recurses once per bug, so a pool deeper
+than Python's recursion limit is refused with a ValidationError.  A
+separate vectorized exhaustive-enumeration oracle exists for
+verification and never shares code with the search.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import sys
@@ -33,6 +34,7 @@ from itertools import accumulate, takewhile
 
 import numpy as np
 
+from .bdg import topological_order
 from .errors import ValidationError
 
 DABT = "DABT"
@@ -82,29 +84,13 @@ class AssignmentInstance:
                 raise ValidationError(f"bug {bug.bug_id}: costs must be positive")
             if self.developers and abs(max(bug.s) - 1.0) > 1e-9:
                 raise ValidationError(f"bug {bug.bug_id}: suitability row max must be 1")
-        known = set(ids)
+        children = {bug_id: [] for bug_id in ids}
         for p, ch in self.precedence:
-            if p not in known or ch not in known:
+            if p not in children or ch not in children:
                 raise ValidationError(f"precedence arc ({p}, {ch}) references unknown bug")
-        if self._has_cycle():
+            children[p].append(ch)
+        if len(topological_order(children)) != len(ids):
             raise ValidationError("precedence arcs contain a cycle")
-
-    def _has_cycle(self) -> bool:
-        children: dict[int, list] = {}
-        indeg = {b.bug_id: 0 for b in self.bugs}
-        for p, ch in self.precedence:
-            children.setdefault(p, []).append(ch)
-            indeg[ch] += 1
-        queue = [b for b, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            node = queue.pop()
-            seen += 1
-            for ch in children.get(node, ()):
-                indeg[ch] -= 1
-                if indeg[ch] == 0:
-                    queue.append(ch)
-        return seen != len(indeg)
 
     def contributions(self, variant: str = DABT) -> np.ndarray:
         """(n_bugs, n_devs) objective coefficient matrix."""
@@ -197,29 +183,28 @@ def objective_value(instance: AssignmentInstance, assignments, variant: str = DA
 
 
 def _search_order(instance: AssignmentInstance, contrib: np.ndarray, with_precedence: bool):
-    """Topological bug order, best-contribution-first among ready bugs."""
+    """Bug positions in topological order; among ready bugs the best
+    contribution goes first, then the smallest bug id."""
     n = len(instance.bugs)
     best = contrib.max(axis=1) if contrib.size else np.zeros(n)
     bug_pos = {b.bug_id: i for i, b in enumerate(instance.bugs)}
-    children: dict[int, list] = {i: [] for i in range(n)}
-    indeg = [0] * n
+    children = {i: [] for i in range(n)}
     if with_precedence:
         for p, ch in instance.precedence:
             children[bug_pos[p]].append(bug_pos[ch])
-            indeg[bug_pos[ch]] += 1
-    heap = [
-        (-best[i], instance.bugs[i].bug_id, i) for i in range(n) if indeg[i] == 0
-    ]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, _, i = heapq.heappop(heap)
-        order.append(i)
-        for ch in children[i]:
-            indeg[ch] -= 1
-            if indeg[ch] == 0:
-                heapq.heappush(heap, (-best[ch], instance.bugs[ch].bug_id, ch))
-    return order
+    return topological_order(
+        children, key=lambda i: (-best[i], instance.bugs[i].bug_id)
+    )
+
+
+def _allowed_devs(parents, chosen, free):
+    """Developers a bug may go to: ``free`` when it has no in-instance
+    blockers, else the single developer all of them went to in
+    ``chosen``, or none when they are split or one is unassigned."""
+    if not parents:
+        return free
+    devs = {chosen.get(p, -1) for p in parents}
+    return [] if len(devs) != 1 or -1 in devs else list(devs)
 
 
 def _greedy_incumbent(instance, contrib, order, parents_of, caps):
@@ -229,14 +214,8 @@ def _greedy_incumbent(instance, contrib, order, parents_of, caps):
     value = 0.0
     for i in order:
         bug = instance.bugs[i]
-        required = {chosen.get(p, -1) for p in parents_of[i]}
-        candidates = range(len(remaining))
-        if parents_of[i]:
-            if len(required) != 1 or -1 in required:
-                continue
-            candidates = [required.pop()]
         best_j, best_v = -1, 0.0
-        for j in candidates:
+        for j in _allowed_devs(parents_of[i], chosen, range(len(remaining))):
             if bug.c[j] <= remaining[j] + _EPS and contrib[i, j] > best_v + _EPS:
                 best_j, best_v = j, contrib[i, j]
         if best_j >= 0:
@@ -337,13 +316,7 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                 best_choice = dict(choice)
             return
         i = order[rank]
-        allowed = dev_order[i]
-        if parents_of[i]:
-            parent_devs = {choice.get(p, -1) for p in parents_of[i]}
-            if len(parent_devs) != 1 or -1 in parent_devs:
-                allowed = []
-            else:
-                allowed = list(parent_devs)
+        allowed = _allowed_devs(parents_of[i], choice, dev_order[i])
         nxt = rank + 1
         fit, gain, suffix = fits[nxt], gains[nxt], suffix_best[nxt]
         terms = [

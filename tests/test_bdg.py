@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from triagelab.bdg import ADD_ARC, OPEN, REMOVE_ARC, RESOLVE, DependencyGraph
+from triagelab.bdg import (
+    ADD_ARC,
+    OPEN,
+    REMOVE_ARC,
+    RESOLVE,
+    DependencyGraph,
+    topological_order,
+)
 from triagelab.errors import ValidationError
 
 
@@ -155,3 +162,42 @@ def test_snapshot_depth_matches_path_enumeration(events):
     snap = g.metrics_snapshot()
     depths = [oracle_depth(g, node) for node in g.children]
     assert snap.mean_depth == (sum(depths) / len(depths) if depths else 0.0)
+
+
+@st.composite
+def keyed_digraphs(draw):
+    """(children, key or None) over nodes 0..n-1; arcs may close cycles
+    and keys may tie."""
+    n = draw(st.integers(0, 10))
+    node = st.integers(0, max(n - 1, 0))
+    arcs = draw(st.lists(st.tuples(node, node), max_size=3 * n)) if n else []
+    children = {v: [] for v in range(n)}
+    for a, b in arcs:
+        children[a].append(b)
+    keys = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return children, (keys.__getitem__ if draw(st.booleans()) else None)
+
+
+@given(keyed_digraphs())
+def test_topological_order_is_kahn_by_key(graph):
+    children, key = graph
+    rank = key or (lambda v: v)
+    parents = {v: {p for p in children if v in children[p]} for v in children}
+    # reach[u]: nodes reachable from u by one arc or more
+    reach = {u: set(children[u]) for u in children}
+    for mid in children:
+        for u in children:
+            if mid in reach[u]:
+                reach[u] |= reach[mid]
+    on_cycle = {u for u in children if u in reach[u]}
+    blocked = {v for v in children if v in on_cycle or any(v in reach[u] for u in on_cycle)}
+
+    order = topological_order(children, key=key)
+    assert set(order) == set(children) - blocked
+    assert len(order) == len(set(order))
+    placed = set()
+    for v in order:
+        ready = [u for u in children if u not in placed and parents[u] <= placed]
+        assert v == min(ready, key=lambda u: (rank(u), u))  # blockers first, then key
+        placed.add(v)
+    assert not [u for u in children if u not in placed and parents[u] <= placed]

@@ -196,6 +196,46 @@ def test_simulate_corrupt_artifact_is_one_error_line(workdir, tmp_path, capsys):
     assert "classifier.json" in _one_error_line(capsys)
 
 
+def _k6_topic_model(data, tmp_path):
+    other = tmp_path / "k6"
+    assert dispatch(["train", "--data", str(data), "--boundary", "120", "--out", str(other),
+                     "--topics", "6", "--lda-iters", "1"]) == 0
+    return json.loads((other / "topic_model.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name,edit,other",
+    [
+        ("topic_model.json", lambda obj, k6: k6(), "cost_matrix.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, phi=[row[:-1] for row in obj["phi"]],
+                                                 vocab_size=obj["vocab_size"] - 1),
+         "vocabulary.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, phi=obj["phi"][:-1]), "topic_model.json"),
+        ("cost_matrix.json", lambda obj, _: dict(obj, filled=[row[:-1] for row in obj["filled"]]),
+         "cost_matrix.json"),
+        ("classifier.json", lambda obj, _: dict(obj, n_features=obj["n_features"] + 1),
+         "vocabulary.json"),
+        ("dev_profiles.json", lambda obj, _: obj[:-1], "cost_matrix.json"),
+    ],
+    ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers"],
+)
+def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
+    """Model files that disagree, such as a --topics 6 topic model beside
+    a K=4 cost matrix, give one error line naming both, not a traceback."""
+    _, data, out, _ = workdir
+    bad = tmp_path / "out"
+    shutil.copytree(out, bad)
+    obj = json.loads((bad / name).read_text())
+    (bad / name).write_text(json.dumps(edit(obj, lambda: _k6_topic_model(data, tmp_path))))
+    capsys.readouterr()
+    for command in (["simulate"], ["sweep", "--alphas", "0.5"]):
+        code = dispatch(command + ["--data", str(data), "--boundary", "120",
+                                   "--out", str(bad), "--end", "240"])
+        assert code == 1
+        err = _one_error_line(capsys)
+        assert name in err and other in err
+
+
 @pytest.mark.parametrize(
     "content", ["not json", '{"x": 1}', '{"config": {"policy": "dabt"}}', "[]"],
     ids=["not-json", "no-config", "partial-config", "list"],

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from triagelab import policies
 from triagelab.bdg import ADD_ARC, OPEN, DependencyGraph
 from triagelab.errors import ValidationError
 from triagelab.policies import (
@@ -9,6 +13,7 @@ from triagelab.policies import (
     decide_costriage,
     decide_knapsack,
 )
+from triagelab.solver import AssignmentSolution
 
 from conftest import make_bug
 
@@ -141,3 +146,91 @@ def test_knapsack_unknown_variant_rejected():
     with pytest.raises(ValidationError):
         empty = np.zeros((0, 0))
         decide_knapsack(5, [], (), empty, empty, [], DependencyGraph(), 0.5, "XYZ")
+
+
+def reference_dabt_pool(bug_ids, graph):
+    """DABT's pool as a fixed point: drop every bug with an open blocker
+    outside the set until nothing more drops, then keep the arcs among
+    what is left, by (child, parent).  Returns (eligible, arcs)."""
+    eligible = set(bug_ids)
+    changed = True
+    while changed:
+        changed = False
+        for bug_id in sorted(eligible):
+            parents = graph.blocking_parents(bug_id) if bug_id in graph.children else set()
+            if parents - eligible:
+                eligible.discard(bug_id)
+                changed = True
+    arcs = []
+    for bug_id in sorted(eligible):
+        if bug_id in graph.children:
+            for parent in sorted(graph.blocking_parents(bug_id)):
+                if parent in eligible:
+                    arcs.append((parent, bug_id))
+    return sorted(eligible), arcs
+
+
+def dabt_instance(bug_ids, graph):
+    """The instance decide_knapsack hands to the DABT solver."""
+    seen = []
+
+    def capture(instance):
+        seen.append(instance)
+        return AssignmentSolution(assignments=(), objective_value=0.0)
+
+    bug_ids = sorted(bug_ids)
+    S = np.ones((len(bug_ids), 1))
+    with mock.patch.object(policies, "solve_dabt", capture):
+        decision = decide_knapsack(5, bug_ids, (1,), S, S, [10.0], graph, 0.5, "DABT")
+    assert decision.deferred == tuple(bug_ids)  # the stub assigns nothing
+    (instance,) = seen
+    return [b.bug_id for b in instance.bugs], instance.precedence
+
+
+def check_against_reference(bug_ids, graph):
+    want = reference_dabt_pool(bug_ids, graph)
+    assert dabt_instance(bug_ids, graph) == want
+    return want
+
+
+def test_dabt_pool_orphaned_chain_of_outside_blocker():
+    # 9 is open but outside the pool: it orphans 1 -> 2 -> 3 and 2 -> 4
+    graph = _graph_with([(9, 1), (1, 2), (2, 3), (2, 4), (5, 6), (6, 4)], range(1, 10))
+    eligible, arcs = check_against_reference([1, 2, 3, 4, 5, 6, 7], graph)
+    assert eligible == [5, 6, 7]
+    assert arcs == [(5, 6)]
+
+
+@given(
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(n)),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+            st.sets(st.integers(0, n + 2)),
+        )
+    )
+)
+def test_dabt_pool_matches_fixed_point_on_random_dags(case):
+    labels, pairs, pool = case
+    # arcs run from the smaller position to the larger, so the graph is
+    # acyclic whatever the labels; ids n..n+2 are not in the graph
+    arcs = [(labels[min(a, b)], labels[max(a, b)]) for a, b in pairs if a != b]
+    check_against_reference(pool, _graph_with(arcs, labels))
+
+
+def _deps_tree(width=3, depth=8):
+    """A tracking bug 0 blocked by a layered tree, as in the deps
+    benchmark workload: each bug of a layer blocks every bug above it."""
+    arcs, above, next_id = [], [0], 1
+    for _ in range(depth):
+        layer = list(range(next_id, next_id + width))
+        next_id += width
+        arcs.extend((blocker, blocked) for blocker in layer for blocked in above)
+        above = layer
+    return arcs, next_id
+
+
+@given(st.sets(st.integers(0, 24)))
+def test_dabt_pool_matches_fixed_point_on_deps_tree(pool):
+    arcs, n = _deps_tree()
+    check_against_reference(pool, _graph_with(arcs, range(n)))
