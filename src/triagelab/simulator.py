@@ -52,8 +52,8 @@ class SimConfig:
             raise ValidationError(f"unknown policy {self.policy!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError("alpha must lie in [0, 1]")
-        if self.horizon_L <= 0:
-            raise ValidationError("horizon L must be positive")
+        if not 0 < self.horizon_L < math.inf:
+            raise ValidationError(f"horizon L must be finite and positive, not {self.horizon_L}")
         if self.end_day < self.boundary_day:
             raise ValidationError("end_day before boundary_day")
 

@@ -17,7 +17,10 @@ the developer's remaining capacity (the cardinality form of the
 generalized-assignment relaxation; Ross & Soland 1975, Martello & Toth
 1990).  Pruning only skips subtrees that hold no completion the search
 would accept, so the solution is the one the first bound alone finds,
-from fewer nodes.  The search recurses once per bug, so a pool deeper
+from fewer nodes.  The bounds are evaluated cheapest first: each branch
+meets the suffix sum alone, and a node computes its D capacity terms
+(one bisection per developer) once, only if some branch passes that
+test.  The search recurses once per bug, so a pool deeper
 than Python's recursion limit is refused with a ValidationError.  A
 separate vectorized exhaustive-enumeration oracle exists for
 verification and never shares code with the search.
@@ -72,6 +75,9 @@ class AssignmentInstance:
         ids = [b.bug_id for b in self.bugs]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate bug ids in instance")
+        dev_ids = [d for d, _ in self.developers]
+        if len(set(dev_ids)) != len(dev_ids):
+            raise ValidationError("duplicate developer ids in instance")
         for _, cap in self.developers:
             if not 0 <= cap < math.inf:
                 raise ValidationError(f"developer capacity {cap} is not finite and non-negative")
@@ -319,25 +325,41 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         allowed = _allowed_devs(parents_of[i], choice, dev_order[i])
         nxt = rank + 1
         fit, gain, suffix = fits[nxt], gains[nxt], suffix_best[nxt]
-        terms = [
-            gain[k][bisect_right(fit[k], remaining[k] + slack)] for k in range(D)
-        ]
-        total = sum(terms)
+        # Cheapest bound first: a branch the suffix bound prunes is pruned
+        # by the min of both, and one it keeps is pruned exactly when the
+        # capacity bound prunes it.  The D capacity terms are computed at
+        # the first branch kept, before any child has moved `remaining`,
+        # so they are the node-entry terms.
+        terms = None
         row, cost = contrib_rows[i], cost_rows[i]
         for j in allowed:
             c = cost[j]
             if c > remaining[j] + _EPS:
                 continue
             child = value + row[j]
+            if child + suffix <= best_value + _EPS:
+                break  # `allowed` runs by contribution, descending
+            if terms is None:
+                terms = [
+                    gain[k][bisect_right(fit[k], remaining[k] + slack)]
+                    for k in range(D)
+                ]
+                total = sum(terms)
             term = gain[j][bisect_right(fit[j], remaining[j] - c + slack)]
-            if child + min(suffix, total - terms[j] + term) <= best_value + _EPS:
+            if child + (total - terms[j] + term) <= best_value + _EPS:
                 continue
             choice[i] = j
             remaining[j] -= c
             dfs(nxt, child)
             remaining[j] += c
             del choice[i]
-        if value + min(suffix, total) > best_value + _EPS:
+        if value + suffix <= best_value + _EPS:
+            return
+        if terms is None:
+            total = sum(
+                gain[k][bisect_right(fit[k], remaining[k] + slack)] for k in range(D)
+            )
+        if value + total > best_value + _EPS:
             dfs(nxt, value)  # leave unassigned
 
     try:

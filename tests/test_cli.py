@@ -308,9 +308,15 @@ def test_report_malformed_result_rows_are_one_error_line(tmp_path, capsys, key, 
         # 1/(C*n) is 0 for C = inf and overflows to inf for a subnormal C
         ("train", ["--topics", "4", "--C", "inf"], "must be finite and positive"),
         ("train", ["--topics", "4", "--C", "1e-320"], "must be finite and positive"),
+        # a NaN horizon never lets work start; an infinite one writes Infinity
+        ("simulate", ["--policy", "cbr", "--L", "nan"], "horizon L must be finite"),
+        ("simulate", ["--policy", "dabt", "--L", "inf"], "horizon L must be finite"),
+        ("sweep", ["--alphas", "0.5", "--L", "inf"], "horizon L must be finite"),
+        ("sweep", ["--alphas", "0.5", "--L", "nan"], "horizon L must be finite"),
     ],
     ids=["topics-abc", "topics-step-0", "lda-iters-negative", "C-zero", "alphas-x",
-         "C-inf", "C-subnormal"],
+         "C-inf", "C-subnormal", "simulate-L-nan", "simulate-L-inf", "sweep-L-inf",
+         "sweep-L-nan"],
 )
 def test_malformed_flag_value_is_one_error_line(workdir, tmp_path, capsys,
                                                 command, flags, message):
@@ -365,8 +371,11 @@ def test_negative_seed_is_one_error_line(workdir, tmp_path, monkeypatch, capsys)
         '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7, NaN]]}',
         '{"bugs": [{"bug_id": 1, "s": [NaN], "c": [2.0]}], "developers": [[7, 5.0]]}',
         '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [Infinity]}], "developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0, 1.0], "c": [2.0, 2.0]}],'
+        ' "developers": [[1, 5.0], [1, 0.0]]}',
     ],
-    ids=["not-json", "no-bugs", "capacity-nan", "suitability-nan", "cost-infinity"],
+    ids=["not-json", "no-bugs", "capacity-nan", "suitability-nan", "cost-infinity",
+         "duplicate-developer"],
 )
 def test_solve_bad_instance_is_one_error_line(tmp_path, capsys, content):
     path = tmp_path / "instance.json"

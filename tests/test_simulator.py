@@ -51,8 +51,9 @@ def test_simconfig_validation():
         _config("nonsense")
     with pytest.raises(ValidationError):
         _config("rabt", alpha=1.5)
-    with pytest.raises(ValidationError):
-        _config("rabt", horizon_L=0.0)
+    for horizon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            _config("rabt", horizon_L=horizon)
     with pytest.raises(ValidationError):
         _config("rabt", end_day=5)
 

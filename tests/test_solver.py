@@ -277,6 +277,11 @@ def test_instance_validation_errors():
         )  # non-positive cost
     with pytest.raises(ValidationError):
         AssignmentInstance(bugs=[bug], developers=[(1, -1.0)])
+    with pytest.raises(ValidationError, match="duplicate developer"):
+        AssignmentInstance(
+            bugs=[InstanceBug(1, s=(1.0, 1.0), c=(2.0, 2.0))],
+            developers=[(1, 5.0), (1, 0.0)],
+        )
     for cap in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
             AssignmentInstance(bugs=[bug], developers=[(1, cap)])
@@ -395,7 +400,8 @@ def test_capacity_bound_at_root_covers_oracle_optimum(inst):
         assert bound >= brute_force_oracle(inst, variant).objective_value - 1e-9
 
 
-def test_matches_milp_above_oracle_size():
+def _above_oracle_family():
+    """20 seeded instances of 13-20 bugs, beyond the brute-force oracle."""
     rng = np.random.default_rng(13)
     for _ in range(20):
         n, D = int(rng.integers(13, 21)), int(rng.integers(3, 5))
@@ -404,7 +410,7 @@ def test_matches_milp_above_oracle_size():
             s = rng.random(D)
             s /= s.max()
             bugs.append(InstanceBug(i, tuple(s), tuple(rng.uniform(1, 8, D))))
-        inst = AssignmentInstance(
+        yield AssignmentInstance(
             bugs=bugs,
             developers=[(d, float(rng.uniform(0, 12))) for d in range(D)],
             precedence=[
@@ -412,7 +418,22 @@ def test_matches_milp_above_oracle_size():
             ],
             alpha=float(rng.random()),
         )
+
+
+def test_matches_milp_above_oracle_size():
+    for inst in _above_oracle_family():
         for variant, solve in ((DABT, solve_dabt), (RABT, solve_rabt)):
             sol = solve(inst)
             check_feasible(inst, sol.assignments, variant)
             assert sol.objective_value == pytest.approx(milp_optimum(inst, variant), abs=1e-9)
+
+
+def test_node_count_on_above_oracle_family_is_pinned():
+    # The properties above only check node_count <= the suffix-only
+    # reference, and milp checks the answers; a search that prunes less
+    # (or differently) but stays optimal shows up only here.
+    totals = {DABT: 0, RABT: 0}
+    for inst in _above_oracle_family():
+        totals[DABT] += solve_dabt(inst).node_count
+        totals[RABT] += solve_rabt(inst).node_count
+    assert totals == {DABT: 205843, RABT: 78452}
