@@ -9,22 +9,21 @@ mean of their training fixing times on that topic; missing cells are
 filled by a user-based cosine collaborative filter with deterministic
 fallbacks (topic column mean, then global mean).
 
-Each Gibbs draw, in the fit and in the fold-in, repeats numpy's
-``Generator.choice(K, p=p)`` arithmetic on the same random stream, so
-it picks the index ``choice`` would, without ``choice``'s per-call
-overhead.  The fit's sweep is scalar Python over lists of counts: it
-repeats each draw's numpy arithmetic float for float, numpy's pairwise
-summation order included (``_add_reduce``), so its topics are
-byte-identical to a numpy loop's (tests/test_costmodel.py keeps one as
-the reference).  The fold-in still computes ``p`` in numpy.
+Every Gibbs draw takes one uniform ``u`` from the generator, as
+``Generator.choice`` does.  The fit's sweep is scalar Python over lists
+of counts; each draw is a plain inverse-CDF draw on the unnormalised
+weights: the first index whose running sum exceeds ``u`` times their
+total.  The fold-in computes ``p`` in numpy and repeats ``choice``'s
+arithmetic (``_draw``) without its per-call overhead.
+tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,6 +72,8 @@ class TopicModel:
         phi = np.array(obj["phi"])
         if phi.shape != (obj["K"], obj["vocab_size"]):
             raise ValueError(f"phi has shape {phi.shape}, not (K, vocab_size)")
+        if not (np.isfinite(phi) & (phi >= 0)).all():
+            raise ValueError("phi must be finite and non-negative")
         return cls(
             K=obj["K"],
             phi=phi,
@@ -97,41 +98,18 @@ def _draw(rng, p) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _add_reduce(x) -> float:
-    """``np.add.reduce`` of a list of floats, bit for bit.
-
-    numpy sums pairwise: a fold from 0.0 below 8 terms; up to 128, eight
-    interleaved accumulators combined as a tree, then a fold of the
-    tail; above, a split at half, rounded down to a multiple of 8.  The
-    builtin ``sum`` is no substitute: from Python 3.12 on it compensates
-    its rounding.
-    """
-    n = len(x)
-    if n < 8:
-        return reduce(add, x, 0.0)
-    if n <= 128:
-        stop = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
-        for i in range(8, stop, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = x[i:i + 8]
-            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
-            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
-        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        return reduce(add, x[stop:], s)
-    half = n // 2
-    half -= half % 8
-    return _add_reduce(x[:half]) + _add_reduce(x[half:])
-
-
 def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
     """Collapsed Gibbs sampling; alpha = 50/K, beta = 0.01.
 
     Deterministic given the seed.  Docs with no in-vocabulary tokens
     contribute nothing but keep their row in the mixture.
 
-    The sweep is scalar Python over lists, and each draw repeats, float
-    for float, the numpy draw ``p = (n_dk[d] + alpha) * (n_kw[:, w] +
-    beta) / (n_k + V * beta)``, ``p /= p.sum()``, ``_draw(rng, p)``.
+    The sweep is scalar Python over lists.  A token's weights are
+    ``p[k] = (n_dk[d][k] + alpha) * (n_kw[k][w] + beta) / (n_k[k] +
+    V * beta)``; it takes the first ``k`` whose left-to-right running
+    sum of ``p`` exceeds ``u * sum(p)``, for the next uniform ``u`` in
+    [0, 1).  ``u * total < total``, so ``k < K``; a tie goes right, as
+    in ``Generator.choice``.
     """
     if K < 2:
         raise ValidationError("topic count must be at least 2")
@@ -174,16 +152,8 @@ def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS
                 n_k[k] -= 1.0
                 p = [(a + alpha) * (b + beta) / (c + v_beta)
                      for a, b, c in zip(row, col, n_k)]
-                # _add_reduce's fold below 8 terms, without the call
-                s = reduce(add, p, 0.0) if K < 8 else _add_reduce(p)
-                acc = 0.0
-                cdf = [acc := acc + x / s for x in p]  # cumsum of p / s
-                # _draw's right-sided search of cdf / cdf[-1]; the last
-                # ratio is 1.0, above any uniform
-                u = next(uniforms)
-                k = 0
-                while cdf[k] / acc <= u:
-                    k += 1
+                cdf = list(accumulate(p))
+                k = bisect_right(cdf, next(uniforms) * cdf[-1])
                 z[j] = k
                 row[k] += 1.0
                 col[k] += 1.0
@@ -215,8 +185,11 @@ def _symmetric_kl(p, q):
 
 def arun_measure(model: TopicModel, doc_lengths) -> float:
     """Divergence between topic-word singular values and the
-    length-weighted document-topic mixture (both sorted descending)."""
+    length-weighted document-topic mixture (both sorted descending).
+    ``phi`` has rank at most V, so above K = V its missing singular values
+    are zeros."""
     sv = np.linalg.svd(model.phi, compute_uv=False)
+    sv = np.pad(sv, (0, model.K - len(sv)))
     cm1 = np.sort(sv / sv.sum())[::-1]
     lengths = np.asarray(doc_lengths, dtype=float)
     mix = lengths @ model.doc_topic
@@ -321,6 +294,9 @@ class CostMatrix:
         filled = np.array(obj["filled"])
         if filled.shape != (len(obj["dev_ids"]), obj["K"]):
             raise ValueError(f"filled has shape {filled.shape}, not (len(dev_ids), K)")
+        costs = np.append(filled, [v for _, _, v in obj["observed"]])
+        if not (np.isfinite(costs) & (costs > 0)).all():
+            raise ValueError("filled and observed costs must be finite and positive")
         return cls(
             dev_ids=obj["dev_ids"],
             K=obj["K"],

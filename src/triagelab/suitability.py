@@ -66,6 +66,8 @@ class LinearModel:
             bias[row] = d["bias"]
             for idx, w in d["weights"]:
                 weights[row, idx] = w
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("weights and biases must be finite")
         return cls(
             dev_ids=dev_ids,
             weights=weights,

@@ -121,6 +121,15 @@ def test_sweep(workdir):
     assert len(lines) == 3
 
 
+def test_train_with_more_topics_than_terms(workdir, tmp_path):
+    _, data, out, _ = workdir
+    V = len(json.loads((out / "vocabulary.json").read_text())["terms"])
+    other = tmp_path / "out"
+    assert dispatch(["train", "--data", str(data), "--boundary", "120", "--out", str(other),
+                     "--topics", f"{V - 1}-{V + 1}:1", "--lda-iters", "1"]) == 0
+    assert json.loads((other / "topic_model.json").read_text())["vocab_size"] == V
+
+
 def test_env_var_override(workdir, monkeypatch, capsys):
     _, _, out, args = workdir
     monkeypatch.setenv("TRIAGELAB_POLICY", "rabt")
@@ -216,12 +225,27 @@ def _k6_topic_model(data, tmp_path):
         ("classifier.json", lambda obj, _: dict(obj, n_features=obj["n_features"] + 1),
          "vocabulary.json"),
         ("dev_profiles.json", lambda obj, _: obj[:-1], "cost_matrix.json"),
+        ("cost_matrix.json", lambda obj, _: dict(obj, filled=[[float("nan")] + obj["filled"][0][1:]]
+                                                 + obj["filled"][1:]), "cost_matrix.json"),
+        ("cost_matrix.json", lambda obj, _: dict(obj, filled=[[-3.0] * obj["K"]]
+                                                 + obj["filled"][1:]), "cost_matrix.json"),
+        ("cost_matrix.json", lambda obj, _: dict(obj, observed=[obj["observed"][0][:2]
+                                                           + [float("nan")]]
+                                                 + obj["observed"][1:]), "cost_matrix.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, phi=[[float("nan")] * obj["vocab_size"]]
+                                                 + obj["phi"][1:]), "topic_model.json"),
+        ("classifier.json", lambda obj, _: dict(obj, developers=[dict(obj["developers"][0],
+                                                                      bias=float("nan"))]
+                                                + obj["developers"][1:]), "classifier.json"),
     ],
-    ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers"],
+    ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
+         "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
     """Model files that disagree, such as a --topics 6 topic model beside
-    a K=4 cost matrix, give one error line naming both, not a traceback."""
+    a K=4 cost matrix, give one error line naming both, not a traceback;
+    so does a file with a NaN or a cost that is not positive, which would
+    otherwise replay on wrong numbers."""
     _, data, out, _ = workdir
     bad = tmp_path / "out"
     shutil.copytree(out, bad)

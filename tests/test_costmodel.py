@@ -12,7 +12,6 @@ from triagelab.costmodel import (
     OBSERVED,
     CostMatrix,
     TopicModel,
-    _add_reduce,
     _draw,
     arun_measure,
     build_cost_matrix,
@@ -143,23 +142,6 @@ def test_lda_rejects_negative_seed():
         fit_lda(docs, vocab, K=2, seed=-1)
 
 
-# mantissa in [1, 10) times a power of ten: magnitudes spread from 1e-300 to 1e300
-_MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e,
-                       st.floats(min_value=1.0, max_value=9.999), st.integers(-300, 299))
-
-
-@given(
-    st.integers(min_value=1, max_value=300).flatmap(
-        lambda n: st.lists(st.one_of(_MAGNITUDE, st.floats(min_value=1e-300, max_value=1e300)),
-                           min_size=n, max_size=n)
-    )
-)
-def test_add_reduce_is_numpy_sum_bit_for_bit(values):
-    # lengths 1-300 cover numpy's fold (< 8), its eight accumulators
-    # (8-128) and its recursive split (> 128)
-    assert _add_reduce(values) == np.add.reduce(np.array(values))
-
-
 _BIG = st.floats(min_value=1e-6, max_value=1.0)
 _TINY = st.floats(min_value=1e-300, max_value=1e-200)
 
@@ -214,7 +196,7 @@ def mini_training_docs(mini_records):
 
 @pytest.mark.parametrize(
     "K,iters",
-    [(4, 3), (50, 2), (2, 3), (3, 2), (7, 1), (8, 2), (9, 1), (16, 1), (129, 1)],
+    [(4, 3), (4, 20), (50, 2), (2, 3), (3, 2), (7, 1), (8, 2), (9, 1), (16, 1), (129, 1)],
 )
 def test_gibbs_bitwise_equal_to_choice_reference(mini_training_docs, K, iters):
     docs, vocab = mini_training_docs
@@ -244,6 +226,19 @@ def test_arun_measure_finite_and_deterministic():
     m = arun_measure(model, lengths)
     assert m == arun_measure(model, lengths)
     assert np.isfinite(m) and m >= 0.0
+
+
+def test_topic_count_selection_over_a_grid_past_the_vocabulary_size():
+    # above K = V, phi (K x V) has only V singular values; the rest are zeros
+    docs, _ = _planted_docs(8)
+    vocab = build_vocabulary(docs, min_df=1)
+    V = len(vocab)
+    lengths = [len(d.tokens) for d in docs]
+    for K in (V, V + 1, 2 * V):
+        m = arun_measure(fit_lda(docs, vocab, K=K, seed=1, iters=5), lengths)
+        assert np.isfinite(m) and m >= 0.0
+    model = select_topic_count(docs, vocab, (2, V + 1, 2 * V), seed=1, iters=5)
+    assert model.K in (2, V + 1, 2 * V)
 
 
 def test_infer_topic_deterministic_and_oov_sentinel():
