@@ -9,21 +9,33 @@ plain suitability under capacity only.
 
 Solved by depth-first branch and bound over the bugs in
 ``bdg.topological_order``, best contribution first among ready bugs.  A
-node is pruned on the smaller of two admissible bounds on what the
-undecided bugs can still add: the sum of each one's best contribution,
-ignoring capacity, and the sum over developers of their m best
-contributions, where m is how many of the cheapest undecided bugs fit
-the developer's remaining capacity (the cardinality form of the
-generalized-assignment relaxation; Ross & Soland 1975, Martello & Toth
-1990).  Pruning only skips subtrees that hold no completion the search
-would accept, so the solution is the one the first bound alone finds,
-from fewer nodes.  The bounds are evaluated cheapest first: each branch
-meets the suffix sum alone, and a node computes its D capacity terms
-(one bisection per developer) once, only if some branch passes that
-test.  The search recurses once per bug, so a pool deeper
-than Python's recursion limit is refused with a ValidationError.  A
-separate vectorized exhaustive-enumeration oracle exists for
-verification and never shares code with the search.
+node is pruned on the smallest of three admissible bounds on what the
+undecided bugs can still add:
+
+1. the sum of each one's best contribution, ignoring capacity;
+2. the sum over developers of their m best contributions, where m is how
+   many of the cheapest undecided bugs fit the developer's remaining
+   capacity (the cardinality form of the generalized-assignment
+   relaxation; Ross & Soland 1975, Martello & Toth 1990);
+3. the sum of each one's best contribution among the developers whose
+   remaining capacity still admits its cost, as if no other undecided
+   bug used that capacity (the per-item form of the same relaxation;
+   it drops precedence too).
+
+Pruning only skips subtrees that hold no completion the search would
+accept, so the solution is the one bound 1 alone finds, from fewer
+nodes.  The bounds are evaluated cheapest first: each branch meets bound
+1 alone; a node computes its D bound-2 terms (one bisection per
+developer) once, only if some branch passes bound 1, and its D fit
+counts once, only if some branch also passes bound 2; such a branch then
+reads bound 3 from a suffix table.  Bound 3 depends on the remaining
+capacities only through how many of each developer's distinct costs
+still fit, so one table serves every node with the same fit counts.  A
+table is built when a node first reaches its counts; a child's counts
+differ from its node's in one entry.  The search recurses once per bug,
+so a pool deeper than Python's recursion limit is refused with a
+ValidationError.  A separate vectorized exhaustive-enumeration oracle
+exists for verification and never shares code with the search.
 """
 
 from __future__ import annotations
@@ -266,6 +278,33 @@ def _capacity_tables(order, contrib_rows, cost_rows, caps):
     return fits, gains, slack
 
 
+def _cost_levels(cost_rows):
+    """Each developer's distinct costs, ascending, and each bug's level on
+    each developer: the index of its cost among them.  A bug fits
+    developer j while its level is below j's fit count,
+    ``bisect_right(distinct[j], remaining[j] + slack)``, so the fit-aware
+    bound depends on ``remaining`` only through the D fit counts.
+    Returns (distinct, levels)."""
+    distinct = [sorted(set(column)) for column in zip(*cost_rows)]
+    index = [{c: k for k, c in enumerate(costs)} for costs in distinct]
+    levels = [[index[j][c] for j, c in enumerate(row)] for row in cost_rows]
+    return distinct, levels
+
+
+def _fit_table(counts, order, contrib_rows, levels):
+    """Fit-aware bound for one vector of fit counts: entry r sums, over the
+    undecided bugs order[r:], each one's best non-negative contribution
+    among the developers it still fits."""
+    table = [0.0] * (len(order) + 1)
+    for r in range(len(order) - 1, -1, -1):
+        i = order[r]
+        fitting = (
+            g for g, level, count in zip(contrib_rows[i], levels[i], counts) if level < count
+        )
+        table[r] = table[r + 1] + max(max(fitting, default=0.0), 0.0)
+    return table
+
+
 def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentSolution:
     n = len(instance.bugs)
     D = len(instance.developers)
@@ -303,6 +342,18 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         )
         dev_order.append(js)
 
+    # fit-aware bound: an undecided bug adds at most its best contribution
+    # among the developers it still fits.  One suffix table per vector of
+    # fit counts, built when a node first reaches that vector.
+    distinct, levels = _cost_levels(cost_rows)
+    tables: dict[tuple, list] = {}
+
+    def fit_table(counts: tuple) -> list:
+        table = tables.get(counts)
+        if table is None:
+            table = tables[counts] = _fit_table(counts, order, contrib_rows, levels)
+        return table
+
     incumbent, best_value = _greedy_incumbent(
         instance, contrib, order, parents_of, caps
     )
@@ -311,9 +362,15 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     remaining = list(caps)
     node_count = 0
 
+    def fit_counts() -> tuple:
+        """Fit counts of the current `remaining`."""
+        return tuple(
+            [bisect_right(costs, rem + slack) for costs, rem in zip(distinct, remaining)]
+        )
+
     def dfs(rank: int, value: float):
-        # Below the root, entered only when both bounds leave room above
-        # best_value + _EPS.
+        # Below the root, entered only when all three bounds leave room
+        # above best_value + _EPS.
         nonlocal best_value, best_choice, node_count
         node_count += 1
         if rank == n:
@@ -326,11 +383,12 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         nxt = rank + 1
         fit, gain, suffix = fits[nxt], gains[nxt], suffix_best[nxt]
         # Cheapest bound first: a branch the suffix bound prunes is pruned
-        # by the min of both, and one it keeps is pruned exactly when the
-        # capacity bound prunes it.  The D capacity terms are computed at
-        # the first branch kept, before any child has moved `remaining`,
-        # so they are the node-entry terms.
-        terms = None
+        # by the min of all three, and one it keeps is pruned exactly when
+        # bound 2 or 3 prunes it.  The node's D bound-2 terms are computed
+        # at the first branch that passes bound 1, and its D fit counts at
+        # the first that also passes bound 2.  No child has moved
+        # `remaining` by then, so both are the node-entry values.
+        terms = counts = None
         row, cost = contrib_rows[i], cost_rows[i]
         for j in allowed:
             c = cost[j]
@@ -345,8 +403,14 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                     for k in range(D)
                 ]
                 total = sum(terms)
-            term = gain[j][bisect_right(fit[j], remaining[j] - c + slack)]
+            left = remaining[j] - c + slack
+            term = gain[j][bisect_right(fit[j], left)]
             if child + (total - terms[j] + term) <= best_value + _EPS:
+                continue
+            if counts is None:
+                counts = fit_counts()
+            child_counts = (*counts[:j], bisect_right(distinct[j], left), *counts[j + 1:])
+            if child + fit_table(child_counts)[nxt] <= best_value + _EPS:
                 continue
             choice[i] = j
             remaining[j] -= c
@@ -359,7 +423,11 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             total = sum(
                 gain[k][bisect_right(fit[k], remaining[k] + slack)] for k in range(D)
             )
-        if value + total > best_value + _EPS:
+        if value + total <= best_value + _EPS:
+            return
+        if counts is None:
+            counts = fit_counts()
+        if value + fit_table(counts)[nxt] > best_value + _EPS:
             dfs(nxt, value)  # leave unassigned
 
     try:

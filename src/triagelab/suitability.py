@@ -64,7 +64,15 @@ class LinearModel:
         bias = np.zeros(len(dev_ids))
         for row, d in enumerate(obj["developers"]):
             bias[row] = d["bias"]
+            seen = set()
             for idx, w in d["weights"]:
+                # numpy would wrap a negative index and accept a bool
+                if type(idx) is not int or not 0 <= idx < n_features or idx in seen:
+                    raise ValueError(
+                        f"developer {d['dev_id']}: weight index {idx!r} is not a distinct "
+                        f"integer in [0, {n_features})"
+                    )
+                seen.add(idx)
                 weights[row, idx] = w
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ValueError("weights and biases must be finite")

@@ -212,6 +212,15 @@ def _k6_topic_model(data, tmp_path):
     return json.loads((other / "topic_model.json").read_text())
 
 
+def _first_weights(obj, index):
+    """classifier.json content whose first developer's first weight moves
+    to ``index``, or, for None, appears twice."""
+    first = obj["developers"][0]
+    weights = first["weights"]
+    weights = weights[:1] + weights if index is None else [[index, weights[0][1]]] + weights[1:]
+    return dict(obj, developers=[dict(first, weights=weights)] + obj["developers"][1:])
+
+
 @pytest.mark.parametrize(
     "name,edit,other",
     [
@@ -237,9 +246,13 @@ def _k6_topic_model(data, tmp_path):
         ("classifier.json", lambda obj, _: dict(obj, developers=[dict(obj["developers"][0],
                                                                       bias=float("nan"))]
                                                 + obj["developers"][1:]), "classifier.json"),
+        ("classifier.json", lambda obj, _: _first_weights(obj, -1), "classifier.json"),
+        ("classifier.json", lambda obj, _: _first_weights(obj, True), "classifier.json"),
+        ("classifier.json", lambda obj, _: _first_weights(obj, None), "classifier.json"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
-         "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan"],
+         "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan",
+         "weight-index-negative", "weight-index-bool", "weight-index-repeated"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
     """Model files that disagree, such as a --topics 6 topic model beside

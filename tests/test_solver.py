@@ -1,5 +1,6 @@
 import warnings
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from triagelab.solver import (
     InstanceBug,
     _branch_and_bound,
     _capacity_tables,
+    _cost_levels,
+    _fit_table,
     _greedy_incumbent,
     _search_order,
     brute_force_oracle,
@@ -350,6 +353,9 @@ def test_oracle_refuses_oversized():
 
 # Coarse grids force ties between assignments and cost sums that land
 # exactly on a capacity; zero capacities and precedence arcs are drawn too.
+_CAPACITY_GRID = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]
+
+
 @st.composite
 def coarse_instances(draw):
     n = draw(st.integers(1, 8))
@@ -360,7 +366,7 @@ def coarse_instances(draw):
         s[draw(st.integers(0, D - 1))] = 1.0
         c = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=D, max_size=D))
         bugs.append(InstanceBug(i, tuple(s), tuple(c)))
-    caps = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 6.0]), min_size=D, max_size=D))
+    caps = draw(st.lists(st.sampled_from(_CAPACITY_GRID), min_size=D, max_size=D))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
@@ -400,6 +406,33 @@ def test_capacity_bound_at_root_covers_oracle_optimum(inst):
         assert bound >= brute_force_oracle(inst, variant).objective_value - 1e-9
 
 
+@settings(max_examples=150, deadline=None)
+@given(inst=coarse_instances(), data=st.data())
+def test_fit_bound_at_root_covers_oracle_optimum(inst, data):
+    # remaining capacities at or below the caps, on the grid the costs are
+    # drawn from, so that many costs land exactly on a remaining capacity
+    remaining = [
+        data.draw(st.sampled_from([v for v in _CAPACITY_GRID if v <= cap]))
+        for _, cap in inst.developers
+    ]
+    shrunk = AssignmentInstance(
+        bugs=inst.bugs,
+        developers=[(d, left) for (d, _), left in zip(inst.developers, remaining)],
+        precedence=inst.precedence,
+        alpha=inst.alpha,
+    )
+    cost_rows = [b.c for b in inst.bugs]
+    for variant in (DABT, RABT):
+        contrib = inst.contributions(variant)
+        order = _search_order(inst, contrib, variant == DABT)
+        contrib_rows = contrib.tolist()
+        _, _, slack = _capacity_tables(order, contrib_rows, cost_rows, remaining)
+        distinct, levels = _cost_levels(cost_rows)
+        counts = [bisect_right(distinct[j], left + slack) for j, left in enumerate(remaining)]
+        bound = _fit_table(counts, order, contrib_rows, levels)[0]
+        assert bound >= brute_force_oracle(shrunk, variant).objective_value - 1e-9
+
+
 def _above_oracle_family():
     """20 seeded instances of 13-20 bugs, beyond the brute-force oracle."""
     rng = np.random.default_rng(13)
@@ -436,4 +469,24 @@ def test_node_count_on_above_oracle_family_is_pinned():
     for inst in _above_oracle_family():
         totals[DABT] += solve_dabt(inst).node_count
         totals[RABT] += solve_rabt(inst).node_count
-    assert totals == {DABT: 205843, RABT: 78452}
+    assert totals == {DABT: 164556, RABT: 43384}
+
+
+@pytest.mark.parametrize(
+    "name,nodes",
+    [
+        ("backlog_pool_59.json", {DABT: 16316, RABT: 3418}),
+        ("backlog_pool_66.json", {DABT: 78688, RABT: 73318}),
+    ],
+)
+def test_backlog_pool_matches_milp(name, nodes):
+    # Two DABT pools, of 59 and 66 bugs across 8 developers, from the
+    # seed-7 DABT replay of MiniCorpusSpec(test_rate_per_topic=0.5)
+    # trained with --topics 4 --lda-iters 20 (boundary 365, end 730):
+    # backlog scale, far above the 13-20 bugs of the family above.
+    inst = AssignmentInstance.from_json((Path(__file__).parent / "data" / name).read_text())
+    for variant, solve in ((DABT, solve_dabt), (RABT, solve_rabt)):
+        sol = solve(inst)
+        check_feasible(inst, sol.assignments, variant)
+        assert sol.objective_value == pytest.approx(milp_optimum(inst, variant), abs=1e-9)
+        assert sol.node_count == nodes[variant]
