@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Run the README quick-start session into a fresh directory and print a
+# Run the README quick-start session into a fresh directory, then solve
+# the bundled 66-bug backlog pool with both exact variants, and print a
 # sha256 manifest of every file it writes (names relative to that
-# directory, so two runs compare with diff).  Command output goes to
-# stderr.
+# directory, so two runs compare with diff).  Command output other than
+# the solutions goes to stderr.
 #
 # usage: scripts/readme_session.sh OUT_DIR [COMMAND...]
 #   COMMAND runs the CLI; it defaults to the installed `triagelab`
@@ -30,6 +31,11 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     "$@" report --out "$out/run" "$out/run/result_dabt_a0.5.json" "$out/run/result_cbr_a0.5.json"
     "$@" sweep "${common[@]}" --alphas 0,0.5,1 --end 730
 } >&2
+# The exact search's assignments and node counts at backlog scale
+pool="$(dirname "$0")/../tests/data/backlog_pool_66.json"
+for variant in dabt rabt; do
+    "$@" solve "$pool" --variant "$variant" > "$out/run/solve_pool66_$variant.json"
+done
 
 cd "$out"
 sha256sum bugs.jsonl run/*

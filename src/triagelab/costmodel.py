@@ -21,6 +21,7 @@ tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -74,12 +75,21 @@ class TopicModel:
             raise ValueError(f"phi has shape {phi.shape}, not (K, vocab_size)")
         if not (np.isfinite(phi) & (phi >= 0)).all():
             raise ValueError("phi must be finite and non-negative")
+        if not (phi.sum(axis=1) > 0).all():
+            raise ValueError("every phi row must have a positive sum")
+        seed = obj["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r} is not a non-negative integer")
+        for name in ("alpha_lda", "beta_lda"):
+            value = obj[name]
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise ValueError(f"{name} {value!r} is not finite and positive")
         return cls(
             K=obj["K"],
             phi=phi,
             alpha_lda=obj["alpha_lda"],
             beta_lda=obj["beta_lda"],
-            seed=obj["seed"],
+            seed=seed,
             iters=obj["iters"],
             vocab_size=obj["vocab_size"],
         )

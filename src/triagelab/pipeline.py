@@ -155,12 +155,22 @@ def profiles_to_json(profiles) -> str:
     )
 
 
+def _components(obj) -> frozenset:
+    components = obj["components_experienced"]
+    # frozenset("abc") would read a string as three components
+    if type(components) is not list or not all(type(c) is str for c in components):
+        raise ValueError(
+            f"developer {obj['dev_id']}: components_experienced is not a list of strings"
+        )
+    return frozenset(components)
+
+
 def profiles_from_json(text) -> dict:
     return {
         obj["dev_id"]: DeveloperProfile(
             dev_id=obj["dev_id"],
             fixed_bug_count=obj["fixed_bug_count"],
-            components_experienced=frozenset(obj["components_experienced"]),
+            components_experienced=_components(obj),
         )
         for obj in json.loads(text)
     }

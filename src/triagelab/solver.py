@@ -9,33 +9,35 @@ plain suitability under capacity only.
 
 Solved by depth-first branch and bound over the bugs in
 ``bdg.topological_order``, best contribution first among ready bugs.  A
-node is pruned on the smallest of three admissible bounds on what the
+node is pruned on the smaller of two admissible bounds on what the
 undecided bugs can still add:
 
-1. the sum of each one's best contribution, ignoring capacity;
-2. the sum over developers of their m best contributions, where m is how
-   many of the cheapest undecided bugs fit the developer's remaining
-   capacity (the cardinality form of the generalized-assignment
-   relaxation; Ross & Soland 1975, Martello & Toth 1990);
-3. the sum of each one's best contribution among the developers whose
-   remaining capacity still admits its cost, as if no other undecided
-   bug used that capacity (the per-item form of the same relaxation;
-   it drops precedence too).
+- the capacity-count bound: the sum over developers of their m best
+  contributions, where m is how many of the cheapest undecided bugs fit
+  the developer's remaining capacity (the cardinality form of the
+  generalized-assignment relaxation; Ross & Soland 1975, Martello &
+  Toth 1990);
+- the fit-aware bound: the sum of each one's best contribution among
+  the developers whose remaining capacity still admits its cost, as if
+  no other undecided bug used that capacity (the per-item form of the
+  same relaxation; it drops precedence too).
 
 Pruning only skips subtrees that hold no completion the search would
-accept, so the solution is the one bound 1 alone finds, from fewer
-nodes.  The bounds are evaluated cheapest first: each branch meets bound
-1 alone; a node computes its D bound-2 terms (one bisection per
-developer) once, only if some branch passes bound 1, and its D fit
-counts once, only if some branch also passes bound 2; such a branch then
-reads bound 3 from a suffix table.  Bound 3 depends on the remaining
-capacities only through how many of each developer's distinct costs
-still fit, so one table serves every node with the same fit counts.  A
-table is built when a node first reaches its counts; a child's counts
-differ from its node's in one entry.  The search recurses once per bug,
-so a pool deeper than Python's recursion limit is refused with a
-ValidationError.  A separate vectorized exhaustive-enumeration oracle
-exists for verification and never shares code with the search.
+accept, so the solution is the one an unpruned search finds, from fewer
+nodes.  The fit-aware bound depends on the remaining capacities only
+through how many of each developer's distinct costs still fit, so one
+suffix table serves every node with the same fit counts; a table is
+built when a node first reaches its counts.  Each node receives its fit
+counts and table from its parent, and the root computes them from the
+capacities: a child's counts are its node's with one entry replaced,
+and leaving a bug unassigned keeps them.  A child's counts are never
+above its node's, so the node's own table bounds every child, and that
+lookup is each branch's first test.  A node computes its D
+capacity-count terms (one bisection per developer) only if some branch
+passes it.  The search recurses once per bug, so a pool deeper than
+Python's recursion limit is refused with a ValidationError.  A separate
+vectorized exhaustive-enumeration oracle exists for verification and
+never shares code with the search.
 """
 
 from __future__ import annotations
@@ -324,11 +326,6 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     contrib_rows = contrib.tolist()
     cost_rows = [b.c for b in instance.bugs]
 
-    # suffix_best[r]: capacity-ignoring upper bound on bugs order[r:]
-    suffix_best = [0.0] * (n + 1)
-    for r in range(n - 1, -1, -1):
-        suffix_best[r] = suffix_best[r + 1] + max(max(contrib_rows[order[r]]), 0.0)
-
     # capacity-aware bound: developer j fits at most the m cheapest
     # undecided bugs into its remaining capacity, so adds at most its m
     # best contributions
@@ -362,15 +359,10 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     remaining = list(caps)
     node_count = 0
 
-    def fit_counts() -> tuple:
-        """Fit counts of the current `remaining`."""
-        return tuple(
-            [bisect_right(costs, rem + slack) for costs, rem in zip(distinct, remaining)]
-        )
-
-    def dfs(rank: int, value: float):
-        # Below the root, entered only when all three bounds leave room
-        # above best_value + _EPS.
+    def dfs(rank: int, value: float, counts: tuple, table: list):
+        # `counts` are the fit counts of `remaining` at entry, `table` their
+        # fit table.  Below the root, entered only when both bounds leave
+        # room above best_value + _EPS.
         nonlocal best_value, best_choice, node_count
         node_count += 1
         if rank == n:
@@ -381,21 +373,19 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         i = order[rank]
         allowed = _allowed_devs(parents_of[i], choice, dev_order[i])
         nxt = rank + 1
-        fit, gain, suffix = fits[nxt], gains[nxt], suffix_best[nxt]
-        # Cheapest bound first: a branch the suffix bound prunes is pruned
-        # by the min of all three, and one it keeps is pruned exactly when
-        # bound 2 or 3 prunes it.  The node's D bound-2 terms are computed
-        # at the first branch that passes bound 1, and its D fit counts at
-        # the first that also passes bound 2.  No child has moved
-        # `remaining` by then, so both are the node-entry values.
-        terms = counts = None
+        fit, gain, bound = fits[nxt], gains[nxt], table[nxt]
+        # A child's counts are never above the node's, so table[nxt] bounds
+        # every child: the cheap test.  The node's D capacity-count terms
+        # are computed at the first branch that passes it, before any
+        # child has moved `remaining`.
+        terms = None
         row, cost = contrib_rows[i], cost_rows[i]
         for j in allowed:
             c = cost[j]
             if c > remaining[j] + _EPS:
                 continue
             child = value + row[j]
-            if child + suffix <= best_value + _EPS:
+            if child + bound <= best_value + _EPS:
                 break  # `allowed` runs by contribution, descending
             if terms is None:
                 terms = [
@@ -407,31 +397,30 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             term = gain[j][bisect_right(fit[j], left)]
             if child + (total - terms[j] + term) <= best_value + _EPS:
                 continue
-            if counts is None:
-                counts = fit_counts()
             child_counts = (*counts[:j], bisect_right(distinct[j], left), *counts[j + 1:])
-            if child + fit_table(child_counts)[nxt] <= best_value + _EPS:
+            child_table = fit_table(child_counts)
+            if child + child_table[nxt] <= best_value + _EPS:
                 continue
             choice[i] = j
             remaining[j] -= c
-            dfs(nxt, child)
+            dfs(nxt, child, child_counts, child_table)
             remaining[j] += c
             del choice[i]
-        if value + suffix <= best_value + _EPS:
+        # leave unassigned: same counts, so `bound` is its fit-aware bound
+        if value + bound <= best_value + _EPS:
             return
         if terms is None:
             total = sum(
                 gain[k][bisect_right(fit[k], remaining[k] + slack)] for k in range(D)
             )
-        if value + total <= best_value + _EPS:
-            return
-        if counts is None:
-            counts = fit_counts()
-        if value + fit_table(counts)[nxt] > best_value + _EPS:
-            dfs(nxt, value)  # leave unassigned
+        if value + total > best_value + _EPS:
+            dfs(nxt, value, counts, table)
 
+    root_counts = tuple(
+        [bisect_right(costs, cap + slack) for costs, cap in zip(distinct, caps)]
+    )
     try:
-        dfs(0, 0.0)
+        dfs(0, 0.0, root_counts, fit_table(root_counts))
     except RecursionError:
         raise ValidationError(
             f"a pool of {n} bugs is deeper than the exact search can recurse "

@@ -143,9 +143,26 @@ class Vocabulary:
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
         obj = json.loads(text)
-        index = {e["term"]: e["index"] for e in obj["terms"]}
-        doc_freq = {e["term"]: e["df"] for e in obj["terms"]}
-        return cls(index=index, doc_freq=doc_freq, n_docs=obj["n_docs"])
+        n_docs, terms = obj["n_docs"], obj["terms"]
+        if type(n_docs) is not int or n_docs < 1:
+            raise ValueError(f"n_docs {n_docs!r} is not a positive integer")
+        index, doc_freq, seen = {}, {}, set()
+        for e in terms:
+            term, idx, df = e["term"], e["index"], e["df"]
+            # numpy would wrap a negative index, and a repeated one would
+            # put two terms in one column
+            if type(term) is not str or term in index:
+                raise ValueError(f"term {term!r} is not a distinct string")
+            if type(idx) is not int or not 0 <= idx < len(terms) or idx in seen:
+                raise ValueError(
+                    f"term {term!r}: index {idx!r} is not a distinct integer in [0, {len(terms)})"
+                )
+            if type(df) is not int or not 1 <= df <= n_docs:
+                raise ValueError(f"term {term!r}: df {df!r} is not an integer in [1, {n_docs}]")
+            seen.add(idx)
+            index[term] = idx
+            doc_freq[term] = df
+        return cls(index=index, doc_freq=doc_freq, n_docs=n_docs)
 
 
 def build_vocabulary(docs, min_df: int = 2) -> Vocabulary:

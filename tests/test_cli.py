@@ -221,6 +221,19 @@ def _first_weights(obj, index):
     return dict(obj, developers=[dict(first, weights=weights)] + obj["developers"][1:])
 
 
+def _first_term(obj, **changes):
+    """vocabulary.json content with ``changes`` made to its first term."""
+    return dict(obj, terms=[dict(obj["terms"][0], **changes)] + obj["terms"][1:])
+
+
+def _zero_first_phi_row(obj):
+    return dict(obj, phi=[[0.0] * obj["vocab_size"]] + obj["phi"][1:])
+
+
+def _first_components(obj, components):
+    return [dict(obj[0], components_experienced=components)] + obj[1:]
+
+
 @pytest.mark.parametrize(
     "name,edit,other",
     [
@@ -249,10 +262,29 @@ def _first_weights(obj, index):
         ("classifier.json", lambda obj, _: _first_weights(obj, -1), "classifier.json"),
         ("classifier.json", lambda obj, _: _first_weights(obj, True), "classifier.json"),
         ("classifier.json", lambda obj, _: _first_weights(obj, None), "classifier.json"),
+        ("vocabulary.json", lambda obj, _: _first_term(obj, index=10**6), "vocabulary.json"),
+        ("vocabulary.json", lambda obj, _: _first_term(obj, index=-1), "vocabulary.json"),
+        ("vocabulary.json", lambda obj, _: _first_term(obj, index=obj["terms"][1]["index"]),
+         "vocabulary.json"),
+        ("vocabulary.json", lambda obj, _: _first_term(obj, df=-1), "vocabulary.json"),
+        ("vocabulary.json", lambda obj, _: _first_term(obj, df=-5), "vocabulary.json"),
+        ("vocabulary.json", lambda obj, _: _first_term(obj, df="2"), "vocabulary.json"),
+        ("vocabulary.json", lambda obj, _: dict(obj, n_docs=-3), "vocabulary.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, seed=-1), "topic_model.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, seed=1.5), "topic_model.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, alpha_lda="x"), "topic_model.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, alpha_lda=-100), "topic_model.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, alpha_lda=float("nan")),
+         "topic_model.json"),
+        ("topic_model.json", lambda obj, _: _zero_first_phi_row(obj), "topic_model.json"),
+        ("dev_profiles.json", lambda obj, _: _first_components(obj, "abc"), "dev_profiles.json"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
          "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan",
-         "weight-index-negative", "weight-index-bool", "weight-index-repeated"],
+         "weight-index-negative", "weight-index-bool", "weight-index-repeated",
+         "term-index-huge", "term-index-negative", "term-index-repeated", "df-minus-1",
+         "df-minus-5", "df-string", "n_docs-negative", "seed-negative", "seed-float",
+         "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero", "components-string"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
     """Model files that disagree, such as a --topics 6 topic model beside

@@ -433,6 +433,44 @@ def test_fit_bound_at_root_covers_oracle_optimum(inst, data):
         assert bound >= brute_force_oracle(shrunk, variant).objective_value - 1e-9
 
 
+def _fit_tables_setup(inst, variant, data):
+    """(order, contrib_rows, levels, counts) for a fit-count vector drawn
+    anywhere from no cost fitting to every cost fitting."""
+    cost_rows = [b.c for b in inst.bugs]
+    contrib = inst.contributions(variant)
+    order = _search_order(inst, contrib, variant == DABT)
+    distinct, levels = _cost_levels(cost_rows)
+    counts = [data.draw(st.integers(0, len(costs))) for costs in distinct]
+    return order, contrib.tolist(), levels, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coarse_instances(), variant=st.sampled_from([DABT, RABT]), data=st.data())
+def test_fit_table_never_rises_when_a_count_falls(inst, variant, data):
+    # A child's counts are its node's with one entry lowered, so the
+    # node's own table bounds every child.
+    order, contrib_rows, levels, counts = _fit_tables_setup(inst, variant, data)
+    j = data.draw(st.integers(0, len(counts) - 1))
+    lowered = list(counts)
+    lowered[j] = data.draw(st.integers(0, counts[j]))
+    table = _fit_table(counts, order, contrib_rows, levels)
+    child = _fit_table(lowered, order, contrib_rows, levels)
+    assert all(c <= t for c, t in zip(child, table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coarse_instances(), variant=st.sampled_from([DABT, RABT]), data=st.data())
+def test_fit_table_is_at_most_the_suffix_sum(inst, variant, data):
+    # The capacity-ignoring suffix sum of best contributions never prunes
+    # a branch that the fit table keeps.
+    order, contrib_rows, levels, counts = _fit_tables_setup(inst, variant, data)
+    table = _fit_table(counts, order, contrib_rows, levels)
+    suffix = 0.0
+    for r in range(len(order) - 1, -1, -1):
+        suffix += max(max(contrib_rows[order[r]]), 0.0)
+        assert table[r] <= suffix
+
+
 def _above_oracle_family():
     """20 seeded instances of 13-20 bugs, beyond the brute-force oracle."""
     rng = np.random.default_rng(13)
