@@ -77,7 +77,6 @@ class BugRecord:
 @dataclass(frozen=True)
 class DeveloperProfile:
     dev_id: int
-    fixed_bug_count: int
     components_experienced: frozenset
 
 
@@ -232,21 +231,13 @@ def active_developers(records) -> frozenset:
 
 def developer_profiles(records) -> list[DeveloperProfile]:
     """One profile per developer with a fix in ``records``, by dev_id."""
-    counts: dict[int, int] = {}
     components: dict[int, set] = {}
     for rec in records:
-        dev = rec.actual_assignee
-        if dev is None:
-            continue
-        counts[dev] = counts.get(dev, 0) + 1
-        components.setdefault(dev, set()).add(rec.component)
+        if rec.actual_assignee is not None:
+            components.setdefault(rec.actual_assignee, set()).add(rec.component)
     return [
-        DeveloperProfile(
-            dev_id=dev,
-            fixed_bug_count=n,
-            components_experienced=frozenset(components[dev]),
-        )
-        for dev, n in sorted(counts.items())
+        DeveloperProfile(dev_id=dev, components_experienced=frozenset(experienced))
+        for dev, experienced in sorted(components.items())
     ]
 
 

@@ -146,7 +146,6 @@ def profiles_to_json(profiles) -> str:
         [
             {
                 "dev_id": p.dev_id,
-                "fixed_bug_count": p.fixed_bug_count,
                 "components_experienced": sorted(p.components_experienced),
             }
             for p in sorted(profiles.values(), key=lambda p: p.dev_id)
@@ -169,7 +168,6 @@ def profiles_from_json(text) -> dict:
     return {
         obj["dev_id"]: DeveloperProfile(
             dev_id=obj["dev_id"],
-            fixed_bug_count=obj["fixed_bug_count"],
             components_experienced=_components(obj),
         )
         for obj in json.loads(text)

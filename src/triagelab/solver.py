@@ -9,18 +9,18 @@ plain suitability under capacity only.
 
 Solved by depth-first branch and bound over the bugs in
 ``bdg.topological_order``, best contribution first among ready bugs.  A
-node is pruned on the smaller of two admissible bounds on what the
-undecided bugs can still add:
+node is pruned on admissible bounds on what the undecided bugs can
+still add:
 
-- the capacity-count bound: the sum over developers of their m best
-  contributions, where m is how many of the cheapest undecided bugs fit
-  the developer's remaining capacity (the cardinality form of the
-  generalized-assignment relaxation; Ross & Soland 1975, Martello &
-  Toth 1990);
 - the fit-aware bound: the sum of each one's best contribution among
   the developers whose remaining capacity still admits its cost, as if
   no other undecided bug used that capacity (the per-item form of the
-  same relaxation; it drops precedence too).
+  generalized-assignment relaxation; Martello & Toth 1990; it drops
+  precedence too);
+- the free-developer bound, when no developer fits its two cheapest
+  bugs (as in backlog pools): the best matching of the undecided bugs
+  to the developers with no bug yet, a maximum-weight bipartite
+  matching (Kuhn 1955) tabulated once per solve over developer subsets.
 
 Pruning only skips subtrees that hold no completion the search would
 accept, so the solution is the one an unpruned search finds, from fewer
@@ -32,12 +32,11 @@ counts and table from its parent, and the root computes them from the
 capacities: a child's counts are its node's with one entry replaced,
 and leaving a bug unassigned keeps them.  A child's counts are never
 above its node's, so the node's own table bounds every child, and that
-lookup is each branch's first test.  A node computes its D
-capacity-count terms (one bisection per developer) only if some branch
-passes it.  The search recurses once per bug, so a pool deeper than
-Python's recursion limit is refused with a ValidationError.  A separate
-vectorized exhaustive-enumeration oracle exists for verification and
-never shares code with the search.
+lookup is each branch's first test.  The free-developer table is read
+at node entry, before anything else.  The search recurses once per bug,
+so a pool deeper than Python's recursion limit is refused with a
+ValidationError.  A separate vectorized exhaustive-enumeration oracle
+exists for verification and never shares code with the search.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, takewhile
 
 import numpy as np
 
@@ -59,6 +57,7 @@ RABT = "RABT"
 
 _EPS = 1e-12
 _ORACLE_MAX_BUGS = 12
+_MATCHING_MAX_DEVS = 12  # the free-developer table has 2^D entries per bug
 
 
 def combined_score(S: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
@@ -245,41 +244,6 @@ def _greedy_incumbent(instance, contrib, order, parents_of, caps):
     return chosen, value
 
 
-def _capacity_tables(order, contrib_rows, cost_rows, caps):
-    """Tables of the capacity-aware bound, over the undecided bugs order[r:].
-
-    ``fits[r][j]`` holds the running sums of developer j's costs, cheapest
-    first, while they stay within caps[j] + 2 * slack (no query reaches
-    past that); ``gains[r][j][m]`` is the sum of j's m largest
-    non-negative contributions.  The search admits each bug with + _EPS
-    and `remaining` picks up rounding over a search, so the fit count
-    ``bisect_right(fits[r][j], remaining[j] + slack)`` gets slack for both
-    (1e-9 is check_feasible's tolerance) and never undercounts a set the
-    search would accept.  Returns (fits, gains, slack).
-    """
-    n = len(order)
-    slack = (n + 1) * _EPS + 1e-9
-    fits = [None] * (n + 1)
-    gains = [None] * (n + 1)
-    costs = [[] for _ in caps]  # ascending, over order[r:]
-    negated = [[] for _ in caps]  # -max(contribution, 0), ascending
-    for r in range(n, -1, -1):
-        if r < n:
-            i = order[r]
-            for j in range(len(caps)):
-                insort(costs[j], cost_rows[i][j])
-                insort(negated[j], -max(contrib_rows[i][j], 0.0))
-        fits_r, gains_r = [], []
-        for j, cap in enumerate(caps):
-            limit = cap + 2 * slack
-            fit = list(takewhile(lambda total: total <= limit, accumulate(costs[j])))
-            fits_r.append(fit)
-            best = (-g for g in negated[j][: len(fit)])
-            gains_r.append(list(accumulate(best, initial=0.0)))
-        fits[r], gains[r] = fits_r, gains_r
-    return fits, gains, slack
-
-
 def _cost_levels(cost_rows):
     """Each developer's distinct costs, ascending, and each bug's level on
     each developer: the index of its cost among them.  A bug fits
@@ -307,6 +271,40 @@ def _fit_table(counts, order, contrib_rows, levels):
     return table
 
 
+def _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked):
+    """Free-developer bound, or None where it does not apply: entry
+    ``[r][mask]`` is the best matching of the undecided bugs order[r:]
+    into the developers in the bitmask ``mask``, over positive
+    contributions and edges with cost <= capacity + slack.
+
+    It applies when D <= _MATCHING_MAX_DEVS and each developer's two
+    cheapest costs sum to more than its capacity + slack, so no
+    developer takes two bugs and a developer with a bug on the path
+    takes no more.  The bugs in
+    ``blocked`` are left out: under DABT a bug with an in-instance
+    blocker would need its blocker on the same developer, so it is never
+    assigned.  Built once per solve in O(n * 2^D * D).
+    """
+    D = len(caps)
+    if D > _MATCHING_MAX_DEVS or any(
+        sum(sorted(column)[:2]) <= cap + slack for column, cap in zip(zip(*cost_rows), caps)
+    ):
+        return None
+    masks = np.arange(1 << D)
+    holding = [masks[masks & (1 << j) != 0] for j in range(D)]
+    table = np.zeros((len(order) + 1, 1 << D))
+    for r in range(len(order) - 1, -1, -1):
+        i, rest = order[r], table[r + 1]
+        table[r] = rest
+        if i in blocked:
+            continue
+        for j, (g, c, cap) in enumerate(zip(contrib_rows[i], cost_rows[i], caps)):
+            if g > 0.0 and c <= cap + slack:
+                has = holding[j]
+                table[r, has] = np.maximum(table[r, has], g + rest[has ^ (1 << j)])
+    return table.tolist()
+
+
 def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentSolution:
     n = len(instance.bugs)
     D = len(instance.developers)
@@ -326,10 +324,11 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     contrib_rows = contrib.tolist()
     cost_rows = [b.c for b in instance.bugs]
 
-    # capacity-aware bound: developer j fits at most the m cheapest
-    # undecided bugs into its remaining capacity, so adds at most its m
-    # best contributions
-    fits, gains, slack = _capacity_tables(order, contrib_rows, cost_rows, caps)
+    # The search admits each bug with + _EPS and `remaining` picks up
+    # rounding over a search, so a fit test against remaining + slack
+    # never drops a bug the search would admit (1e-9 is check_feasible's
+    # tolerance).
+    slack = (n + 1) * _EPS + 1e-9
 
     # per-bug developer option order: contribution desc, then dev_id
     dev_order = []
@@ -351,6 +350,9 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             table = tables[counts] = _fit_table(counts, order, contrib_rows, levels)
         return table
 
+    blocked = {i for i in range(n) if parents_of[i]}
+    matching = _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked)
+
     incumbent, best_value = _greedy_incumbent(
         instance, contrib, order, parents_of, caps
     )
@@ -359,12 +361,15 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     remaining = list(caps)
     node_count = 0
 
-    def dfs(rank: int, value: float, counts: tuple, table: list):
+    def dfs(rank: int, value: float, counts: tuple, table: list, free: int):
         # `counts` are the fit counts of `remaining` at entry, `table` their
-        # fit table.  Below the root, entered only when both bounds leave
-        # room above best_value + _EPS.
+        # fit table, `free` the bitmask of developers with no bug on the
+        # path.  Below the root, entered only when the fit-aware bound
+        # leaves room above best_value + _EPS.
         nonlocal best_value, best_choice, node_count
         node_count += 1
+        if matching is not None and value + matching[rank][free] <= best_value + _EPS:
+            return
         if rank == n:
             if value > best_value + _EPS:
                 best_value = value
@@ -373,12 +378,9 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         i = order[rank]
         allowed = _allowed_devs(parents_of[i], choice, dev_order[i])
         nxt = rank + 1
-        fit, gain, bound = fits[nxt], gains[nxt], table[nxt]
         # A child's counts are never above the node's, so table[nxt] bounds
-        # every child: the cheap test.  The node's D capacity-count terms
-        # are computed at the first branch that passes it, before any
-        # child has moved `remaining`.
-        terms = None
+        # every child: the cheap test.
+        bound = table[nxt]
         row, cost = contrib_rows[i], cost_rows[i]
         for j in allowed:
             c = cost[j]
@@ -387,40 +389,25 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             child = value + row[j]
             if child + bound <= best_value + _EPS:
                 break  # `allowed` runs by contribution, descending
-            if terms is None:
-                terms = [
-                    gain[k][bisect_right(fit[k], remaining[k] + slack)]
-                    for k in range(D)
-                ]
-                total = sum(terms)
             left = remaining[j] - c + slack
-            term = gain[j][bisect_right(fit[j], left)]
-            if child + (total - terms[j] + term) <= best_value + _EPS:
-                continue
             child_counts = (*counts[:j], bisect_right(distinct[j], left), *counts[j + 1:])
             child_table = fit_table(child_counts)
             if child + child_table[nxt] <= best_value + _EPS:
                 continue
             choice[i] = j
             remaining[j] -= c
-            dfs(nxt, child, child_counts, child_table)
+            dfs(nxt, child, child_counts, child_table, free & ~(1 << j))
             remaining[j] += c
             del choice[i]
         # leave unassigned: same counts, so `bound` is its fit-aware bound
-        if value + bound <= best_value + _EPS:
-            return
-        if terms is None:
-            total = sum(
-                gain[k][bisect_right(fit[k], remaining[k] + slack)] for k in range(D)
-            )
-        if value + total > best_value + _EPS:
-            dfs(nxt, value, counts, table)
+        if value + bound > best_value + _EPS:
+            dfs(nxt, value, counts, table, free)
 
     root_counts = tuple(
         [bisect_right(costs, cap + slack) for costs, cap in zip(distinct, caps)]
     )
     try:
-        dfs(0, 0.0, root_counts, fit_table(root_counts))
+        dfs(0, 0.0, root_counts, fit_table(root_counts), (1 << D) - 1)
     except RecursionError:
         raise ValidationError(
             f"a pool of {n} bugs is deeper than the exact search can recurse "

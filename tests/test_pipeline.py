@@ -46,7 +46,6 @@ def test_every_cleaned_training_developer_is_profiled_active():
     cleaned, summary, profiles = pipeline.prepare(records, BOUNDARY)
     assert summary.active_dev_ids == frozenset({1, 2, 3, 4})
     assert sorted(profiles) == [1, 2, 3, 4]
-    assert [profiles[d].fixed_bug_count for d in (1, 2, 3, 4)] == [100, 50, 30, 29]
     result = _replay_actual(records, cleaned, profiles)
     assert [(e["bug_id"], e["dev_id"], e["completion_day"]) for e in result.log] == [
         (1, 3, 111), (2, 4, 113)
@@ -82,8 +81,7 @@ def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
     ]
     records.append(make_bug(99, reported=1, assigned=1, resolved=5, dev=3,
                             summary="zebra quokka", description="narwhal"))
-    profiles = {d: DeveloperProfile(dev_id=d, fixed_bug_count=1,
-                                    components_experienced=frozenset({"core"}))
+    profiles = {d: DeveloperProfile(dev_id=d, components_experienced=frozenset({"core"}))
                 for d in (1, 2, 3)}
     monkeypatch.setattr(pipeline, "infer_topic", _fold_in_forbidden)
     monkeypatch.setattr(costmodel, "infer_topic", _fold_in_forbidden)

@@ -24,11 +24,7 @@ class Stub:
             C=np.tile([costs[d] for d in dev_ids], (len(bug_ids), 1)),
         )
         self.dev_profiles = {
-            d: DeveloperProfile(
-                dev_id=d,
-                fixed_bug_count=10,
-                components_experienced=frozenset(components),
-            )
+            d: DeveloperProfile(dev_id=d, components_experienced=frozenset(components))
             for d in suit
         }
 

@@ -15,10 +15,10 @@ from triagelab.solver import (
     AssignmentSolution,
     InstanceBug,
     _branch_and_bound,
-    _capacity_tables,
     _cost_levels,
     _fit_table,
     _greedy_incumbent,
+    _matching_table,
     _search_order,
     brute_force_oracle,
     check_feasible,
@@ -378,8 +378,26 @@ def coarse_instances(draw):
     )
 
 
+@st.composite
+def unit_case_instances(draw):
+    """Coarse instances with each capacity drawn below the developer's two
+    cheapest costs, so no developer fits two bugs: the free-developer
+    bound's case."""
+    inst = draw(coarse_instances())
+    caps = [
+        draw(st.sampled_from([v for v in _CAPACITY_GRID if v < sum(sorted(column)[:2])]))
+        for column in zip(*(b.c for b in inst.bugs))
+    ]
+    return AssignmentInstance(
+        bugs=inst.bugs,
+        developers=[(d, cap) for (d, _), cap in zip(inst.developers, caps)],
+        precedence=inst.precedence,
+        alpha=inst.alpha,
+    )
+
+
 @settings(max_examples=300, deadline=None)
-@given(inst=coarse_instances())
+@given(inst=coarse_instances() | unit_case_instances())
 def test_capacity_bound_search_equals_suffix_reference(inst):
     for variant in (DABT, RABT):
         got = _branch_and_bound(inst, variant)
@@ -389,21 +407,19 @@ def test_capacity_bound_search_equals_suffix_reference(inst):
         assert got.node_count <= want.node_count
 
 
-@settings(max_examples=100, deadline=None)
-@given(inst=coarse_instances())
-def test_capacity_bound_at_root_covers_oracle_optimum(inst):
+@settings(max_examples=150, deadline=None)
+@given(inst=unit_case_instances())
+def test_matching_bound_at_root_covers_oracle_optimum(inst):
     caps = [cap for _, cap in inst.developers]
+    cost_rows = [b.c for b in inst.bugs]
+    slack = (len(inst.bugs) + 1) * _EPS + 1e-9
     for variant in (DABT, RABT):
         contrib = inst.contributions(variant)
         order = _search_order(inst, contrib, variant == DABT)
-        fits, gains, slack = _capacity_tables(
-            order, contrib.tolist(), [list(b.c) for b in inst.bugs], caps
-        )
-        bound = sum(
-            gains[0][j][bisect_right(fits[0][j], cap + slack)]
-            for j, cap in enumerate(caps)
-        )
-        assert bound >= brute_force_oracle(inst, variant).objective_value - 1e-9
+        # bug ids are positions in coarse instances
+        blocked = {child for _, child in inst.precedence} if variant == DABT else set()
+        table = _matching_table(order, contrib.tolist(), cost_rows, caps, slack, blocked)
+        assert table[0][-1] >= brute_force_oracle(inst, variant).objective_value - 1e-9
 
 
 @settings(max_examples=150, deadline=None)
@@ -426,7 +442,7 @@ def test_fit_bound_at_root_covers_oracle_optimum(inst, data):
         contrib = inst.contributions(variant)
         order = _search_order(inst, contrib, variant == DABT)
         contrib_rows = contrib.tolist()
-        _, _, slack = _capacity_tables(order, contrib_rows, cost_rows, remaining)
+        slack = (len(inst.bugs) + 1) * _EPS + 1e-9
         distinct, levels = _cost_levels(cost_rows)
         counts = [bisect_right(distinct[j], left + slack) for j, left in enumerate(remaining)]
         bound = _fit_table(counts, order, contrib_rows, levels)[0]
@@ -507,21 +523,24 @@ def test_node_count_on_above_oracle_family_is_pinned():
     for inst in _above_oracle_family():
         totals[DABT] += solve_dabt(inst).node_count
         totals[RABT] += solve_rabt(inst).node_count
-    assert totals == {DABT: 164556, RABT: 43384}
+    assert totals == {DABT: 223058, RABT: 281565}
 
 
 @pytest.mark.parametrize(
     "name,nodes",
     [
-        ("backlog_pool_59.json", {DABT: 16316, RABT: 3418}),
-        ("backlog_pool_66.json", {DABT: 78688, RABT: 73318}),
+        ("backlog_pool_59.json", {DABT: 342, RABT: 812}),
+        ("backlog_pool_66.json", {DABT: 255, RABT: 942}),
+        ("backlog_pool_62.json", {DABT: 1457, RABT: 2772}),
+        ("backlog_pool_77.json", {DABT: 1953, RABT: 2547}),
     ],
 )
 def test_backlog_pool_matches_milp(name, nodes):
-    # Two DABT pools, of 59 and 66 bugs across 8 developers, from the
-    # seed-7 DABT replay of MiniCorpusSpec(test_rate_per_topic=0.5)
-    # trained with --topics 4 --lda-iters 20 (boundary 365, end 730):
-    # backlog scale, far above the 13-20 bugs of the family above.
+    # DABT pools of 59-77 bugs across 8 developers, none of whom fits two
+    # of its bugs, written by scripts/dump_pools.py (the seed-7 DABT
+    # replay of MiniCorpusSpec(test_rate_per_topic=0.5) trained with
+    # --topics 4 --lda-iters 20, boundary 365, end 730): backlog scale,
+    # far above the 13-20 bugs of the family above.
     inst = AssignmentInstance.from_json((Path(__file__).parent / "data" / name).read_text())
     for variant, solve in ((DABT, solve_dabt), (RABT, solve_rabt)):
         sol = solve(inst)
