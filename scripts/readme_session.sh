@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the README quick-start session into a fresh directory, then solve
-# the bundled 66-bug backlog pool with both exact variants, and print a
+# the four bundled backlog pools with both exact variants, and print a
 # sha256 manifest of every file it writes (names relative to that
 # directory, so two runs compare with diff).  Command output other than
 # the solutions goes to stderr.
@@ -32,9 +32,11 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     "$@" sweep "${common[@]}" --alphas 0,0.5,1 --end 730
 } >&2
 # The exact search's assignments and node counts at backlog scale
-pool="$(dirname "$0")/../tests/data/backlog_pool_66.json"
-for variant in dabt rabt; do
-    "$@" solve "$pool" --variant "$variant" > "$out/run/solve_pool66_$variant.json"
+for size in 59 62 66 77; do
+    pool="$(dirname "$0")/../tests/data/backlog_pool_$size.json"
+    for variant in dabt rabt; do
+        "$@" solve "$pool" --variant "$variant" > "$out/run/solve_pool${size}_$variant.json"
+    done
 done
 
 cd "$out"

@@ -1,8 +1,6 @@
 """Command-line front door.
 
 Subcommands: validate, prepare, train, simulate, report, sweep, solve.
-Every flag can be overridden by an environment variable with the
-``TRIAGELAB_`` prefix (e.g. ``TRIAGELAB_ALPHA=0.3``).
 """
 
 from __future__ import annotations
@@ -20,17 +18,6 @@ from .policies import POLICY_NAMES
 from .simulator import SimConfig
 from .solver import AssignmentInstance, brute_force_oracle, solve_dabt, solve_rabt
 
-ENV_PREFIX = "TRIAGELAB_"
-
-
-def _env_default(name, fallback, cast=str):
-    var = ENV_PREFIX + name.upper().replace("-", "_")
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    return _cast(raw, cast, var)
-
-
 def _cast(raw, cast, what):
     try:
         return cast(raw)
@@ -47,38 +34,29 @@ def _flag(cast, flag):
 
 
 def _add_out(parser):
-    parser.add_argument("--out", default=_env_default("out", "out"),
-                        help="artifact/output directory")
+    parser.add_argument("--out", default="out", help="artifact/output directory")
 
 
 def _add_common(parser):
-    parser.add_argument("--data", default=_env_default("data", None),
-                        help="bug-history JSONL file")
+    parser.add_argument("--data", help="bug-history JSONL file")
     parser.add_argument("--boundary", type=_flag(int, "--boundary"),
-                        default=_env_default("boundary", None, int),
                         help="last training day (reports after it are test)")
     _add_out(parser)
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--topics", default=_env_default("topics", "5-50:5"),
+    parser.add_argument("--topics", default="5-50:5",
                         help="topic-count grid, e.g. '4' or '5-50:5' or '2,8'")
-    parser.add_argument("--C", type=_flag(float, "--C"),
-                        default=_env_default("c", 1000.0, float))
-    parser.add_argument("--seed", type=_flag(int, "--seed"),
-                        default=_env_default("seed", 0, int))
-    parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"),
-                        default=_env_default("lda_iters", 1000, int))
+    parser.add_argument("--C", type=_flag(float, "--C"), default=1000.0)
+    parser.add_argument("--seed", type=_flag(int, "--seed"), default=0)
+    parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"), default=1000)
 
 
 def _add_replay_flags(parser):
-    parser.add_argument("--seed", type=_flag(int, "--seed"),
-                        default=_env_default("seed", 0, int))
+    parser.add_argument("--seed", type=_flag(int, "--seed"), default=0)
     parser.add_argument("--L", type=_flag(float, "--L"),
-                        default=_env_default("l", None, float),
                         help="capacity horizon override (default: training Q3)")
-    parser.add_argument("--end", type=_flag(int, "--end"),
-                        default=_env_default("end", None, int))
+    parser.add_argument("--end", type=_flag(int, "--end"))
 
 
 def _parse_topic_grid(spec: str):
@@ -252,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one policy over the test phase")
     _add_common(p)
-    p.add_argument("--policy", choices=POLICY_NAMES,
-                   default=_env_default("policy", "dabt"))
-    p.add_argument("--alpha", type=_flag(float, "--alpha"),
-                   default=_env_default("alpha", 0.5, float))
+    p.add_argument("--policy", choices=POLICY_NAMES, default="dabt")
+    p.add_argument("--alpha", type=_flag(float, "--alpha"), default=0.5)
     _add_replay_flags(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -266,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="DABT alpha sensitivity series")
     _add_common(p)
-    p.add_argument("--alphas", default=_env_default("alphas", "0,0.25,0.5,0.75,1"))
+    p.add_argument("--alphas", default="0,0.25,0.5,0.75,1")
     _add_replay_flags(p)
     p.set_defaults(func=cmd_sweep)
 

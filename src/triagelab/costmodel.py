@@ -75,8 +75,8 @@ class TopicModel:
             raise ValueError(f"phi has shape {phi.shape}, not (K, vocab_size)")
         if not (np.isfinite(phi) & (phi >= 0)).all():
             raise ValueError("phi must be finite and non-negative")
-        if not (phi.sum(axis=1) > 0).all():
-            raise ValueError("every phi row must have a positive sum")
+        if not ((phi.sum(axis=1) > 0).all() and (phi.sum(axis=0) > 0).all()):
+            raise ValueError("every phi row and column must have a positive sum")
         seed = obj["seed"]
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed {seed!r} is not a non-negative integer")

@@ -9,34 +9,32 @@ plain suitability under capacity only.
 
 Solved by depth-first branch and bound over the bugs in
 ``bdg.topological_order``, best contribution first among ready bugs.  A
-node is pruned on admissible bounds on what the undecided bugs can
-still add:
+branch is pruned on an admissible bound on what the undecided bugs can
+still add, read from one suffix table per vector of fit counts (how
+many of each developer's distinct costs its remaining capacity admits):
 
-- the fit-aware bound: the sum of each one's best contribution among
-  the developers whose remaining capacity still admits its cost, as if
-  no other undecided bug used that capacity (the per-item form of the
+- in general the fit-aware bound: the sum of each one's best
+  contribution among the developers it still fits, as if no other
+  undecided bug used that capacity (the per-item form of the
   generalized-assignment relaxation; Martello & Toth 1990; it drops
   precedence too);
-- the free-developer bound, when no developer fits its two cheapest
-  bugs (as in backlog pools): the best matching of the undecided bugs
-  to the developers with no bug yet, a maximum-weight bipartite
-  matching (Kuhn 1955) tabulated once per solve over developer subsets.
+- when no developer fits its two cheapest bugs (as in backlog pools),
+  a column of the free-developer table: the best matching (Kuhn 1955)
+  of the undecided bugs to the developers with a positive fit count,
+  which a developer holding a bug no longer has.
 
 Pruning only skips subtrees that hold no completion the search would
 accept, so the solution is the one an unpruned search finds, from fewer
-nodes.  The fit-aware bound depends on the remaining capacities only
-through how many of each developer's distinct costs still fit, so one
-suffix table serves every node with the same fit counts; a table is
-built when a node first reaches its counts.  Each node receives its fit
-counts and table from its parent, and the root computes them from the
-capacities: a child's counts are its node's with one entry replaced,
-and leaving a bug unassigned keeps them.  A child's counts are never
-above its node's, so the node's own table bounds every child, and that
-lookup is each branch's first test.  The free-developer table is read
-at node entry, before anything else.  The search recurses once per bug,
-so a pool deeper than Python's recursion limit is refused with a
-ValidationError.  A separate vectorized exhaustive-enumeration oracle
-exists for verification and never shares code with the search.
+nodes.  A table is built when a node first reaches its counts.  Each
+node receives its counts and table from its parent, and the root
+computes them from the capacities: a child's counts are its node's with
+one entry lowered, and leaving a bug unassigned keeps them.  Neither
+bound rises when a count falls, so the node's own table bounds every
+child, and that lookup is each branch's first test.  The search
+recurses once per bug, so a pool deeper than Python's recursion limit
+is refused with a ValidationError.  A separate vectorized
+exhaustive-enumeration oracle exists for verification and never shares
+code with the search.
 """
 
 from __future__ import annotations
@@ -272,15 +270,18 @@ def _fit_table(counts, order, contrib_rows, levels):
 
 
 def _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked):
-    """Free-developer bound, or None where it does not apply: entry
-    ``[r][mask]`` is the best matching of the undecided bugs order[r:]
-    into the developers in the bitmask ``mask``, over positive
-    contributions and edges with cost <= capacity + slack.
+    """Free-developer bound as an (n + 1, 2^D) array, or None where it
+    does not apply: entry ``[r, mask]`` is the best matching of the
+    undecided bugs order[r:] into the developers in the bitmask ``mask``,
+    over positive contributions and edges with cost <= capacity + slack.
 
     It applies when D <= _MATCHING_MAX_DEVS and each developer's two
     cheapest costs sum to more than its capacity + slack, so no
-    developer takes two bugs and a developer with a bug on the path
-    takes no more.  The bugs in
+    developer takes two bugs.  A developer with a bug on the path then
+    fits no other bug and its fit count is 0, so the search reads the
+    column of the developers with a positive count.  One exception only
+    loosens the bound: a developer whose one bug is its unique cheapest
+    and fits twice in its capacity keeps a count of 1.  The bugs in
     ``blocked`` are left out: under DABT a bug with an in-instance
     blocker would need its blocker on the same developer, so it is never
     assigned.  Built once per solve in O(n * 2^D * D).
@@ -302,7 +303,7 @@ def _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked):
             if g > 0.0 and c <= cap + slack:
                 has = holding[j]
                 table[r, has] = np.maximum(table[r, has], g + rest[has ^ (1 << j)])
-    return table.tolist()
+    return table
 
 
 def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentSolution:
@@ -338,20 +339,24 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         )
         dev_order.append(js)
 
-    # fit-aware bound: an undecided bug adds at most its best contribution
-    # among the developers it still fits.  One suffix table per vector of
-    # fit counts, built when a node first reaches that vector.
+    # One bound table per vector of fit counts, built when a node first
+    # reaches that vector: a free-developer column where that table
+    # applies, else the fit-aware table.
     distinct, levels = _cost_levels(cost_rows)
+    blocked = {i for i in range(n) if parents_of[i]}
+    matching = _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked)
     tables: dict[tuple, list] = {}
 
     def fit_table(counts: tuple) -> list:
         table = tables.get(counts)
         if table is None:
-            table = tables[counts] = _fit_table(counts, order, contrib_rows, levels)
+            if matching is None:
+                table = _fit_table(counts, order, contrib_rows, levels)
+            else:
+                mask = sum(1 << j for j, k in enumerate(counts) if k)
+                table = matching[:, mask].tolist()
+            tables[counts] = table
         return table
-
-    blocked = {i for i in range(n) if parents_of[i]}
-    matching = _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked)
 
     incumbent, best_value = _greedy_incumbent(
         instance, contrib, order, parents_of, caps
@@ -361,15 +366,12 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     remaining = list(caps)
     node_count = 0
 
-    def dfs(rank: int, value: float, counts: tuple, table: list, free: int):
+    def dfs(rank: int, value: float, counts: tuple, table: list):
         # `counts` are the fit counts of `remaining` at entry, `table` their
-        # fit table, `free` the bitmask of developers with no bug on the
-        # path.  Below the root, entered only when the fit-aware bound
-        # leaves room above best_value + _EPS.
+        # bound table.  Below the root, entered only when that bound leaves
+        # room above best_value + _EPS.
         nonlocal best_value, best_choice, node_count
         node_count += 1
-        if matching is not None and value + matching[rank][free] <= best_value + _EPS:
-            return
         if rank == n:
             if value > best_value + _EPS:
                 best_value = value
@@ -396,18 +398,18 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                 continue
             choice[i] = j
             remaining[j] -= c
-            dfs(nxt, child, child_counts, child_table, free & ~(1 << j))
+            dfs(nxt, child, child_counts, child_table)
             remaining[j] += c
             del choice[i]
-        # leave unassigned: same counts, so `bound` is its fit-aware bound
+        # leave unassigned: same counts, so `bound` is its own bound
         if value + bound > best_value + _EPS:
-            dfs(nxt, value, counts, table, free)
+            dfs(nxt, value, counts, table)
 
     root_counts = tuple(
         [bisect_right(costs, cap + slack) for costs, cap in zip(distinct, caps)]
     )
     try:
-        dfs(0, 0.0, root_counts, fit_table(root_counts), (1 << D) - 1)
+        dfs(0, 0.0, root_counts, fit_table(root_counts))
     except RecursionError:
         raise ValidationError(
             f"a pool of {n} bugs is deeper than the exact search can recurse "
