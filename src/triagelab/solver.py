@@ -17,7 +17,8 @@ many of each developer's distinct costs its remaining capacity admits):
   contribution among the developers it still fits, as if no other
   undecided bug used that capacity (the per-item form of the
   generalized-assignment relaxation; Martello & Toth 1990; it drops
-  precedence too);
+  precedence too).  Each bug's developers are walked best contribution
+  first, and the walk stops at the first one it fits;
 - when no developer fits its two cheapest bugs (as in backlog pools),
   a column of the free-developer table: the best matching (Kuhn 1955)
   of the undecided bugs to the developers with a positive fit count,
@@ -30,7 +31,9 @@ node receives its counts and table from its parent, and the root
 computes them from the capacities: a child's counts are its node's with
 one entry lowered, and leaving a bug unassigned keeps them.  Neither
 bound rises when a count falls, so the node's own table bounds every
-child, and that lookup is each branch's first test.  The search
+child, and that lookup is each branch's first test.  A child whose fit
+count does not change reuses its node's table and passes that test
+alone; only the others look up a table of their own.  The search
 recurses once per bug, so a pool deeper than Python's recursion limit
 is refused with a ValidationError.  A separate vectorized
 exhaustive-enumeration oracle exists for verification and never shares
@@ -214,27 +217,26 @@ def _search_order(instance: AssignmentInstance, contrib: np.ndarray, with_preced
     )
 
 
-def _allowed_devs(parents, chosen, free):
-    """Developers a bug may go to: ``free`` when it has no in-instance
-    blockers, else the single developer all of them went to in
-    ``chosen``, or none when they are split or one is unassigned."""
-    if not parents:
-        return free
+def _allowed_devs(parents, chosen):
+    """Developers a bug with in-instance blockers ``parents`` may go to:
+    the single developer all of them went to in ``chosen``, or none when
+    they are split or one is unassigned.  A bug without blockers may go
+    to any developer."""
     devs = {chosen.get(p, -1) for p in parents}
     return [] if len(devs) != 1 or -1 in devs else list(devs)
 
 
-def _greedy_incumbent(instance, contrib, order, parents_of, caps):
+def _greedy_incumbent(instance, contrib_rows, order, parents_of, caps):
     """Feasible warm start: best fitting developer per bug in order."""
     remaining = list(caps)
     chosen: dict[int, int] = {}
     value = 0.0
     for i in order:
-        bug = instance.bugs[i]
+        bug, row, parents = instance.bugs[i], contrib_rows[i], parents_of[i]
         best_j, best_v = -1, 0.0
-        for j in _allowed_devs(parents_of[i], chosen, range(len(remaining))):
-            if bug.c[j] <= remaining[j] + _EPS and contrib[i, j] > best_v + _EPS:
-                best_j, best_v = j, contrib[i, j]
+        for j in _allowed_devs(parents, chosen) if parents else range(len(remaining)):
+            if bug.c[j] <= remaining[j] + _EPS and row[j] > best_v + _EPS:
+                best_j, best_v = j, row[j]
         if best_j >= 0:
             chosen[i] = best_j
             remaining[best_j] -= bug.c[best_j]
@@ -255,17 +257,29 @@ def _cost_levels(cost_rows):
     return distinct, levels
 
 
-def _fit_table(counts, order, contrib_rows, levels):
+def _fit_walks(order, contrib_rows, dev_order, levels):
+    """Per rank r, the developers of bug order[r] with a positive
+    contribution, best first (``dev_order``), as (developer, level,
+    contribution); a bug with none has an empty walk."""
+    return [
+        [(j, levels[i][j], contrib_rows[i][j]) for j in dev_order[i] if contrib_rows[i][j] > 0.0]
+        for i in order
+    ]
+
+
+def _fit_table(counts, walks):
     """Fit-aware bound for one vector of fit counts: entry r sums, over the
     undecided bugs order[r:], each one's best non-negative contribution
-    among the developers it still fits."""
-    table = [0.0] * (len(order) + 1)
-    for r in range(len(order) - 1, -1, -1):
-        i = order[r]
-        fitting = (
-            g for g, level, count in zip(contrib_rows[i], levels[i], counts) if level < count
-        )
-        table[r] = table[r + 1] + max(max(fitting, default=0.0), 0.0)
+    among the developers it still fits, which is the contribution of the
+    first developer on its walk whose level is below its fit count."""
+    table = [0.0] * (len(walks) + 1)
+    total = 0.0
+    for r in range(len(walks) - 1, -1, -1):
+        for j, level, g in walks[r]:
+            if level < counts[j]:
+                total += g
+                break
+        table[r] = total
     return table
 
 
@@ -332,12 +346,10 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     slack = (n + 1) * _EPS + 1e-9
 
     # per-bug developer option order: contribution desc, then dev_id
-    dev_order = []
-    for i in range(n):
-        js = sorted(
-            range(D), key=lambda j: (-contrib[i, j], instance.developers[j][0])
-        )
-        dev_order.append(js)
+    dev_ids = [d for d, _ in instance.developers]
+    dev_order = [
+        sorted(range(D), key=lambda j: (-row[j], dev_ids[j])) for row in contrib_rows
+    ]
 
     # One bound table per vector of fit counts, built when a node first
     # reaches that vector: a free-developer column where that table
@@ -345,13 +357,14 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     distinct, levels = _cost_levels(cost_rows)
     blocked = {i for i in range(n) if parents_of[i]}
     matching = _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked)
+    walks = _fit_walks(order, contrib_rows, dev_order, levels) if matching is None else None
     tables: dict[tuple, list] = {}
 
     def fit_table(counts: tuple) -> list:
         table = tables.get(counts)
         if table is None:
             if matching is None:
-                table = _fit_table(counts, order, contrib_rows, levels)
+                table = _fit_table(counts, walks)
             else:
                 mask = sum(1 << j for j, k in enumerate(counts) if k)
                 table = matching[:, mask].tolist()
@@ -359,7 +372,7 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
         return table
 
     incumbent, best_value = _greedy_incumbent(
-        instance, contrib, order, parents_of, caps
+        instance, contrib_rows, order, parents_of, caps
     )
     best_choice = dict(incumbent)
     choice: dict[int, int] = {}
@@ -378,7 +391,8 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                 best_choice = dict(choice)
             return
         i = order[rank]
-        allowed = _allowed_devs(parents_of[i], choice, dev_order[i])
+        parents = parents_of[i]
+        allowed = _allowed_devs(parents, choice) if parents else dev_order[i]
         nxt = rank + 1
         # A child's counts are never above the node's, so table[nxt] bounds
         # every child: the cheap test.
@@ -391,11 +405,15 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             child = value + row[j]
             if child + bound <= best_value + _EPS:
                 break  # `allowed` runs by contribution, descending
-            left = remaining[j] - c + slack
-            child_counts = (*counts[:j], bisect_right(distinct[j], left), *counts[j + 1:])
-            child_table = fit_table(child_counts)
-            if child + child_table[nxt] <= best_value + _EPS:
-                continue
+            k = bisect_right(distinct[j], remaining[j] - c + slack)
+            if k == counts[j]:
+                # same counts: the node's table, which the test above read
+                child_counts, child_table = counts, table
+            else:
+                child_counts = (*counts[:j], k, *counts[j + 1:])
+                child_table = fit_table(child_counts)
+                if child + child_table[nxt] <= best_value + _EPS:
+                    continue
             choice[i] = j
             remaining[j] -= c
             dfs(nxt, child, child_counts, child_table)

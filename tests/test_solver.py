@@ -17,6 +17,7 @@ from triagelab.solver import (
     _branch_and_bound,
     _cost_levels,
     _fit_table,
+    _fit_walks,
     _greedy_incumbent,
     _matching_table,
     _search_order,
@@ -57,7 +58,7 @@ def reference_branch_and_bound(instance, variant):
         dev_order.append(js)
 
     incumbent, best_value = _greedy_incumbent(
-        instance, contrib, order, parents_of, caps
+        instance, contrib.tolist(), order, parents_of, caps
     )
     best_choice = dict(incumbent)
     choice = {}
@@ -434,6 +435,34 @@ def test_matching_bound_at_root_covers_oracle_optimum(inst, data):
         assert table[0, mask] >= brute_force_oracle(masked, variant).objective_value - 1e-9
 
 
+def reference_fit_table(counts, order, contrib_rows, levels):
+    """The fit-aware bound as a formula: entry r sums, over the bugs
+    order[r:], the best of each one's contributions on the developers
+    whose level is below their fit count, floored at 0."""
+    table = [0.0] * (len(order) + 1)
+    for r in range(len(order) - 1, -1, -1):
+        i = order[r]
+        fitting = (
+            g for g, level, count in zip(contrib_rows[i], levels[i], counts) if level < count
+        )
+        table[r] = table[r + 1] + max(max(fitting, default=0.0), 0.0)
+    return table
+
+
+def _fit_setup(inst, variant):
+    """(order, contrib_rows, levels, walks, distinct) as the search builds them."""
+    contrib = inst.contributions(variant)
+    order = _search_order(inst, contrib, variant == DABT)
+    contrib_rows = contrib.tolist()
+    dev_ids = [d for d, _ in inst.developers]
+    dev_order = [
+        sorted(range(len(dev_ids)), key=lambda j: (-row[j], dev_ids[j])) for row in contrib_rows
+    ]
+    distinct, levels = _cost_levels([b.c for b in inst.bugs])
+    walks = _fit_walks(order, contrib_rows, dev_order, levels)
+    return order, contrib_rows, levels, walks, distinct
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=coarse_instances(), data=st.data())
 def test_fit_bound_at_root_covers_oracle_optimum(inst, data):
@@ -449,27 +478,28 @@ def test_fit_bound_at_root_covers_oracle_optimum(inst, data):
         precedence=inst.precedence,
         alpha=inst.alpha,
     )
-    cost_rows = [b.c for b in inst.bugs]
     for variant in (DABT, RABT):
-        contrib = inst.contributions(variant)
-        order = _search_order(inst, contrib, variant == DABT)
-        contrib_rows = contrib.tolist()
+        _, _, _, walks, distinct = _fit_setup(inst, variant)
         slack = (len(inst.bugs) + 1) * _EPS + 1e-9
-        distinct, levels = _cost_levels(cost_rows)
         counts = [bisect_right(distinct[j], left + slack) for j, left in enumerate(remaining)]
-        bound = _fit_table(counts, order, contrib_rows, levels)[0]
+        bound = _fit_table(counts, walks)[0]
         assert bound >= brute_force_oracle(shrunk, variant).objective_value - 1e-9
 
 
-def _fit_tables_setup(inst, variant, data):
-    """(order, contrib_rows, levels, counts) for a fit-count vector drawn
-    anywhere from no cost fitting to every cost fitting."""
-    cost_rows = [b.c for b in inst.bugs]
-    contrib = inst.contributions(variant)
-    order = _search_order(inst, contrib, variant == DABT)
-    distinct, levels = _cost_levels(cost_rows)
-    counts = [data.draw(st.integers(0, len(costs))) for costs in distinct]
-    return order, contrib.tolist(), levels, counts
+def _drawn_counts(distinct, data):
+    """A fit-count vector drawn anywhere from no cost fitting to every
+    cost fitting."""
+    return [data.draw(st.integers(0, len(costs))) for costs in distinct]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coarse_instances(), variant=st.sampled_from([DABT, RABT]), data=st.data())
+def test_first_fit_table_equals_reference_formula(inst, variant, data):
+    order, contrib_rows, levels, walks, distinct = _fit_setup(inst, variant)
+    counts = _drawn_counts(distinct, data)
+    got = _fit_table(counts, walks)
+    want = reference_fit_table(counts, order, contrib_rows, levels)
+    assert [x.hex() for x in got] == [x.hex() for x in want]  # to the bit
 
 
 @settings(max_examples=150, deadline=None)
@@ -477,12 +507,13 @@ def _fit_tables_setup(inst, variant, data):
 def test_fit_table_never_rises_when_a_count_falls(inst, variant, data):
     # A child's counts are its node's with one entry lowered, so the
     # node's own table bounds every child.
-    order, contrib_rows, levels, counts = _fit_tables_setup(inst, variant, data)
+    _, _, _, walks, distinct = _fit_setup(inst, variant)
+    counts = _drawn_counts(distinct, data)
     j = data.draw(st.integers(0, len(counts) - 1))
     lowered = list(counts)
     lowered[j] = data.draw(st.integers(0, counts[j]))
-    table = _fit_table(counts, order, contrib_rows, levels)
-    child = _fit_table(lowered, order, contrib_rows, levels)
+    table = _fit_table(counts, walks)
+    child = _fit_table(lowered, walks)
     assert all(c <= t for c, t in zip(child, table))
 
 
@@ -491,8 +522,8 @@ def test_fit_table_never_rises_when_a_count_falls(inst, variant, data):
 def test_fit_table_is_at_most_the_suffix_sum(inst, variant, data):
     # The capacity-ignoring suffix sum of best contributions never prunes
     # a branch that the fit table keeps.
-    order, contrib_rows, levels, counts = _fit_tables_setup(inst, variant, data)
-    table = _fit_table(counts, order, contrib_rows, levels)
+    order, contrib_rows, _, walks, distinct = _fit_setup(inst, variant)
+    table = _fit_table(_drawn_counts(distinct, data), walks)
     suffix = 0.0
     for r in range(len(order) - 1, -1, -1):
         suffix += max(max(contrib_rows[order[r]]), 0.0)
@@ -536,6 +567,48 @@ def test_node_count_on_above_oracle_family_is_pinned():
         totals[DABT] += solve_dabt(inst).node_count
         totals[RABT] += solve_rabt(inst).node_count
     assert totals == {DABT: 223058, RABT: 281565}
+
+
+def _eight_developer_family():
+    """40 seeded instances of 6-7 bugs x 8 developers: four experts whose
+    costs run 6-16 days and capacities 1-10, and four others at 2.2-3.8
+    days and 7.5-10, so most developers fit several bugs and a child's
+    fit counts often equal its node's.  A bug's costs are its topic's
+    row (4 topics) and its suitability peaks at 1 at its topic's
+    expert; each bug pair is an arc with probability 0.08."""
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(6, 8))
+        topic = rng.permutation(np.arange(n) % 4)
+        costs = np.hstack([rng.uniform(6, 16, (4, 4)), rng.uniform(2.2, 3.8, (4, 4))])
+        s = np.hstack([rng.uniform(0.58, 0.76, (n, 4)), rng.uniform(0.0, 0.06, (n, 4))])
+        s[np.arange(n), topic] = 1.0
+        caps = np.hstack([rng.uniform(1, 10, 4), rng.uniform(7.5, 10, 4)])
+        yield AssignmentInstance(
+            bugs=[
+                InstanceBug(i, tuple(s[i].tolist()), tuple(costs[topic[i]].tolist()))
+                for i in range(n)
+            ],
+            developers=[(d, cap) for d, cap in enumerate(caps.tolist())],
+            precedence=[(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08],
+            alpha=0.5,
+        )
+
+
+def test_node_count_on_eight_developer_family_is_pinned():
+    # The fit-aware table's regime (the pinned family above has D <= 4,
+    # the backlog pools take the free-developer table): a change to how
+    # a node builds or shares its children's tables must leave these
+    # totals as they are.
+    totals = {DABT: 0, RABT: 0}
+    for k, inst in enumerate(_eight_developer_family()):
+        for variant, solve in ((DABT, solve_dabt), (RABT, solve_rabt)):
+            sol = solve(inst)
+            totals[variant] += sol.node_count
+            if k % 8 == 0:
+                check_feasible(inst, sol.assignments, variant)
+                assert sol.objective_value == pytest.approx(milp_optimum(inst, variant), abs=1e-9)
+    assert totals == {DABT: 7583, RABT: 8793}
 
 
 @pytest.mark.parametrize(
