@@ -9,13 +9,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import pipeline
 from .errors import TriageError, ValidationError
 from .policies import POLICY_NAMES
-from .simulator import SimConfig
+from .simulator import SimConfig, run_simulation
 from .solver import AssignmentInstance, brute_force_oracle, solve_dabt, solve_rabt
 
 def _cast(raw, cast, what):
@@ -53,7 +54,8 @@ def _add_train_flags(parser):
 
 
 def _add_replay_flags(parser):
-    parser.add_argument("--seed", type=_flag(int, "--seed"), default=0)
+    parser.add_argument("--seed", type=_flag(int, "--seed"), default=0,
+                        help="recorded in result_*.json only: the replay draws no random numbers")
     parser.add_argument("--L", type=_flag(float, "--L"),
                         help="capacity horizon override (default: training Q3)")
     parser.add_argument("--end", type=_flag(int, "--end"))
@@ -189,7 +191,11 @@ def cmd_sweep(args) -> int:
     config = _sim_config(args, "dabt", alphas[0], records, summary)
     corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
     table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
-    rows = metrics_mod.sweep_alpha(config, corpus, table, models.dev_profiles, alphas)
+    rows = []
+    for alpha in sorted(set(alphas)):
+        result = run_simulation(replace(config, alpha=alpha), corpus, table, models.dev_profiles)
+        report = metrics_mod.compute_report(result)
+        rows.append((alpha, report.accuracy_pct, report.pct_overdue))
     csv_text = metrics_mod.sweep_to_csv(rows)
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
         fh.write(csv_text)
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv=None) -> int:
     try:
-        parser = build_parser()  # reads the TRIAGELAB_* defaults
+        parser = build_parser()
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

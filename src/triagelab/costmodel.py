@@ -276,12 +276,6 @@ class CostMatrix:
             raise ValidationError("cost matrix has no observed cells")
         return float(np.mean(list(self.observed.values())))
 
-    def cost(self, dev_id: int, topic: int) -> float:
-        """Estimated fixing days; GLOBAL_TOPIC maps to the global mean."""
-        if topic == GLOBAL_TOPIC:
-            return self.global_mean
-        return float(self.filled[self.dev_ids.index(dev_id), topic])
-
     def to_json(self) -> str:
         return json.dumps(
             {

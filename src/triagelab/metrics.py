@@ -161,22 +161,6 @@ def compare_policies(reports) -> tuple[str, str]:
     return csv_buf.getvalue(), "\n".join(lines)
 
 
-def sweep_alpha(base_config, corpus, table, dev_profiles, alphas):
-    """One full DABT run per distinct alpha, all reading one feature
-    table; returns [(alpha, accuracy_pct, pct_overdue)] sorted by alpha."""
-    from dataclasses import replace
-
-    from .simulator import run_simulation
-
-    rows = []
-    for alpha in sorted(set(alphas)):
-        config = replace(base_config, policy="dabt", alpha=alpha)
-        result = run_simulation(config, corpus, table, dev_profiles)
-        report = compute_report(result)
-        rows.append((alpha, report.accuracy_pct, report.pct_overdue))
-    return rows
-
-
 def sweep_to_csv(rows) -> str:
     buf = io.StringIO()
     buf.write("alpha,accuracy_pct,pct_overdue\n")

@@ -108,27 +108,22 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
 
     Each bug's text is preprocessed once and feeds both the classifier
     and the topic fold-in; its cost row is the filled cost matrix's
-    column for its topic, or the global mean for GLOBAL_TOPIC.
+    column for its topic, or the global mean for GLOBAL_TOPIC.  The
+    columns are the models' one developer order, which ``load_models``
+    checks.
     """
-    dev_ids = models.dev_ids
-    matrix = models.cost_matrix
-    if matrix.dev_ids != dev_ids:
-        raise ValidationError("cost matrix developers differ from the active developers")
-    global_mean = matrix.global_mean
+    matrix, vocab, history = models.cost_matrix, models.vocab, corpus.history
     bug_ids = sorted(
         b for b in corpus.assignable_ids
-        if boundary_day < corpus.history[b].reported_at <= end_day
+        if boundary_day < history[b].reported_at <= end_day
     )
-    S = np.empty((len(bug_ids), len(dev_ids)))
-    C = np.empty((len(bug_ids), len(dev_ids)))
-    for i, bug_id in enumerate(bug_ids):
-        rec = corpus.history[bug_id]
-        doc = preprocess_text(rec.summary, rec.description, bug_id)
-        row = tfidf_transform(doc, models.vocab)
-        S[i] = predict_suitability(models.linear_model, row, dev_ids)
-        topic = infer_topic(models.topic_model, doc, models.vocab)
-        C[i] = global_mean if topic == GLOBAL_TOPIC else matrix.filled[:, topic]
-    return FeatureTable(dev_ids=tuple(dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
+    docs = [preprocess_text(history[b].summary, history[b].description, b) for b in bug_ids]
+    X = np.array([tfidf_transform(doc, vocab) for doc in docs]).reshape(len(docs), len(vocab))
+    topics = np.array([infer_topic(models.topic_model, doc, vocab) for doc in docs], dtype=int)
+    C = matrix.filled.T[topics]
+    C[topics == GLOBAL_TOPIC] = matrix.global_mean
+    S = predict_suitability(models.linear_model, X)
+    return FeatureTable(dev_ids=tuple(models.dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
 
 
 def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels) -> SimResult:
@@ -165,13 +160,15 @@ def _components(obj) -> frozenset:
 
 
 def profiles_from_json(text) -> dict:
-    return {
-        obj["dev_id"]: DeveloperProfile(
+    profiles = {}
+    for obj in json.loads(text):
+        if obj["dev_id"] in profiles:
+            raise ValueError(f"developer {obj['dev_id']} is listed twice")
+        profiles[obj["dev_id"]] = DeveloperProfile(
             dev_id=obj["dev_id"],
             components_experienced=_components(obj),
         )
-        for obj in json.loads(text)
-    }
+    return profiles
 
 
 def save_prepared(summary, profiles, out_dir) -> None:
@@ -238,6 +235,8 @@ def load_models(out_dir) -> TrainedModels:
         ("classifier.json", "n_features", models.linear_model.n_features,
          "vocabulary.json", "size", n_terms),
         ("cost_matrix.json", "dev_ids", models.cost_matrix.dev_ids,
+         "dev_profiles.json", "developers", models.dev_ids),
+        ("classifier.json", "developers", models.linear_model.dev_ids,
          "dev_profiles.json", "developers", models.dev_ids),
     ):
         if value != expected:

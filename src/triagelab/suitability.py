@@ -137,23 +137,16 @@ def train_classifier(
     )
 
 
-def predict_suitability(model: LinearModel, row: np.ndarray, developers) -> np.ndarray:
-    """Min-max normalized decision values of a TF-IDF ``row``, one per
-    developer in sorted ``developers`` order.
+def predict_suitability(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Min-max normalized decision values of the TF-IDF rows ``X``, one
+    row per bug and one column per developer in ``model.dev_ids`` order.
 
-    All-equal decision values normalize to all 1.0 (no information:
-    every developer equally suitable).
+    A row whose decision values are all equal normalizes to all 1.0 (no
+    information: every developer equally suitable).
     """
-    developers = sorted(developers)
-    if not developers:
-        raise ValidationError("empty developer set")
-    decisions = model.decision_values(row)
-    row_index = {dev: i for i, dev in enumerate(model.dev_ids)}
-    try:
-        values = decisions[[row_index[d] for d in developers]]
-    except KeyError as exc:
-        raise ValidationError(f"developer {exc.args[0]} not in model") from exc
-    lo, hi = values.min(), values.max()
-    if hi - lo == 0.0:
-        return np.ones(len(developers))
-    return (values - lo) / (hi - lo)
+    # one product per row: a single X @ W.T rounds differently
+    values = np.array([model.decision_values(row) for row in X])
+    values = values.reshape(len(X), len(model.dev_ids))
+    lo = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - lo
+    return np.divide(values - lo, span, out=np.ones_like(values), where=span != 0)

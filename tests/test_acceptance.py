@@ -190,7 +190,7 @@ def test_model_invariants(mini_env):
     phi_ok = bool(np.all(np.abs(models.topic_model.phi.sum(axis=1) - 1.0) <= 1e-9))
     cm = models.cost_matrix
     cost_ok = bool(np.all(cm.filled > 0)) and all(
-        cm.cost(d, k) == v for (d, k), v in cm.observed.items()
+        cm.filled[cm.dev_ids.index(d), k] == v for (d, k), v in cm.observed.items()
     )
     test_bugs = [r for r in mini_env.cleaned if r.reported_at > MINI_BOUNDARY]
     rows = mini_env.table.rows([r.bug_id for r in test_bugs[:50]])

@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -273,6 +274,11 @@ def _first_components(obj, components):
         ("topic_model.json", lambda obj, _: dict(obj, phi=[[0.0] + row[1:] for row in obj["phi"]]),
          "topic_model.json"),
         ("dev_profiles.json", lambda obj, _: _first_components(obj, "abc"), "dev_profiles.json"),
+        ("classifier.json", lambda obj, _: dict(obj, developers=obj["developers"]
+                                                + [dict(obj["developers"][0], dev_id=999)]),
+         "dev_profiles.json"),
+        ("dev_profiles.json", lambda obj, _: obj + [dict(obj[0], components_experienced=[])],
+         "dev_profiles.json"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
          "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan",
@@ -280,7 +286,7 @@ def _first_components(obj, components):
          "term-index-huge", "term-index-negative", "term-index-repeated", "df-minus-1",
          "df-minus-5", "df-string", "n_docs-negative", "seed-negative", "seed-float",
          "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero", "phi-column-zero",
-         "components-string"],
+         "components-string", "classifier-extra-developer", "developer-repeated"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
     """Model files that disagree, such as a --topics 6 topic model beside
@@ -441,16 +447,18 @@ def test_solve_bad_instance_is_one_error_line(tmp_path, capsys, content):
 
 
 def test_solve_pool_deeper_than_the_search_is_one_error_line(tmp_path, capsys):
-    bugs = [
-        InstanceBug(i, tuple(1.0 if j == i % 3 else 0.5 for j in range(3)),
-                    tuple(float(1 + (i * 7 + j) % 3) for j in range(3)))
-        for i in range(1100)
-    ]
-    inst = AssignmentInstance(bugs=bugs, developers=[(d, 40.0) for d in range(3)])
+    """One developer whose capacity fits 1,000 of 1,100 unit-cost bugs:
+    no bound prunes the search before it recurses past the limit."""
+    bugs = [InstanceBug(i, (1.0,), (1.0,)) for i in range(1100)]
+    inst = AssignmentInstance(bugs=bugs, developers=[(0, 1000.5)])
     path = tmp_path / "instance.json"
     path.write_text(inst.to_json())
-    assert dispatch(["solve", str(path)]) == 1
-    assert "pool of 1100 bugs" in _one_error_line(capsys)
+    for variant in ("dabt", "rabt"):
+        assert dispatch(["solve", str(path), "--variant", variant]) == 1
+        assert _one_error_line(capsys) == (
+            "error: a pool of 1100 bugs is deeper than the exact search can recurse "
+            f"(Python's recursion limit is {sys.getrecursionlimit()})\n"
+        )
 
 
 def test_report_repeated_run_is_one_error_line(tmp_path, capsys):

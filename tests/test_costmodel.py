@@ -273,29 +273,29 @@ def test_cf_fill_similarity_weighted_hand_value():
     filled = fill_missing_cf(observed, [1, 2, 3], K=2)
     # dev 2 topic 1: 1-D overlaps give cosine 1 to both dev 1 and dev 3
     # -> (4 + 8) / 2 = 6
-    assert filled.cost(2, 1) == pytest.approx(6.0)
+    assert filled.filled[1, 1] == pytest.approx(6.0)
     assert filled.provenance[(2, 1)] == CF
     # observed cells untouched
     for (d, k), v in observed.items():
-        assert filled.cost(d, k) == v
+        assert filled.filled[filled.dev_ids.index(d), k] == v
         assert filled.provenance[(d, k)] is not CF
 
 
 def test_cf_fill_column_mean_and_global_fallbacks():
     filled = fill_missing_cf({(1, 0): 3.0, (1, 1): 5.0}, [1, 2], K=3)
     # dev 2 has no observations: no similarity, column-mean fallback
-    assert filled.cost(2, 0) == pytest.approx(3.0)
+    assert filled.filled[1, 0] == pytest.approx(3.0)
     assert filled.provenance[(2, 0)] == CF
     # topic 2 observed nowhere: global mean for every developer
-    assert filled.cost(1, 2) == pytest.approx(4.0)
-    assert filled.cost(2, 2) == pytest.approx(4.0)
+    assert filled.filled[:, 2].tolist() == pytest.approx([4.0, 4.0])
     assert filled.provenance[(1, 2)] == GLOBAL_MEAN
     assert np.all(filled.filled > 0)
 
 
 def test_cost_global_topic_sentinel_maps_to_global_mean():
     matrix = fill_missing_cf({(1, 0): 2.0, (1, 1): 6.0}, [1], K=2)
-    assert matrix.cost(1, GLOBAL_TOPIC) == pytest.approx(4.0)
+    # feature_table gives a GLOBAL_TOPIC bug this cost for every developer
+    assert matrix.global_mean == pytest.approx(4.0)
 
 
 def test_empty_matrix_rejected():

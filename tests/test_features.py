@@ -1,13 +1,12 @@
 """The feature table against the per-bug path it replaced: each bug
-preprocessed, vectorized and scored on its own, and its cost looked up
-one developer at a time."""
+preprocessed, vectorized, scored and min-max normalized on its own,
+and its cost looked up one developer column at a time."""
 
 import numpy as np
 
 from triagelab import pipeline
 from triagelab.costmodel import GLOBAL_TOPIC, infer_topic
 from triagelab.simulator import ReplayCorpus, SimConfig
-from triagelab.suitability import predict_suitability
 from triagelab.textprep import preprocess_text, tfidf_transform
 
 from conftest import MINI_BOUNDARY, MINI_END, make_bug
@@ -16,9 +15,17 @@ from conftest import MINI_BOUNDARY, MINI_END, make_bug
 def _reference_rows(models, rec):
     doc = preprocess_text(rec.summary, rec.description, rec.bug_id)
     vec = tfidf_transform(doc, models.vocab)
-    s = predict_suitability(models.linear_model, vec, models.dev_ids)
+    linear, matrix = models.linear_model, models.cost_matrix
+    decisions = linear.decision_values(vec)
+    values = decisions[[linear.dev_ids.index(d) for d in models.dev_ids]]
+    lo, hi = values.min(), values.max()
+    s = np.ones(len(values)) if hi - lo == 0.0 else (values - lo) / (hi - lo)
     topic = infer_topic(models.topic_model, doc, models.vocab)
-    c = np.array([models.cost_matrix.cost(d, topic) for d in models.dev_ids])
+    c = np.array([
+        matrix.global_mean if topic == GLOBAL_TOPIC
+        else matrix.filled[matrix.dev_ids.index(d), topic]
+        for d in models.dev_ids
+    ])
     return s, c, topic
 
 

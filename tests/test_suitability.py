@@ -29,9 +29,10 @@ def test_separable_fixture_learned():
     docs, vocab, X, labels = _separable_fixture()
     model = train_classifier(X, labels)
     assert model.n_features == len(vocab)
-    for doc, label in zip(docs, labels):
-        row = predict_suitability(model, tfidf_transform(doc, vocab), [1, 2])
-        assert [1, 2][row.argmax()] == label
+    S = predict_suitability(model, np.array([tfidf_transform(doc, vocab) for doc in docs]))
+    assert S.shape == (len(docs), 2)
+    for row, label in zip(S, labels):
+        assert model.dev_ids[row.argmax()] == label
         assert row.max() == 1.0
         assert row.min() >= 0.0
 
@@ -63,30 +64,28 @@ def test_requires_two_labels():
 def test_all_equal_scores_normalize_to_one():
     model = LinearModel(
         dev_ids=[1, 2, 3],
-        weights=np.zeros((3, 4)),
+        weights=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
         bias=np.zeros(3),
-        n_features=4,
+        n_features=2,
     )
-    row = predict_suitability(model, np.zeros(4), [1, 2, 3])
-    assert row.tolist() == [1.0, 1.0, 1.0]
+    # the second row's decision values are all 0.0; the first's are not
+    S = predict_suitability(model, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert S.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
 
 
-def test_empty_developer_set_rejected():
+def test_no_rows_give_an_empty_matrix():
     model = LinearModel([1, 2], np.zeros((2, 3)), np.zeros(2), 3)
-    with pytest.raises(ValidationError):
-        predict_suitability(model, np.zeros(3), [])
-    with pytest.raises(ValidationError):
-        predict_suitability(model, np.zeros(3), [1, 99])
+    assert predict_suitability(model, np.zeros((0, 3))).shape == (0, 2)
 
 
 def test_argmax_tie_breaks_to_smallest_dev():
-    # raw decision values: dev 5 -> 1.0, dev 3 -> 1.0, dev 9 -> 0.2
+    # raw decision values: dev 3 -> 1.0, dev 5 -> 1.0, dev 9 -> 0.2
     model = LinearModel(
-        dev_ids=[5, 3, 9],
+        dev_ids=[3, 5, 9],
         weights=np.zeros((3, 2)),
         bias=np.array([1.0, 1.0, 0.2]),
         n_features=2,
     )
-    row = predict_suitability(model, np.zeros(2), [9, 5, 3])  # columns in sorted order
+    row = predict_suitability(model, np.zeros((1, 2)))[0]  # columns in model.dev_ids order
     assert row.tolist() == [1.0, 1.0, 0.0]
-    assert [3, 5, 9][row.argmax()] == 3
+    assert model.dev_ids[row.argmax()] == 3
