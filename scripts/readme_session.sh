@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Run the README quick-start session into a fresh directory, with the
 # other three policies simulated as well so that every policy's files are
-# covered, then solve the four bundled backlog pools with both exact
-# variants, and print a sha256 manifest of every file it writes (names
-# relative to that directory, so two runs compare with diff).  Command
-# output other than the solutions goes to stderr.
+# covered and `report` reads all five result files back, then solve the
+# four bundled backlog pools with both exact variants, and print a sha256
+# manifest of every file it writes (names relative to that directory, so
+# two runs compare with diff).  Command output other than the solutions
+# goes to stderr.
 #
 # usage: scripts/readme_session.sh OUT_DIR [COMMAND...]
 #   COMMAND runs the CLI; it defaults to the installed `triagelab`
@@ -27,10 +28,12 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     "$@" validate "$data"
     "$@" prepare "${common[@]}"
     "$@" train "${common[@]}" --topics 4 --lda-iters 20
+    results=()
     for policy in dabt cbr actual costriage rabt; do
         "$@" simulate "${common[@]}" --policy "$policy" --end 730
+        results+=("$out/run/result_${policy}_a0.5.json")
     done
-    "$@" report --out "$out/run" "$out/run/result_dabt_a0.5.json" "$out/run/result_cbr_a0.5.json"
+    "$@" report --out "$out/run" "${results[@]}"
     "$@" sweep "${common[@]}" --alphas 0,0.5,1 --end 730
 } >&2
 # The exact search's assignments and node counts at backlog scale

@@ -128,12 +128,6 @@ class DependencyGraph:
             self.children[parent].discard(bug)
         self.resolved.add(bug)
 
-    def blocking_parents(self, bug: int) -> set:
-        """Direct unresolved blockers of an open bug (not transitive)."""
-        if bug not in self.parents:
-            raise ValidationError(f"bug {bug} is not an open node")
-        return set(self.parents[bug])
-
     def is_acyclic(self) -> bool:
         """Full topological-sort check."""
         return len(topological_order(self.children)) == len(self.children)

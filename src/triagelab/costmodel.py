@@ -71,6 +71,8 @@ class TopicModel:
     def from_json(cls, text: str) -> "TopicModel":
         obj = json.loads(text)
         phi = np.array(obj["phi"])
+        if type(obj["K"]) is not int:  # 4.0 == 4 would pass the shape check
+            raise ValueError(f"K {obj['K']!r} is not an integer")
         if phi.shape != (obj["K"], obj["vocab_size"]):
             raise ValueError(f"phi has shape {phi.shape}, not (K, vocab_size)")
         if not (np.isfinite(phi) & (phi >= 0)).all():

@@ -162,12 +162,13 @@ def _components(obj) -> frozenset:
 def profiles_from_json(text) -> dict:
     profiles = {}
     for obj in json.loads(text):
-        if obj["dev_id"] in profiles:
-            raise ValueError(f"developer {obj['dev_id']} is listed twice")
-        profiles[obj["dev_id"]] = DeveloperProfile(
-            dev_id=obj["dev_id"],
-            components_experienced=_components(obj),
-        )
+        dev_id = obj["dev_id"]
+        # 1.0 and true equal 1, so they would pass every cross-check
+        if type(dev_id) is not int:
+            raise ValueError(f"developer id {dev_id!r} is not an integer")
+        if dev_id in profiles:
+            raise ValueError(f"developer {dev_id} is listed twice")
+        profiles[dev_id] = DeveloperProfile(dev_id=dev_id, components_experienced=_components(obj))
     return profiles
 
 

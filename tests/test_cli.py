@@ -279,6 +279,11 @@ def _first_components(obj, components):
          "dev_profiles.json"),
         ("dev_profiles.json", lambda obj, _: obj + [dict(obj[0], components_experienced=[])],
          "dev_profiles.json"),
+        ("dev_profiles.json", lambda obj, _: [dict(obj[0], dev_id=str(obj[0]["dev_id"]))]
+         + obj[1:], "dev_profiles.json"),
+        ("dev_profiles.json", lambda obj, _: [dict(obj[0], dev_id=float(obj[0]["dev_id"]))]
+         + obj[1:], "dev_profiles.json"),
+        ("topic_model.json", lambda obj, _: dict(obj, K=float(obj["K"])), "topic_model.json"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
          "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan",
@@ -286,7 +291,8 @@ def _first_components(obj, components):
          "term-index-huge", "term-index-negative", "term-index-repeated", "df-minus-1",
          "df-minus-5", "df-string", "n_docs-negative", "seed-negative", "seed-float",
          "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero", "phi-column-zero",
-         "components-string", "classifier-extra-developer", "developer-repeated"],
+         "components-string", "classifier-extra-developer", "developer-repeated",
+         "developer-id-string", "developer-id-float", "topic-K-float"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
     """Model files that disagree, such as a --topics 6 topic model beside

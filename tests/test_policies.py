@@ -157,16 +157,14 @@ def reference_dabt_pool(bug_ids, graph):
     while changed:
         changed = False
         for bug_id in sorted(eligible):
-            parents = graph.blocking_parents(bug_id) if bug_id in graph.children else set()
-            if parents - eligible:
+            if graph.parents.get(bug_id, set()) - eligible:
                 eligible.discard(bug_id)
                 changed = True
     arcs = []
     for bug_id in sorted(eligible):
-        if bug_id in graph.children:
-            for parent in sorted(graph.blocking_parents(bug_id)):
-                if parent in eligible:
-                    arcs.append((parent, bug_id))
+        for parent in sorted(graph.parents.get(bug_id, ())):
+            if parent in eligible:
+                arcs.append((parent, bug_id))
     return sorted(eligible), arcs
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from triagelab.corpus import DeveloperProfile
+from triagelab import simulator
 from triagelab.errors import ValidationError
+from triagelab.policies import DailyDecision
 from triagelab.simulator import FeatureTable, ReplayCorpus, SimConfig, run_simulation
 
 from conftest import make_bug
@@ -92,6 +94,32 @@ def test_cbr_assignments_queue_until_capacity_frees():
     assert second["completion_day"] == 18
 
 
+def test_fifo_queue_head_holds_back_the_bugs_behind_it():
+    records = [make_bug(b, reported=11, assigned=11, resolved=15, dev=1) for b in (1, 2, 3)]
+    stub = Stub(suit={1: 1.0, 2: 0.2}, costs={1: 1.0, 2: 5.0})
+    stub.table.C[:3, 0] = [4.0, 3.0, 1.0]  # developer 1's cost of bugs 1, 2 and 3
+    result = stub.run(_config("cbr"), _corpus(records, {1, 2, 3}))
+    log = sorted(result.log, key=lambda e: e["bug_id"])
+    assert [e["assigned_day"] for e in log] == [11, 11, 11]
+    # bug 3 would fit on day 12 (T = 2), but waits until bug 2 starts
+    assert [e["start_day"] for e in log] == [11, 13, 14]
+    assert [e["completion_day"] for e in log] == [15, 16, 15]
+    by_day = {d["day"]: d["capacity"]["1"] for d in result.daily}
+    assert [by_day[d] for d in (11, 12, 13, 14)] == [2.0, 3.0, 1.0, 1.0]
+
+
+def test_rabt_batch_over_capacity_is_refused(monkeypatch):
+    # the solver contract: an exact batch always starts the day it is chosen
+    records = [make_bug(1, reported=11, assigned=11, resolved=15, dev=1)]
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
+    monkeypatch.setattr(
+        simulator, "decide_knapsack",
+        lambda day, bugs, *rest: DailyDecision(day, tuple((b, 1, 6.0) for b in bugs), ()),
+    )
+    with pytest.raises(ValidationError, match="exceeds developer 1"):
+        stub.run(_config("rabt"), _corpus(records, {1}))
+
+
 def test_actual_policy_replays_history_verbatim():
     records = [make_bug(1, reported=11, assigned=13, resolved=19, dev=2)]
     stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
@@ -134,6 +162,23 @@ def test_historical_resolution_unblocks_dependent_test_bug():
     [entry] = result.log
     assert entry["assigned_day"] == 13  # deferred on day 12, parent resolved day 13
     assert entry["infeasible"] is False
+
+
+def test_blocker_arc_removed_during_the_replay():
+    # bug 9 is never resolved; its arc to bug 1 is removed on day 14
+    records = [
+        make_bug(9, reported=8, status="OTHER",
+                 deps=[(12, "ADD_BLOCKS", 1), (14, "REMOVE_BLOCKS", 1)]),
+        make_bug(1, reported=12, assigned=12, resolved=15, dev=1),
+    ]
+    stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
+    for policy, day, infeasible in (("dabt", 14, False), ("rabt", 12, True), ("cbr", 12, True)):
+        result = stub.run(_config(policy), _corpus(records, {1}))
+        [entry] = result.log
+        assert (entry["assigned_day"], entry["infeasible"]) == (day, infeasible), policy
+        if policy == "dabt":
+            arcs = [(d["day"], d["n_arcs"]) for d in result.daily if d["n_arcs"]]
+            assert arcs == [(12, 1), (13, 1)]
 
 
 def test_accuracy_flag_uses_component_experience():
