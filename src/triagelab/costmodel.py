@@ -48,7 +48,6 @@ class TopicModel:
     alpha_lda: float
     beta_lda: float
     seed: int
-    iters: int
     vocab_size: int
     # (D, K) training mixture, for selection and the training bugs' topics
     doc_topic: np.ndarray | None = None
@@ -60,7 +59,6 @@ class TopicModel:
                 "alpha_lda": self.alpha_lda,
                 "beta_lda": self.beta_lda,
                 "seed": self.seed,
-                "iters": self.iters,
                 "vocab_size": self.vocab_size,
                 "phi": self.phi.tolist(),
             },
@@ -92,7 +90,6 @@ class TopicModel:
             alpha_lda=obj["alpha_lda"],
             beta_lda=obj["beta_lda"],
             seed=seed,
-            iters=obj["iters"],
             vocab_size=obj["vocab_size"],
         )
 
@@ -182,7 +179,6 @@ def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS
         alpha_lda=alpha,
         beta_lda=beta,
         seed=seed,
-        iters=iters,
         vocab_size=V,
         doc_topic=theta,
     )

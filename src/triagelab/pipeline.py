@@ -203,7 +203,7 @@ def read_json_file(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except (ValueError, KeyError, IndexError, TypeError, ValidationError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, OverflowError, ValidationError) as exc:
         raise ValidationError(
             f"{path}: not a valid file ({type(exc).__name__}: {exc})"
         ) from exc

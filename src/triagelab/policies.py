@@ -103,16 +103,15 @@ def decide_knapsack(
     deferred = []
     precedence = []
     if variant == DABT:
-        # In blocker order a bug's in-pool blockers are decided before
-        # it, so one pass also defers the chains an ineligible bug
-        # orphans, and no arc falls out of the instance.
-        pool = {
-            bug_id: [kid for kid in graph.children.get(bug_id, ()) if kid in row_of]
-            for bug_id in candidates
-        }
-        eligible = set()
+        # Only a bug with a blocker can be ineligible.  In blocker order a
+        # bug's in-pool blockers are decided before it, so one pass also
+        # defers the chains an ineligible bug orphans, and no arc falls
+        # out of the instance.
+        blocked = {b: graph.parents[b] for b in candidates if graph.parents.get(b)}
+        eligible = set(candidates).difference(blocked)
+        pool = {b: [kid for kid in graph.children.get(b, ()) if kid in blocked] for b in blocked}
         for bug_id in topological_order(pool):
-            parents = graph.parents.get(bug_id, ())
+            parents = blocked[bug_id]
             if eligible.issuperset(parents):
                 eligible.add(bug_id)
                 precedence.extend((parent, bug_id) for parent in parents)
@@ -121,16 +120,12 @@ def decide_knapsack(
         candidates = sorted(eligible)
         precedence.sort(key=lambda arc: (arc[1], arc[0]))
 
-    bugs = [
-        InstanceBug(
-            bug_id=bug_id,
-            s=tuple(S[row_of[bug_id]].tolist()),
-            c=tuple(C[row_of[bug_id]].tolist()),
-        )
-        for bug_id in candidates
-    ]
+    rows = [row_of[bug_id] for bug_id in candidates]
     instance = AssignmentInstance(
-        bugs=bugs,
+        bugs=[
+            InstanceBug(bug_id, tuple(s), tuple(c))
+            for bug_id, s, c in zip(candidates, S[rows].tolist(), C[rows].tolist())
+        ],
         developers=list(zip(dev_ids, capacities)),
         precedence=precedence,
         alpha=alpha,
@@ -142,7 +137,7 @@ def decide_knapsack(
         for bug_id, dev_id in solution.assignments
     )
     assigned_ids = {b for b, _ in solution.assignments}
-    deferred.extend(b for b in candidates if b not in assigned_ids)
+    deferred += [b for b in candidates if b not in assigned_ids]
     return DailyDecision(
         day=day, assignments=assignments, deferred=tuple(sorted(deferred))
     )

@@ -38,6 +38,13 @@ recurses once per bug, so a pool deeper than Python's recursion limit
 is refused with a ValidationError.  A separate vectorized
 exhaustive-enumeration oracle exists for verification and never shares
 code with the search.
+
+An instance arrives as per-bug ``InstanceBug`` rows (the JSON and CLI
+face).  ``AssignmentInstance.__post_init__`` checks their lengths, then
+builds and validates, once, the (bugs x developers) arrays ``S`` and
+``C``, the capacities ``caps`` and the precedence by row; every reader
+(``contributions``, ``check_feasible``, ``objective_value``, the search
+and the oracle) reads these, not the rows.
 """
 
 from __future__ import annotations
@@ -45,8 +52,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -82,12 +92,17 @@ class AssignmentInstance:
     developers: list  # of (dev_id, capacity)
     precedence: list = field(default_factory=list)  # (parent_bug_id, child_bug_id)
     alpha: float = 0.5
+    # Built and checked once from the fields above (arrays read-only):
+    S: np.ndarray = field(init=False, repr=False, compare=False)  # (n_bugs, n_devs)
+    C: np.ndarray = field(init=False, repr=False, compare=False)  # (n_bugs, n_devs)
+    caps: np.ndarray = field(init=False, repr=False, compare=False)  # (n_devs,)
+    children: dict = field(init=False, repr=False, compare=False)  # row -> rows it blocks
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError("alpha must lie in [0, 1]")
-        ids = [b.bug_id for b in self.bugs]
-        if len(set(ids)) != len(ids):
+        row = {b.bug_id: i for i, b in enumerate(self.bugs)}
+        if len(row) != len(self.bugs):
             raise ValidationError("duplicate bug ids in instance")
         dev_ids = [d for d, _ in self.developers]
         if len(set(dev_ids)) != len(dev_ids):
@@ -95,31 +110,45 @@ class AssignmentInstance:
         for _, cap in self.developers:
             if not 0 <= cap < math.inf:
                 raise ValidationError(f"developer capacity {cap} is not finite and non-negative")
-        for bug in self.bugs:
-            if len(bug.s) != len(self.developers) or len(bug.c) != len(self.developers):
-                raise ValidationError(f"bug {bug.bug_id}: row size mismatch")
-            if not all(map(math.isfinite, (*bug.s, *bug.c))):
-                raise ValidationError(f"bug {bug.bug_id}: suitability and cost must be finite")
-            if min(bug.c) <= 0:
-                raise ValidationError(f"bug {bug.bug_id}: costs must be positive")
-            if self.developers and abs(max(bug.s) - 1.0) > 1e-9:
-                raise ValidationError(f"bug {bug.bug_id}: suitability row max must be 1")
-        children = {bug_id: [] for bug_id in ids}
+        D = len(self.developers)
+        s_rows, c_rows = [b.s for b in self.bugs], [b.c for b in self.bugs]
+        if not set(map(len, s_rows)) | set(map(len, c_rows)) <= {D}:
+            bug = next(b for b in self.bugs if len(b.s) != D or len(b.c) != D)
+            raise ValidationError(f"bug {bug.bug_id}: row size mismatch")
+        # a string, None or a list among the entries gives a non-numeric or 3-d array
+        S, C = (np.array(rows) if rows else np.empty((0, D)) for rows in (s_rows, c_rows))
+        if S.shape != C.shape or S.ndim != 2 or {S.dtype.kind, C.dtype.kind} - set("biuf"):
+            raise ValidationError("suitability and cost must be real numbers")
+        S, C = S.astype(float), C.astype(float)
+        checks = [
+            (np.isfinite(S).all(axis=1) & np.isfinite(C).all(axis=1),
+             "suitability and cost must be finite"),
+            ((C > 0).all(axis=1), "costs must be positive"),
+            # a bug with no developer has no row max of 1
+            (np.abs(S.max(axis=1, initial=-np.inf) - 1.0) <= 1e-9, "suitability row max must be 1"),
+        ]
+        failed = [(int(ok.argmin()), problem) for ok, problem in checks if not ok.all()]
+        if failed:  # the first bug that fails, and its first failed check
+            i, problem = min(failed, key=lambda f: f[0])
+            raise ValidationError(f"bug {self.bugs[i].bug_id}: {problem}")
+        # over the bugs on an arc, the only ones that can lie on a cycle
+        children = {row[bug_id]: [] for arc in self.precedence for bug_id in arc if bug_id in row}
         for p, ch in self.precedence:
-            if p not in children or ch not in children:
+            if p not in row or ch not in row:
                 raise ValidationError(f"precedence arc ({p}, {ch}) references unknown bug")
-            children[p].append(ch)
-        if len(topological_order(children)) != len(ids):
+            children[row[p]].append(row[ch])
+        if len(topological_order(children)) != len(children):
             raise ValidationError("precedence arcs contain a cycle")
+        caps = np.array([cap for _, cap in self.developers], dtype=float)
+        for A in (S, C, caps):
+            A.flags.writeable = False
+        self.S, self.C, self.caps, self.children = S, C, caps, children
 
     def contributions(self, variant: str = DABT) -> np.ndarray:
-        """(n_bugs, n_devs) objective coefficient matrix."""
-        shape = (len(self.bugs), len(self.developers))
-        S = np.array([b.s for b in self.bugs], dtype=float).reshape(shape)
-        if variant == RABT or S.size == 0:
-            return S
-        C = np.array([b.c for b in self.bugs], dtype=float).reshape(shape)
-        return combined_score(S, C, self.alpha)
+        """(n_bugs, n_devs) objective coefficients; under RABT, the read-only ``S``."""
+        if variant == RABT or self.S.size == 0:
+            return self.S
+        return combined_score(self.S, self.C, self.alpha)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -175,14 +204,14 @@ def check_feasible(instance: AssignmentInstance, assignments, variant: str = DAB
         by_bug[bug_id] = dev_id
     bug_index = {b.bug_id: i for i, b in enumerate(instance.bugs)}
     dev_index = {d: j for j, (d, _) in enumerate(instance.developers)}
-    load = {d: 0.0 for d, _ in instance.developers}
+    load = np.zeros(len(instance.developers))
     for bug_id, dev_id in by_bug.items():
         if bug_id not in bug_index or dev_id not in dev_index:
             raise ValidationError(f"assignment ({bug_id}, {dev_id}) outside instance")
-        load[dev_id] += instance.bugs[bug_index[bug_id]].c[dev_index[dev_id]]
-    for dev_id, cap in instance.developers:
-        if load[dev_id] > cap + 1e-9:
-            raise ValidationError(f"developer {dev_id} over capacity")
+        load[dev_index[dev_id]] += instance.C[bug_index[bug_id], dev_index[dev_id]]
+    over = load > instance.caps + 1e-9
+    if over.any():
+        raise ValidationError(f"developer {instance.developers[int(over.argmax())][0]} over capacity")
     if variant == DABT:
         for parent, child in instance.precedence:
             if child in by_bug and by_bug.get(parent) != by_bug[child]:
@@ -192,29 +221,26 @@ def check_feasible(instance: AssignmentInstance, assignments, variant: str = DAB
 
 
 def objective_value(instance: AssignmentInstance, assignments, variant: str = DABT) -> float:
-    """Objective of a feasible assignment set (error if infeasible)."""
+    """Objective of a feasible assignment set (error if infeasible), summed
+    left to right by plain float addition, as the search sums it."""
     check_feasible(instance, assignments, variant)
     contrib = instance.contributions(variant)
     bug_index = {b.bug_id: i for i, b in enumerate(instance.bugs)}
     dev_index = {d: j for j, (d, _) in enumerate(instance.developers)}
-    return float(
-        sum(contrib[bug_index[b], dev_index[d]] for b, d in assignments)
-    )
+    return reduce(add, (float(contrib[bug_index[b], dev_index[d]]) for b, d in assignments), 0.0)
 
 
 def _search_order(instance: AssignmentInstance, contrib: np.ndarray, with_precedence: bool):
-    """Bug positions in topological order; among ready bugs the best
-    contribution goes first, then the smallest bug id."""
-    n = len(instance.bugs)
-    best = contrib.max(axis=1) if contrib.size else np.zeros(n)
-    bug_pos = {b.bug_id: i for i, b in enumerate(instance.bugs)}
-    children = {i: [] for i in range(n)}
-    if with_precedence:
-        for p, ch in instance.precedence:
-            children[bug_pos[p]].append(bug_pos[ch])
-    return topological_order(
-        children, key=lambda i: (-best[i], instance.bugs[i].bug_id)
-    )
+    """Bug positions in topological order; among ready bugs the smallest
+    key (-best contribution, bug id) goes first.  A bug on no arc is always
+    ready, so it goes just before the first bug on an arc whose key, or an
+    earlier one's, exceeds its own: a stable sort by those running maxima."""
+    keys = list(zip((-contrib.max(axis=1)).tolist(), [b.bug_id for b in instance.bugs]))
+    children = instance.children if with_precedence else {}
+    linked = topological_order(children, key=keys.__getitem__)
+    placed = list(zip(accumulate([keys[i] for i in linked], max), linked))
+    placed += [(key, i) for i, key in enumerate(keys) if i not in children]
+    return [i for _, i in sorted(placed, key=itemgetter(0))]
 
 
 def _allowed_devs(parents, chosen):
@@ -226,43 +252,44 @@ def _allowed_devs(parents, chosen):
     return [] if len(devs) != 1 or -1 in devs else list(devs)
 
 
-def _greedy_incumbent(instance, contrib_rows, order, parents_of, caps):
+def _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps):
     """Feasible warm start: best fitting developer per bug in order."""
     remaining = list(caps)
+    every = range(len(caps))
     chosen: dict[int, int] = {}
     value = 0.0
     for i in order:
-        bug, row, parents = instance.bugs[i], contrib_rows[i], parents_of[i]
+        row, cost, parents = contrib_rows[i], cost_rows[i], parents_of[i]
         best_j, best_v = -1, 0.0
-        for j in _allowed_devs(parents, chosen) if parents else range(len(remaining)):
-            if bug.c[j] <= remaining[j] + _EPS and row[j] > best_v + _EPS:
+        for j in _allowed_devs(parents, chosen) if parents else every:
+            if cost[j] <= remaining[j] + _EPS and row[j] > best_v + _EPS:
                 best_j, best_v = j, row[j]
         if best_j >= 0:
             chosen[i] = best_j
-            remaining[best_j] -= bug.c[best_j]
+            remaining[best_j] -= cost[best_j]
             value += best_v
     return chosen, value
 
 
-def _cost_levels(cost_rows):
-    """Each developer's distinct costs, ascending, and each bug's level on
-    each developer: the index of its cost among them.  A bug fits
-    developer j while its level is below j's fit count,
-    ``bisect_right(distinct[j], remaining[j] + slack)``, so the fit-aware
-    bound depends on ``remaining`` only through the D fit counts.
-    Returns (distinct, levels)."""
-    distinct = [sorted(set(column)) for column in zip(*cost_rows)]
-    index = [{c: k for k, c in enumerate(costs)} for costs in distinct]
-    levels = [[index[j][c] for j, c in enumerate(row)] for row in cost_rows]
-    return distinct, levels
+def _distinct_costs(C):
+    """Each developer's distinct costs in the (n, D) array ``C``,
+    ascending.  A bug's level on developer j is the index of its cost
+    among them, and it fits j while that level is below j's fit count,
+    ``bisect_right(distinct[j], remaining[j] + slack)``, so the
+    fit-aware bound depends on ``remaining`` only through the D fit
+    counts."""
+    return [sorted(set(column)) for column in C.T.tolist()]
 
 
-def _fit_walks(order, contrib_rows, dev_order, levels):
+def _fit_walks(order, contrib_rows, cost_rows, dev_order, distinct):
     """Per rank r, the developers of bug order[r] with a positive
     contribution, best first (``dev_order``), as (developer, level,
     contribution); a bug with none has an empty walk."""
     return [
-        [(j, levels[i][j], contrib_rows[i][j]) for j in dev_order[i] if contrib_rows[i][j] > 0.0]
+        [
+            (j, bisect_left(distinct[j], cost_rows[i][j]), contrib_rows[i][j])
+            for j in dev_order[i] if contrib_rows[i][j] > 0.0
+        ]
         for i in order
     ]
 
@@ -321,23 +348,21 @@ def _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked):
 
 
 def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentSolution:
-    n = len(instance.bugs)
-    D = len(instance.developers)
+    n, D = instance.C.shape
     if n == 0 or D == 0:
         return AssignmentSolution(assignments=(), objective_value=0.0, node_count=0)
     contrib = instance.contributions(variant)
     with_prec = variant == DABT
     order = _search_order(instance, contrib, with_prec)
-    bug_pos = {b.bug_id: i for i, b in enumerate(instance.bugs)}
     parents_of = [[] for _ in range(n)]
-    if with_prec:
-        for p, ch in instance.precedence:
-            parents_of[bug_pos[ch]].append(bug_pos[p])
-    caps = [cap for _, cap in instance.developers]
+    for p, kids in instance.children.items() if with_prec else ():
+        for ch in kids:
+            parents_of[ch].append(p)
+    caps = instance.caps.tolist()
     # The search runs on Python floats: the same IEEE arithmetic as numpy
     # scalars, without their per-operation overhead.
     contrib_rows = contrib.tolist()
-    cost_rows = [b.c for b in instance.bugs]
+    cost_rows = instance.C.tolist()
 
     # The search admits each bug with + _EPS and `remaining` picks up
     # rounding over a search, so a fit test against remaining + slack
@@ -345,19 +370,18 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     # tolerance).
     slack = (n + 1) * _EPS + 1e-9
 
-    # per-bug developer option order: contribution desc, then dev_id
-    dev_ids = [d for d, _ in instance.developers]
-    dev_order = [
-        sorted(range(D), key=lambda j: (-row[j], dev_ids[j])) for row in contrib_rows
-    ]
+    # per-bug developer option order: contribution desc, then dev_id, as
+    # one stable sort of the columns taken in dev_id order
+    by_id = np.argsort([d for d, _ in instance.developers], kind="stable")
+    dev_order = by_id[np.argsort(-contrib[:, by_id], axis=1, kind="stable")].tolist()
 
     # One bound table per vector of fit counts, built when a node first
     # reaches that vector: a free-developer column where that table
     # applies, else the fit-aware table.
-    distinct, levels = _cost_levels(cost_rows)
+    distinct = _distinct_costs(instance.C)
     blocked = {i for i in range(n) if parents_of[i]}
     matching = _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked)
-    walks = _fit_walks(order, contrib_rows, dev_order, levels) if matching is None else None
+    walks = _fit_walks(order, contrib_rows, cost_rows, dev_order, distinct) if matching is None else None
     tables: dict[tuple, list] = {}
 
     def fit_table(counts: tuple) -> list:
@@ -371,9 +395,7 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             tables[counts] = table
         return table
 
-    incumbent, best_value = _greedy_incumbent(
-        instance, contrib_rows, order, parents_of, caps
-    )
+    incumbent, best_value = _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps)
     best_choice = dict(incumbent)
     choice: dict[int, int] = {}
     remaining = list(caps)
@@ -433,18 +455,13 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             f"a pool of {n} bugs is deeper than the exact search can recurse "
             f"(Python's recursion limit is {sys.getrecursionlimit()})"
         ) from None
-    assignments = tuple(
-        sorted(
-            (instance.bugs[i].bug_id, instance.developers[j][0])
-            for i, j in best_choice.items()
-        )
-    )
-    # objective_value raises unless the assignments are feasible
-    return AssignmentSolution(
-        assignments=assignments,
-        objective_value=objective_value(instance, assignments, variant),
-        node_count=node_count,
-    )
+    # in bug-id order; the objective sums their contributions left to right
+    # by plain float addition (the builtin sum compensates from Python 3.12)
+    cells = sorted(best_choice.items(), key=lambda cell: instance.bugs[cell[0]].bug_id)
+    assignments = tuple((instance.bugs[i].bug_id, instance.developers[j][0]) for i, j in cells)
+    check_feasible(instance, assignments, variant)
+    value = reduce(add, (contrib_rows[i][j] for i, j in cells), 0.0)
+    return AssignmentSolution(assignments=assignments, objective_value=value, node_count=node_count)
 
 
 def solve_dabt(instance: AssignmentInstance) -> AssignmentSolution:
@@ -466,19 +483,14 @@ def brute_force_oracle(instance: AssignmentInstance, variant: str = DABT) -> Ass
     high digits and adds their contribution as scalars.  Independent of
     the branch-and-bound path.  Refuses instances above 12 bugs.
     """
-    n = len(instance.bugs)
-    D = len(instance.developers)
+    n, D = instance.C.shape
     if n > _ORACLE_MAX_BUGS:
         raise ValidationError(f"oracle refuses instances with more than {_ORACLE_MAX_BUGS} bugs")
     if n == 0 or D == 0:
         return AssignmentSolution(assignments=(), objective_value=0.0, node_count=0)
     contrib = instance.contributions(variant)  # (n, D)
-    costs = np.array([b.c for b in instance.bugs])  # (n, D)
-    caps = np.array([cap for _, cap in instance.developers])
-    bug_pos = {b.bug_id: i for i, b in enumerate(instance.bugs)}
-    arcs = [(bug_pos[p], bug_pos[ch]) for p, ch in instance.precedence]
-    if variant != DABT:
-        arcs = []
+    costs, caps = instance.C, instance.caps
+    arcs = [(p, ch) for p, kids in instance.children.items() for ch in kids] if variant == DABT else []
 
     base = D + 1  # choice D means unassigned
     k = n
@@ -491,12 +503,10 @@ def brute_force_oracle(instance: AssignmentInstance, variant: str = DABT) -> Ass
     contrib_ext = np.vstack([contrib.T, np.zeros(n)])  # (D+1, n)
     cost_ext = np.vstack([costs.T, np.zeros(n)])
     low_value = np.zeros(low_total)
-    low_loads = np.zeros((low_total, D))
+    low_loads = np.zeros((low_total, D + 1))  # column D: the unassigned, at cost 0
     for i in range(k):
         low_value += contrib_ext[low_dig[:, i], i]
-        col_cost = cost_ext[low_dig[:, i], i]
-        for j in range(D):
-            low_loads[:, j] += np.where(low_dig[:, i] == j, col_cost, 0.0)
+        low_loads[low_codes, low_dig[:, i]] += cost_ext[low_dig[:, i], i]
     # precedence arcs entirely inside the low digits never change
     low_ok = np.ones(low_total, dtype=bool)
     for p, ch in arcs:
@@ -505,16 +515,13 @@ def brute_force_oracle(instance: AssignmentInstance, variant: str = DABT) -> Ass
 
     best_value = -1.0
     best_code = 0
-    checked = 0
     for high in range(base ** (n - k)):
         high_dig = [(high // base**i) % base for i in range(n - k)]
         high_value = sum(contrib_ext[d, k + i] for i, d in enumerate(high_dig))
-        high_loads = np.zeros(D)
+        high_loads = np.zeros(D + 1)
         for i, d in enumerate(high_dig):
-            high_loads += np.where(np.arange(D) == d, cost_ext[d, k + i], 0.0)
-        ok = low_ok & np.all(
-            low_loads + high_loads <= caps + 1e-9, axis=1
-        )
+            high_loads[d] += cost_ext[d, k + i]
+        ok = low_ok & np.all(low_loads[:, :D] + high_loads[:D] <= caps + 1e-9, axis=1)
         for p, ch in arcs:
             if p < k and ch < k:
                 continue
@@ -526,7 +533,6 @@ def brute_force_oracle(instance: AssignmentInstance, variant: str = DABT) -> Ass
         if value[idx] > best_value + _EPS:
             best_value = float(value[idx])
             best_code = int(high) * low_total + int(low_codes[idx])
-        checked += low_total
 
     digits = [(best_code // base**i) % base for i in range(n)]
     assignments = tuple(
@@ -539,5 +545,5 @@ def brute_force_oracle(instance: AssignmentInstance, variant: str = DABT) -> Ass
     return AssignmentSolution(
         assignments=assignments,
         objective_value=best_value,
-        node_count=checked,
+        node_count=base**n,  # every code is checked
     )

@@ -441,9 +441,12 @@ def test_negative_seed_is_one_error_line(workdir, tmp_path, capsys):
         '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [Infinity]}], "developers": [[7, 5.0]]}',
         '{"bugs": [{"bug_id": 1, "s": [1.0, 1.0], "c": [2.0, 2.0]}],'
         ' "developers": [[1, 5.0], [1, 0.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0, 1.0], "c": [2.0]}], "developers": [[1, 5.0], [2, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": ["x"], "c": [2.0]}], "developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7, 1' + "0" * 400 + ']]}',
     ],
     ids=["not-json", "no-bugs", "capacity-nan", "suitability-nan", "cost-infinity",
-         "duplicate-developer"],
+         "duplicate-developer", "cost-row-short", "suitability-string", "capacity-huge-integer"],
 )
 def test_solve_bad_instance_is_one_error_line(tmp_path, capsys, content):
     path = tmp_path / "instance.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -320,3 +322,8 @@ def test_topic_model_json_roundtrip():
     assert np.allclose(again.phi, model.phi)
     probe = TokenizedDoc(1, ("render", "pixel"))
     assert infer_topic(again, probe, vocab) == infer_topic(model, probe, vocab)
+    # files written before the iteration count was dropped still load
+    obj = json.loads(model.to_json())
+    assert "iters" not in obj
+    older = TopicModel.from_json(json.dumps({**obj, "iters": 30}))
+    assert np.array_equal(older.phi, again.phi)

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from triagelab.corpus import clean_bugs
 from triagelab.minicorpus import (
     EXPERT_IDS,
@@ -42,3 +49,18 @@ def test_dependency_arcs_present_with_one_cycle(mini_records):
 def test_sorted_by_report_day(mini_records):
     keys = [(r.reported_at, r.bug_id) for r in mini_records]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_generator_script_refuses_a_bad_seed_with_its_usage_line(tmp_path, seed):
+    script = Path(__file__).parent.parent / "scripts" / "generate_minicorpus.py"
+    out = tmp_path / "bugs.jsonl"
+    run = subprocess.run(
+        [sys.executable, str(script), "--seed", seed, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(script.parent.parent / "src")},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("usage:") and "Traceback" not in run.stderr
+    assert "argument --seed" in run.stderr
+    assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from triagelab import policies
+from triagelab import policies, simulator
 from triagelab.bdg import ADD_ARC, OPEN, DependencyGraph
 from triagelab.errors import ValidationError
 from triagelab.policies import (
@@ -13,9 +13,10 @@ from triagelab.policies import (
     decide_costriage,
     decide_knapsack,
 )
+from triagelab.simulator import SimConfig, run_simulation
 from triagelab.solver import AssignmentSolution
 
-from conftest import make_bug
+from conftest import MINI_BOUNDARY, MINI_END, make_bug
 
 
 def _rows(spec):
@@ -232,3 +233,34 @@ def _deps_tree(width=3, depth=8):
 def test_dabt_pool_matches_fixed_point_on_deps_tree(pool):
     arcs, n = _deps_tree()
     check_against_reference(pool, _graph_with(arcs, range(n)))
+
+
+@pytest.mark.parametrize("policy,name", [("dabt", "solve_dabt"), ("rabt", "solve_rabt")])
+def test_replay_hands_the_solver_binding_each_days_pool_and_arcs(mini_env, monkeypatch, policy, name):
+    """perfbench's tracer (pool size and arcs per solve), measure_pools.py
+    and dump_pools.py read a replay's instances by wrapping the solver as
+    ``policies`` binds it: each day's decision must reach that binding
+    once, with the day's pool (after DABT's pre-drop) and arcs."""
+    seen, want = [], []
+    solve, decide = getattr(policies, name), simulator.decide_knapsack
+
+    def recording(instance):
+        seen.append(instance)
+        return solve(instance)
+
+    def deciding(day, bug_ids, dev_ids, S, C, capacities, graph, alpha, variant):
+        want.append(reference_dabt_pool(bug_ids, graph) if policy == "dabt" else (sorted(bug_ids), []))
+        return decide(day, bug_ids, dev_ids, S, C, capacities, graph, alpha, variant)
+
+    monkeypatch.setattr(policies, name, recording)
+    monkeypatch.setattr(simulator, "decide_knapsack", deciding)
+    config = SimConfig(policy=policy, boundary_day=MINI_BOUNDARY, end_day=MINI_END, alpha=0.5,
+                       seed=0, horizon_L=mini_env.horizon)
+    result = run_simulation(config, mini_env.corpus, mini_env.table, mini_env.models.dev_profiles)
+    assert len(seen) == len(want) == MINI_END - MINI_BOUNDARY
+    assert [(len(inst.bugs), len(inst.precedence)) for inst in seen] == [
+        (len(pool), len(arcs)) for pool, arcs in want
+    ]
+    assert [([b.bug_id for b in inst.bugs], inst.precedence) for inst in seen] == want
+    assert any(inst.precedence for inst in seen) == (policy == "dabt")
+    assert result.log == mini_env.run(policy)[0].log

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triagelab.bdg import topological_order
 from triagelab.errors import ValidationError
 from triagelab.solver import (
     _EPS,
@@ -15,7 +16,7 @@ from triagelab.solver import (
     AssignmentSolution,
     InstanceBug,
     _branch_and_bound,
-    _cost_levels,
+    _distinct_costs,
     _fit_table,
     _fit_walks,
     _greedy_incumbent,
@@ -23,6 +24,7 @@ from triagelab.solver import (
     _search_order,
     brute_force_oracle,
     check_feasible,
+    combined_score,
     objective_value,
     solve_dabt,
     solve_rabt,
@@ -58,7 +60,7 @@ def reference_branch_and_bound(instance, variant):
         dev_order.append(js)
 
     incumbent, best_value = _greedy_incumbent(
-        instance, contrib.tolist(), order, parents_of, caps
+        contrib.tolist(), [list(b.c) for b in instance.bugs], order, parents_of, caps
     )
     best_choice = dict(incumbent)
     choice = {}
@@ -106,6 +108,39 @@ def reference_branch_and_bound(instance, variant):
         objective_value=objective_value(instance, assignments, variant),
         node_count=node_count,
     )
+
+
+def reference_contributions(instance, variant):
+    """The objective coefficients rebuilt from the InstanceBug tuples: the
+    reference for the instance's arrays."""
+    shape = (len(instance.bugs), len(instance.developers))
+    S = np.array([b.s for b in instance.bugs], dtype=float).reshape(shape)
+    if variant == RABT or S.size == 0:
+        return S
+    C = np.array([b.c for b in instance.bugs], dtype=float).reshape(shape)
+    return combined_score(S, C, instance.alpha)
+
+
+def reference_objective_value(instance, assignments, variant):
+    """The objective from the tuple-built coefficients, summed as numpy
+    scalars left to right (the builtin sum compensates only exact floats)."""
+    check_feasible(instance, assignments, variant)
+    contrib = reference_contributions(instance, variant)
+    bug_index = {b.bug_id: i for i, b in enumerate(instance.bugs)}
+    dev_index = {d: j for j, (d, _) in enumerate(instance.developers)}
+    return float(sum(contrib[bug_index[b], dev_index[d]] for b, d in assignments))
+
+
+def reference_search_order(instance, contrib, with_precedence):
+    """Kahn's order over every bug, best contribution then bug id first
+    among ready bugs: the reference for the search order."""
+    n = len(instance.bugs)
+    best = contrib.max(axis=1)
+    bug_pos = {b.bug_id: i for i, b in enumerate(instance.bugs)}
+    children = {i: [] for i in range(n)}
+    for p, ch in instance.precedence if with_precedence else ():
+        children[bug_pos[p]].append(bug_pos[ch])
+    return topological_order(children, key=lambda i: (-best[i], instance.bugs[i].bug_id))
 
 
 def milp_optimum(instance, variant):
@@ -289,9 +324,22 @@ def test_instance_validation_errors():
     for cap in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
             AssignmentInstance(bugs=[bug], developers=[(1, cap)])
-    for s, c in (((float("nan"),), (2.0,)), ((1.0,), (float("nan"),)), ((1.0,), (float("inf"),))):
-        with pytest.raises(ValidationError, match="finite"):
+    for s, c in (((float("nan"),), (2.0,)), ((1.0,), (float("nan"),)), ((1.0,), (float("inf"),)),
+                 ((float("-inf"),), (2.0,))):
+        with pytest.raises(ValidationError, match="bug 1: suitability and cost must be finite"):
             AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
+    for s, c in ((("x",), (2.0,)), (("1.0",), (2.0,)), ((None,), (2.0,)), (([1.0],), (2.0,))):
+        with pytest.raises(ValidationError, match="suitability and cost must be real numbers"):
+            AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
+    for s, c in (((1.0,), (2.0, 2.0)), ((1.0, 1.0), (2.0,))):  # an s row, then a c row, of the wrong length
+        with pytest.raises(ValidationError, match="bug 1: row size mismatch"):
+            AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0), (2, 5.0)])
+    # the first bug that fails is named, with its first failed check
+    rows = [((1.0,), (2.0,)), ((0.5,), (-1.0,)), ((float("nan"),), (2.0,))]
+    with pytest.raises(ValidationError, match="^bug 2: costs must be positive$"):
+        AssignmentInstance(
+            bugs=[InstanceBug(i + 1, s, c) for i, (s, c) in enumerate(rows)], developers=[(1, 5.0)]
+        )
     with pytest.raises(ValidationError):
         AssignmentInstance(bugs=[bug], developers=[(1, 5.0)], precedence=[(1, 99)])
     two = [InstanceBug(1, (1.0,), (1.0,)), InstanceBug(2, (1.0,), (1.0,))]
@@ -397,6 +445,31 @@ def unit_case_instances(draw):
     )
 
 
+def _hexes(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coarse_instances(), variant=st.sampled_from([DABT, RABT]))
+def test_arrays_equal_the_tuple_references(inst, variant):
+    contrib = inst.contributions(variant)
+    assert _hexes(contrib.ravel()) == _hexes(reference_contributions(inst, variant).ravel())
+    assert _search_order(inst, contrib, variant == DABT) == reference_search_order(
+        inst, contrib, variant == DABT
+    )
+    solution = solve_dabt(inst) if variant == DABT else solve_rabt(inst)
+    want = reference_objective_value(inst, solution.assignments, variant)
+    assert _hexes([objective_value(inst, solution.assignments, variant)]) == _hexes([want])
+    # the solution's objective: its contributions added left to right as
+    # plain floats, never a compensated sum
+    row = {b.bug_id: i for i, b in enumerate(inst.bugs)}
+    col = {d: j for j, (d, _) in enumerate(inst.developers)}
+    total = 0.0
+    for bug_id, dev_id in solution.assignments:
+        total += float(contrib[row[bug_id], col[dev_id]])
+    assert _hexes([solution.objective_value]) == _hexes([total])
+
+
 @settings(max_examples=300, deadline=None)
 @given(inst=coarse_instances() | unit_case_instances())
 def test_capacity_bound_search_equals_suffix_reference(inst):
@@ -458,8 +531,12 @@ def _fit_setup(inst, variant):
     dev_order = [
         sorted(range(len(dev_ids)), key=lambda j: (-row[j], dev_ids[j])) for row in contrib_rows
     ]
-    distinct, levels = _cost_levels([b.c for b in inst.bugs])
-    walks = _fit_walks(order, contrib_rows, dev_order, levels)
+    distinct = _distinct_costs(inst.C)
+    cost_rows = [list(b.c) for b in inst.bugs]
+    # each bug's level: the index of its cost among the developer's distinct costs
+    index = [{c: k for k, c in enumerate(sorted(set(column)))} for column in zip(*cost_rows)]
+    levels = [[index[j][c] for j, c in enumerate(row)] for row in cost_rows]
+    walks = _fit_walks(order, contrib_rows, cost_rows, dev_order, distinct)
     return order, contrib_rows, levels, walks, distinct
 
 
