@@ -21,7 +21,6 @@ tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,6 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ValidationError
+from .schema import Spec
 
 GLOBAL_TOPIC = -1  # sentinel for docs with no in-vocabulary tokens
 
@@ -39,6 +39,7 @@ BETA_LDA = 0.01
 OBSERVED = "OBSERVED"
 CF = "CF"
 GLOBAL_MEAN = "GLOBAL_MEAN"
+PROVENANCE = (OBSERVED, CF, GLOBAL_MEAN)  # how a cost cell was filled
 
 
 @dataclass
@@ -46,52 +47,30 @@ class TopicModel:
     K: int
     phi: np.ndarray  # (K, V); rows sum to 1
     alpha_lda: float
-    beta_lda: float
     seed: int
     vocab_size: int
     # (D, K) training mixture, for selection and the training bugs' topics
     doc_topic: np.ndarray | None = None
 
+    SCHEMA = Spec("obj", {
+        "K": Spec("int", min=1),
+        "alpha_lda": Spec("num", above=0),
+        "seed": Spec("int", min=0),
+        "vocab_size": Spec("int", min=1),
+        "phi": Spec("list", Spec("list", Spec("num", min=0), length="vocab_size"), length="K"),
+    })
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "K": self.K,
-                "alpha_lda": self.alpha_lda,
-                "beta_lda": self.beta_lda,
-                "seed": self.seed,
-                "vocab_size": self.vocab_size,
-                "phi": self.phi.tolist(),
-            },
-            indent=2,
-        )
+        return json.dumps({"K": self.K, "alpha_lda": self.alpha_lda, "seed": self.seed,
+                           "vocab_size": self.vocab_size, "phi": self.phi.tolist()}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "TopicModel":
-        obj = json.loads(text)
-        phi = np.array(obj["phi"])
-        if type(obj["K"]) is not int:  # 4.0 == 4 would pass the shape check
-            raise ValueError(f"K {obj['K']!r} is not an integer")
-        if phi.shape != (obj["K"], obj["vocab_size"]):
-            raise ValueError(f"phi has shape {phi.shape}, not (K, vocab_size)")
-        if not (np.isfinite(phi) & (phi >= 0)).all():
-            raise ValueError("phi must be finite and non-negative")
+        obj = cls.SCHEMA.parse(text)
+        phi = np.array(obj["phi"], dtype=float)
         if not ((phi.sum(axis=1) > 0).all() and (phi.sum(axis=0) > 0).all()):
-            raise ValueError("every phi row and column must have a positive sum")
-        seed = obj["seed"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed {seed!r} is not a non-negative integer")
-        for name in ("alpha_lda", "beta_lda"):
-            value = obj[name]
-            if type(value) not in (int, float) or not 0 < value < math.inf:
-                raise ValueError(f"{name} {value!r} is not finite and positive")
-        return cls(
-            K=obj["K"],
-            phi=phi,
-            alpha_lda=obj["alpha_lda"],
-            beta_lda=obj["beta_lda"],
-            seed=seed,
-            vocab_size=obj["vocab_size"],
-        )
+            raise ValidationError("every phi row and column must have a positive sum")
+        return cls(**dict(obj, phi=phi))
 
 
 def _doc_word_ids(doc, vocab):
@@ -177,7 +156,6 @@ def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS
         K=K,
         phi=phi,
         alpha_lda=alpha,
-        beta_lda=beta,
         seed=seed,
         vocab_size=V,
         doc_topic=theta,
@@ -270,42 +248,38 @@ class CostMatrix:
 
     @property
     def global_mean(self) -> float:
-        if not self.observed:
-            raise ValidationError("cost matrix has no observed cells")
         return float(np.mean(list(self.observed.values())))
 
+    # a cell is [dev_id, topic, value]; fill_missing_cf needs an observed one
+    _CELL = Spec("int", one_of="dev_ids"), Spec("int", min=0, below="K")
+    SCHEMA = Spec("obj", {
+        "dev_ids": Spec("list", Spec("int"), unique=(None,)),
+        "K": Spec("int", min=1),
+        "observed": Spec("list", Spec("list", (*_CELL, Spec("num", above=0))),
+                         unique=((0, 1),), min=1),
+        "filled": Spec("list", Spec("list", Spec("num", above=0), length="K"), length="dev_ids"),
+        "provenance": Spec("list", Spec("list", (*_CELL, Spec("str", one_of=PROVENANCE))),
+                           unique=((0, 1),)),
+    })
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dev_ids": self.dev_ids,
-                "K": self.K,
-                "observed": [
-                    [d, k, v] for (d, k), v in sorted(self.observed.items())
-                ],
-                "filled": self.filled.tolist(),
-                "provenance": [
-                    [d, k, p] for (d, k), p in sorted(self.provenance.items())
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps({
+            "dev_ids": self.dev_ids,
+            "K": self.K,
+            "observed": [[d, k, v] for (d, k), v in sorted(self.observed.items())],
+            "filled": self.filled.tolist(),
+            "provenance": [[d, k, p] for (d, k), p in sorted(self.provenance.items())],
+        }, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CostMatrix":
-        obj = json.loads(text)
-        filled = np.array(obj["filled"])
-        if filled.shape != (len(obj["dev_ids"]), obj["K"]):
-            raise ValueError(f"filled has shape {filled.shape}, not (len(dev_ids), K)")
-        costs = np.append(filled, [v for _, _, v in obj["observed"]])
-        if not (np.isfinite(costs) & (costs > 0)).all():
-            raise ValueError("filled and observed costs must be finite and positive")
-        return cls(
-            dev_ids=obj["dev_ids"],
-            K=obj["K"],
+        obj = cls.SCHEMA.parse(text)
+        return cls(**dict(
+            obj,
             observed={(d, k): v for d, k, v in obj["observed"]},
-            filled=filled,
+            filled=np.array(obj["filled"], dtype=float),
             provenance={(d, k): p for d, k, p in obj["provenance"]},
-        )
+        ))
 
 
 def build_cost_matrix(train_records, topics) -> dict:

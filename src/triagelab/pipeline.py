@@ -8,7 +8,6 @@ implementations).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -26,6 +25,7 @@ from .costmodel import (
     select_topic_count,
 )
 from .errors import ValidationError
+from .schema import Spec
 from .simulator import FeatureTable, ReplayCorpus, SimConfig, SimResult, run_simulation
 from .suitability import LinearModel, predict_suitability, train_classifier
 from .textprep import Vocabulary, build_vocabulary, preprocess_text, tfidf_transform
@@ -136,40 +136,24 @@ def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels) -
 
 # --- artifact persistence ----------------------------------------------
 
+PROFILES_SCHEMA = Spec("list", Spec("obj", {
+    "dev_id": Spec("int"),
+    "components_experienced": Spec("list", Spec("str"), unique=(None,)),
+}), unique=("dev_id",))
+
+
 def profiles_to_json(profiles) -> str:
-    return json.dumps(
-        [
-            {
-                "dev_id": p.dev_id,
-                "components_experienced": sorted(p.components_experienced),
-            }
-            for p in sorted(profiles.values(), key=lambda p: p.dev_id)
-        ],
-        indent=2,
-    )
-
-
-def _components(obj) -> frozenset:
-    components = obj["components_experienced"]
-    # frozenset("abc") would read a string as three components
-    if type(components) is not list or not all(type(c) is str for c in components):
-        raise ValueError(
-            f"developer {obj['dev_id']}: components_experienced is not a list of strings"
-        )
-    return frozenset(components)
+    return json.dumps([
+        {"dev_id": p.dev_id, "components_experienced": sorted(p.components_experienced)}
+        for p in sorted(profiles.values(), key=lambda p: p.dev_id)
+    ], indent=2)
 
 
 def profiles_from_json(text) -> dict:
-    profiles = {}
-    for obj in json.loads(text):
-        dev_id = obj["dev_id"]
-        # 1.0 and true equal 1, so they would pass every cross-check
-        if type(dev_id) is not int:
-            raise ValueError(f"developer id {dev_id!r} is not an integer")
-        if dev_id in profiles:
-            raise ValueError(f"developer {dev_id} is listed twice")
-        profiles[dev_id] = DeveloperProfile(dev_id=dev_id, components_experienced=_components(obj))
-    return profiles
+    return {
+        p["dev_id"]: DeveloperProfile(p["dev_id"], frozenset(p["components_experienced"]))
+        for p in PROFILES_SCHEMA.parse(text)
+    }
 
 
 def save_prepared(summary, profiles, out_dir) -> None:
@@ -185,15 +169,11 @@ def save_prepared(summary, profiles, out_dir) -> None:
 
 def save_models(models: TrainedModels, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = {
-        "vocabulary.json": models.vocab.to_json(),
-        "classifier.json": models.linear_model.to_json(),
-        "topic_model.json": models.topic_model.to_json(),
-        "cost_matrix.json": models.cost_matrix.to_json(),
-    }
-    for name, text in artifacts.items():
+    for name, model in (("vocabulary.json", models.vocab), ("classifier.json", models.linear_model),
+                        ("topic_model.json", models.topic_model),
+                        ("cost_matrix.json", models.cost_matrix)):
         with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
+            fh.write(model.to_json())
 
 
 def read_json_file(path, parse):
@@ -203,7 +183,9 @@ def read_json_file(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except (ValueError, KeyError, IndexError, TypeError, OverflowError, ValidationError) as exc:
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (ValueError, LookupError, TypeError, ArithmeticError, RecursionError, MemoryError) as exc:
         raise ValidationError(
             f"{path}: not a valid file ({type(exc).__name__}: {exc})"
         ) from exc
@@ -249,58 +231,26 @@ def load_models(out_dir) -> TrainedModels:
 
 
 def result_to_json(result: SimResult) -> str:
-    return json.dumps(
-        {
-            "config": asdict(result.config),
-            "log": result.log,
-            "daily": result.daily,
-            "total_entering": result.total_entering,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return json.dumps(dict(vars(result), config=asdict(result.config)), indent=2, sort_keys=True)
 
 
-# The JSON types of the log and daily fields that metrics.compute_report
-# reads, as a replay writes them.
-_NUMBER = (int, float)
-_LOG_FIELDS = {
-    "dev_id": (int,),
-    "reported_day": (int,),
-    "estimated_cost": _NUMBER,
-    "completion_day": (int, type(None)),
-    "accurate": (bool,),
-    "infeasible": (bool,),
-}
-_DAILY_FIELDS = {"mean_depth": _NUMBER, "mean_degree": _NUMBER}
-
-
-def _check_rows(rows, fields, what):
-    if not isinstance(rows, list):
-        raise ValidationError(f"{what!r} is not a list")
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValidationError(f"{what} entry {i} is not an object")
-        for name, types in fields.items():
-            if name not in row:
-                raise ValidationError(f"{what} entry {i} has no {name!r}")
-            value = row[name]
-            if type(value) not in types or (
-                type(value) is float and not math.isfinite(value)
-            ):
-                raise ValidationError(f"{what} entry {i}: bad {name!r} {value!r}")
+# The log and daily fields that metrics.compute_report reads, as a
+# replay writes them; their other fields are not checked.
+RESULT_SCHEMA = Spec("obj", {
+    "config": Spec("obj", {
+        "policy": Spec("str"), "boundary_day": Spec("int"), "end_day": Spec("int"),
+        "alpha": Spec("num"), "seed": Spec("int"), "horizon_L": Spec("num"),
+    }),
+    "log": Spec("list", Spec("obj", {
+        "dev_id": Spec("int"), "reported_day": Spec("int"), "estimated_cost": Spec("num"),
+        "completion_day": Spec("int?"), "accurate": Spec("bool"), "infeasible": Spec("bool"),
+    }, open=True)),
+    "daily": Spec("list", Spec("obj", {"mean_depth": Spec("num"), "mean_degree": Spec("num")},
+                               open=True)),
+    "total_entering": Spec("int", min="log"),
+})
 
 
 def result_from_json(text) -> SimResult:
-    obj = json.loads(text)
-    _check_rows(obj["log"], _LOG_FIELDS, "log")
-    _check_rows(obj["daily"], _DAILY_FIELDS, "daily")
-    total = obj["total_entering"]
-    if type(total) is not int or total < len(obj["log"]):
-        raise ValidationError(f"bad 'total_entering' {total!r}")
-    return SimResult(
-        config=SimConfig(**obj["config"]),
-        log=obj["log"],
-        daily=obj["daily"],
-        total_entering=obj["total_entering"],
-    )
+    obj = RESULT_SCHEMA.parse(text)
+    return SimResult(**dict(obj, config=SimConfig(**obj["config"])))

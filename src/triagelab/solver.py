@@ -79,6 +79,19 @@ def combined_score(S: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * (S / s_max) + (1 - alpha) * (c_min / C)
 
 
+def _row_problem(bug, D):
+    """Why one bug's rows give no real (bugs x ``D``) arrays, or None."""
+    if len(bug.s) != D or len(bug.c) != D:
+        return "row size mismatch"
+    try:  # a string, None or a list among the entries
+        rows = np.array([bug.s, bug.c])
+        if rows.ndim == 2 and rows.dtype.kind in "biuf":
+            return None
+    except ValueError:
+        pass
+    return "suitability and cost must be real numbers"
+
+
 @dataclass(frozen=True)
 class InstanceBug:
     bug_id: int
@@ -111,14 +124,15 @@ class AssignmentInstance:
             if not 0 <= cap < math.inf:
                 raise ValidationError(f"developer capacity {cap} is not finite and non-negative")
         D = len(self.developers)
-        s_rows, c_rows = [b.s for b in self.bugs], [b.c for b in self.bugs]
-        if not set(map(len, s_rows)) | set(map(len, c_rows)) <= {D}:
-            bug = next(b for b in self.bugs if len(b.s) != D or len(b.c) != D)
-            raise ValidationError(f"bug {bug.bug_id}: row size mismatch")
-        # a string, None or a list among the entries gives a non-numeric or 3-d array
-        S, C = (np.array(rows) if rows else np.empty((0, D)) for rows in (s_rows, c_rows))
-        if S.shape != C.shape or S.ndim != 2 or {S.dtype.kind, C.dtype.kind} - set("biuf"):
-            raise ValidationError("suitability and cost must be real numbers")
+        try:
+            S, C = (np.array(rows) if rows else np.empty((0, D))
+                    for rows in ([b.s for b in self.bugs], [b.c for b in self.bugs]))
+        except ValueError:  # rows of unequal length, or a list among the entries
+            S = C = np.empty(0)
+        kinds = {S.dtype.kind, C.dtype.kind}
+        if S.shape != (len(self.bugs), D) or C.shape != S.shape or kinds - set("biuf"):
+            bug, problem = next((b, p) for b in self.bugs if (p := _row_problem(b, D)))
+            raise ValidationError(f"bug {bug.bug_id}: {problem}")
         S, C = S.astype(float), C.astype(float)
         checks = [
             (np.isfinite(S).all(axis=1) & np.isfinite(C).all(axis=1),

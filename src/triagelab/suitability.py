@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .schema import Spec
 
 DEFAULT_C = 1000.0
 DEFAULT_EPOCHS = 200
@@ -28,62 +29,39 @@ class LinearModel:
     weights: np.ndarray  # (n_devs, n_features) finite
     bias: np.ndarray  # (n_devs,)
     n_features: int
-    C: float = DEFAULT_C
-    epochs: int = DEFAULT_EPOCHS
+
+    # each developer's weights are sparse [index, value] pairs
+    _WEIGHT = Spec("list", (Spec("int", min=0, below="n_features"), Spec("num")))
+    SCHEMA = Spec("obj", {
+        "n_features": Spec("int", min=1),
+        "developers": Spec("list", Spec("obj", {
+            "dev_id": Spec("int"),
+            "bias": Spec("num"),
+            "weights": Spec("list", _WEIGHT, unique=(0,)),
+        }), unique=("dev_id",)),
+    })
 
     def decision_values(self, row: np.ndarray) -> np.ndarray:
         return self.weights @ row + self.bias
 
     def to_json(self) -> str:
-        per_dev = []
-        for row, dev in enumerate(self.dev_ids):
-            nz = np.nonzero(self.weights[row])[0]
-            per_dev.append(
-                {
-                    "dev_id": dev,
-                    "bias": float(self.bias[row]),
-                    "weights": [[int(i), float(self.weights[row, i])] for i in nz],
-                }
-            )
-        return json.dumps(
-            {
-                "n_features": self.n_features,
-                "C": self.C,
-                "epochs": self.epochs,
-                "developers": per_dev,
-            },
-            indent=2,
-        )
+        per_dev = [
+            {"dev_id": dev, "bias": float(b),
+             "weights": [[int(i), float(w[i])] for i in np.nonzero(w)[0]]}
+            for dev, b, w in zip(self.dev_ids, self.bias, self.weights)
+        ]
+        return json.dumps({"n_features": self.n_features, "developers": per_dev}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "LinearModel":
-        obj = json.loads(text)
-        dev_ids = [d["dev_id"] for d in obj["developers"]]
-        n_features = obj["n_features"]
-        weights = np.zeros((len(dev_ids), n_features))
-        bias = np.zeros(len(dev_ids))
-        for row, d in enumerate(obj["developers"]):
-            bias[row] = d["bias"]
-            seen = set()
+        obj = cls.SCHEMA.parse(text)
+        developers = obj["developers"]
+        weights = np.zeros((len(developers), obj["n_features"]))
+        for row, d in enumerate(developers):
             for idx, w in d["weights"]:
-                # numpy would wrap a negative index and accept a bool
-                if type(idx) is not int or not 0 <= idx < n_features or idx in seen:
-                    raise ValueError(
-                        f"developer {d['dev_id']}: weight index {idx!r} is not a distinct "
-                        f"integer in [0, {n_features})"
-                    )
-                seen.add(idx)
                 weights[row, idx] = w
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ValueError("weights and biases must be finite")
-        return cls(
-            dev_ids=dev_ids,
-            weights=weights,
-            bias=bias,
-            n_features=n_features,
-            C=obj["C"],
-            epochs=obj["epochs"],
-        )
+        bias = np.array([d["bias"] for d in developers], dtype=float)
+        return cls([d["dev_id"] for d in developers], weights, bias, obj["n_features"])
 
 
 def train_classifier(
@@ -132,8 +110,6 @@ def train_classifier(
         weights=weights,
         bias=bias,
         n_features=n_features,
-        C=C,
-        epochs=epochs,
     )
 
 

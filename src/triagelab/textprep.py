@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .schema import Spec
 
 MAX_TOKEN_LEN = 20
 
@@ -128,41 +129,25 @@ class Vocabulary:
     def terms(self):
         return sorted(self.index, key=self.index.get)
 
+    # the indices are distinct and in [0, size): a permutation of the columns
+    SCHEMA = Spec("obj", {
+        "n_docs": Spec("int", min=1),
+        "terms": Spec("list", Spec("obj", {
+            "term": Spec("str"),
+            "index": Spec("int", min=0, below="terms"),
+            "df": Spec("int", min=1, max="n_docs"),
+        }), unique=("term", "index")),
+    })
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_docs": self.n_docs,
-                "terms": [
-                    {"term": t, "index": self.index[t], "df": self.doc_freq[t]}
-                    for t in self.terms
-                ],
-            },
-            indent=2,
-        )
+        terms = [{"term": t, "index": self.index[t], "df": self.doc_freq[t]} for t in self.terms]
+        return json.dumps({"n_docs": self.n_docs, "terms": terms}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
-        obj = json.loads(text)
-        n_docs, terms = obj["n_docs"], obj["terms"]
-        if type(n_docs) is not int or n_docs < 1:
-            raise ValueError(f"n_docs {n_docs!r} is not a positive integer")
-        index, doc_freq, seen = {}, {}, set()
-        for e in terms:
-            term, idx, df = e["term"], e["index"], e["df"]
-            # numpy would wrap a negative index, and a repeated one would
-            # put two terms in one column
-            if type(term) is not str or term in index:
-                raise ValueError(f"term {term!r} is not a distinct string")
-            if type(idx) is not int or not 0 <= idx < len(terms) or idx in seen:
-                raise ValueError(
-                    f"term {term!r}: index {idx!r} is not a distinct integer in [0, {len(terms)})"
-                )
-            if type(df) is not int or not 1 <= df <= n_docs:
-                raise ValueError(f"term {term!r}: df {df!r} is not an integer in [1, {n_docs}]")
-            seen.add(idx)
-            index[term] = idx
-            doc_freq[term] = df
-        return cls(index=index, doc_freq=doc_freq, n_docs=n_docs)
+        obj = cls.SCHEMA.parse(text)
+        index = {e["term"]: e["index"] for e in obj["terms"]}
+        return cls(index, {e["term"]: e["df"] for e in obj["terms"]}, obj["n_docs"])
 
 
 def build_vocabulary(docs, min_df: int = 2) -> Vocabulary:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import shutil
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triagelab.cli import dispatch
 from triagelab.minicorpus import MiniCorpusSpec, generate, write_jsonl
@@ -228,6 +232,30 @@ def _first_components(obj, components):
     return [dict(obj[0], components_experienced=components)] + obj[1:]
 
 
+def _at(obj, path, edit):
+    """Parsed JSON ``obj`` with the value at ``path`` (keys and indices)
+    replaced by ``edit`` of it; ``obj`` itself is not changed."""
+    if not path:
+        return edit(obj)
+    head, *rest = path
+    copy = list(obj) if isinstance(obj, list) else dict(obj)
+    copy[head] = _at(obj[head], rest, edit)
+    return copy
+
+
+def _set(path, value):
+    """An edit for the parametrized cases below: ``value`` at ``path``,
+    whose last key may be new."""
+    *head, last = path
+
+    def put(container):
+        copy = list(container) if isinstance(container, list) else dict(container)
+        copy[last] = value
+        return copy
+
+    return lambda obj, _: _at(obj, head, put)
+
+
 @pytest.mark.parametrize(
     "name,edit,other",
     [
@@ -284,6 +312,21 @@ def _first_components(obj, components):
         ("dev_profiles.json", lambda obj, _: [dict(obj[0], dev_id=float(obj[0]["dev_id"]))]
          + obj[1:], "dev_profiles.json"),
         ("topic_model.json", lambda obj, _: dict(obj, K=float(obj["K"])), "topic_model.json"),
+        # each of these loaded without a word before the files had one schema
+        ("classifier.json", _set(("developers", 0, "bias"), "0.25"), "classifier.json"),
+        ("topic_model.json", _set(("phi", 0, 0), True), "topic_model.json"),
+        ("cost_matrix.json", _set(("filled", 0, 0), True), "cost_matrix.json"),
+        ("classifier.json", _set(("developers", 0, "bias"), True), "classifier.json"),
+        ("classifier.json", _set(("developers", 0, "weights", 0, 1), True), "classifier.json"),
+        ("cost_matrix.json", _set(("observed", 0, 1), 99), "cost_matrix.json"),
+        ("cost_matrix.json", _set(("observed", 0, 0), "x"), "cost_matrix.json"),
+        ("cost_matrix.json", _set(("provenance", 0, 2), "BOGUS"), "cost_matrix.json"),
+        ("classifier.json", _set(("C",), "x"), "classifier.json"),
+        ("classifier.json", _set(("epochs",), None), "classifier.json"),
+        ("vocabulary.json", _set(("extra",), 1), "vocabulary.json"),
+        ("topic_model.json", _set(("beta_lda",), 7.5), "topic_model.json"),
+        # a width no array can have, found before the vocabulary is compared
+        ("classifier.json", _set(("n_features",), 10**12), "classifier.json"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
          "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan",
@@ -292,7 +335,10 @@ def _first_components(obj, components):
          "df-minus-5", "df-string", "n_docs-negative", "seed-negative", "seed-float",
          "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero", "phi-column-zero",
          "components-string", "classifier-extra-developer", "developer-repeated",
-         "developer-id-string", "developer-id-float", "topic-K-float"],
+         "developer-id-string", "developer-id-float", "topic-K-float",
+         "bias-string", "phi-true", "filled-true", "bias-true", "weight-true", "observed-topic-99",
+         "observed-developer-x", "provenance-bogus", "C-string", "epochs-null", "extra-key",
+         "beta_lda", "n_features-huge"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
     """Model files that disagree, such as a --topics 6 topic model beside
@@ -311,6 +357,95 @@ def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, na
         assert code == 1
         err = _one_error_line(capsys)
         assert name in err and other in err
+
+
+_MODEL_FILES = ("vocabulary.json", "classifier.json", "topic_model.json", "cost_matrix.json",
+                "dev_profiles.json")
+# Lists whose length no other key fixes, so one entry fewer is still a
+# valid file, and numbers that may take any finite value.  Paths are
+# written with "*" for a list index except the last step.
+_FREE_LISTS = {("classifier.json", ("developers", "*", "weights")),
+               ("cost_matrix.json", ("observed",)), ("cost_matrix.json", ("provenance",)),
+               ("dev_profiles.json", ("*", "components_experienced"))}
+_ANY_NUMBER = {("classifier.json", ("developers", "*", "bias")),
+               ("classifier.json", ("developers", "*", "weights", "*", 1))}
+
+
+def _parts(value, path=()):
+    """(path, value) for ``value`` and everything inside it."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _parts(inner, path + (key,))
+
+
+def _schema_breaks(name, obj):
+    """(kind, path, edit) for every change to one part of the model file
+    ``obj`` called ``name`` that its schema forbids.  Every number the
+    writers write as an integer must be one, and no model file holds a
+    bool, a null or a numeric string."""
+    for path, value in _parts(obj):
+        where = (name, tuple("*" if type(p) is int else p for p in path[:-1]) + path[-1:])
+        if isinstance(value, dict):
+            yield "extra key", path, lambda d: dict(d, extra_key=0)
+            for key in value:
+                yield "deleted key", path, lambda d, key=key: {k: v for k, v in d.items()
+                                                               if k != key}
+        elif isinstance(value, list):
+            if value and where not in _FREE_LISTS:
+                yield "list one short", path, lambda items: items[:-1]
+        else:
+            changes = [("bool", True), ("NaN", math.nan), ("inf", math.inf),
+                       ("-inf", -math.inf)]
+            if type(value) is int:
+                changes.append(("int to float", float(value)))
+            if type(value) in (int, float):
+                changes.append(("numeric string", str(value)))
+                if where not in _ANY_NUMBER:
+                    changes.append(("out of range", -1))
+            else:
+                changes.append(("number for a string", 1))
+            for kind, new in changes:
+                yield kind, path, lambda _, new=new: new
+
+
+@pytest.fixture(scope="module")
+def schema_breaks(workdir, tmp_path_factory):
+    """A copy of the trained files, and every schema-breaking change to
+    them grouped by (file, kind)."""
+    _, _, out, _ = workdir
+    copy = tmp_path_factory.mktemp("mutated") / "out"
+    shutil.copytree(out, copy)
+    groups = {}
+    for name in _MODEL_FILES:
+        for kind, path, edit in _schema_breaks(name, json.loads((out / name).read_text())):
+            groups.setdefault((name, kind), []).append((path, edit))
+    return copy, groups
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_schema_breaking_change_is_one_error_line(workdir, schema_breaks, data):
+    """One schema-breaking change to any one model file makes ``simulate``
+    print one ``error:`` line naming that file and exit 1, never a
+    traceback."""
+    _, data_path, _, _ = workdir
+    copy, groups = schema_breaks
+    name, kind = data.draw(st.sampled_from(sorted(groups)), label="file, kind")
+    path, edit = data.draw(st.sampled_from(groups[name, kind]), label="path")
+    original = (copy / name).read_text()
+    (copy / name).write_text(json.dumps(_at(json.loads(original), path, edit)))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = dispatch(["simulate", "--data", str(data_path), "--boundary", "120",
+                             "--out", str(copy), "--end", "240"])
+    finally:
+        (copy / name).write_text(original)
+    text = err.getvalue()
+    assert code == 1 and text.startswith("error: ") and text.count("\n") == 1, text
+    assert name in text, text
 
 
 @pytest.mark.parametrize(

@@ -322,8 +322,9 @@ def test_topic_model_json_roundtrip():
     assert np.allclose(again.phi, model.phi)
     probe = TokenizedDoc(1, ("render", "pixel"))
     assert infer_topic(again, probe, vocab) == infer_topic(model, probe, vocab)
-    # files written before the iteration count was dropped still load
+    # keys that were dropped from the file, or never in it, are refused
     obj = json.loads(model.to_json())
-    assert "iters" not in obj
-    older = TopicModel.from_json(json.dumps({**obj, "iters": 30}))
-    assert np.array_equal(older.phi, again.phi)
+    assert "iters" not in obj and "beta_lda" not in obj
+    for key, value in (("iters", 30), ("beta_lda", 0.01), ("extra", None)):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            TopicModel.from_json(json.dumps({**obj, key: value}))

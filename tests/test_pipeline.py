@@ -120,3 +120,19 @@ def test_mini_training_topics_recover_planted_components(mini_env):
     hits = sum(np.bincount(planted[topics == k]).max()
                for k in np.unique(topics))
     assert hits / len(train) >= 0.95
+
+
+def test_loaded_models_rewrite_every_file_byte_for_byte(mini_env, tmp_path):
+    # the writers and the key tables cannot drift apart: what load_models
+    # accepts from save_models, save_models writes back unchanged
+    first, second = tmp_path / "first", tmp_path / "second"
+    pipeline.save_models(mini_env.models, first)
+    (first / "dev_profiles.json").write_text(pipeline.profiles_to_json(mini_env.profiles))
+    loaded = pipeline.load_models(first)
+    pipeline.save_models(loaded, second)
+    (second / "dev_profiles.json").write_text(pipeline.profiles_to_json(loaded.dev_profiles))
+    names = ["classifier.json", "cost_matrix.json", "dev_profiles.json", "topic_model.json",
+             "vocabulary.json"]
+    assert sorted(p.name for p in first.iterdir()) == names
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name

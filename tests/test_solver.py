@@ -349,6 +349,23 @@ def test_instance_validation_errors():
         )  # cyclic
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(([1.0], 2.0), (1.0, 1.0))],  # numpy would raise on the ragged row
+        [((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, [2.0]))],
+        [((1.0, 1.0), (1.0, 1.0)), ((1.0, [1.0, 2.0]), (1.0, 1.0))],
+        [((1.0, 1.0), (1.0, 1.0)), (([1.0], [1.0]), (1.0, 1.0))],  # a 3-d array
+    ],
+    ids=["list-entry", "list-cost-second-bug", "long-list-entry", "list-entries"],
+)
+def test_list_entry_is_a_validation_error_naming_the_bug(rows):
+    bugs = [InstanceBug(i + 1, s, c) for i, (s, c) in enumerate(rows)]
+    with pytest.raises(ValidationError,
+                       match=f"^bug {len(rows)}: suitability and cost must be real numbers$"):
+        AssignmentInstance(bugs=bugs, developers=[(1, 5.0), (2, 5.0)])
+
+
 def test_check_feasible_violations():
     inst = _two_bug_instance(caps=(2.0, 2.0), precedence=[(1, 2)])
     with pytest.raises(ValidationError, match="more than once"):
