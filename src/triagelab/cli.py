@@ -46,11 +46,12 @@ def _add_common(parser):
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--topics", default="5-50:5",
+    parser.add_argument("--topics", default=",".join(map(str, pipeline.DEFAULT_TOPIC_GRID)),
                         help="topic-count grid, e.g. '4' or '5-50:5' or '2,8'")
-    parser.add_argument("--C", type=_flag(float, "--C"), default=1000.0)
+    parser.add_argument("--C", type=_flag(float, "--C"), default=pipeline.DEFAULT_C)
     parser.add_argument("--seed", type=_flag(int, "--seed"), default=0)
-    parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"), default=1000)
+    parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"),
+                        default=pipeline.DEFAULT_GIBBS_ITERS)
 
 
 def _add_replay_flags(parser):

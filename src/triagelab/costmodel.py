@@ -4,10 +4,14 @@ Bugs are grouped into topics with collapsed-Gibbs LDA (topic count
 picked by the singular-value / document-mixture divergence criterion).
 A training bug's topic is its dominant topic in the fitted mixture
 (``fitted_topics``); only a bug the fit never saw is folded in
-(``infer_topic``).  Each developer's cost for a topic is the arithmetic
-mean of their training fixing times on that topic; missing cells are
-filled by a user-based cosine collaborative filter with deterministic
-fallbacks (topic column mean, then global mean).
+(``infer_topic``).  The cost model is one (developer, topic) grid:
+``build_cost_matrix`` gives each cell the arithmetic mean of the
+developer's training fixing times on that topic, NaN where they have
+none; ``fill_missing_cf`` fills those cells by a user-based cosine
+collaborative filter with deterministic fallbacks (topic column mean,
+then global mean) and labels every cell with how it was filled.  The
+file holds the filled grid and the labels, so each cell's cost is
+written once.
 
 Every Gibbs draw takes one uniform ``u`` from the generator, as
 ``Generator.choice`` does.  The fit's sweep is scalar Python over lists
@@ -240,121 +244,111 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
 
 @dataclass
 class CostMatrix:
-    dev_ids: list  # sorted
-    K: int
-    observed: dict  # (dev_id, k) -> mean fixing days
+    dev_ids: list  # sorted; the row order
     filled: np.ndarray  # (D, K), complete and positive
-    provenance: dict  # (dev_id, k) -> OBSERVED, CF or GLOBAL_MEAN
+    provenance: np.ndarray  # (D, K) of OBSERVED, CF or GLOBAL_MEAN: how a cell was filled
+
+    @property
+    def K(self) -> int:
+        return self.filled.shape[1]
+
+    @property
+    def observed(self) -> np.ndarray:
+        """(D, K) mask of the cells that hold a training mean."""
+        return self.provenance == OBSERVED
 
     @property
     def global_mean(self) -> float:
-        return float(np.mean(list(self.observed.values())))
+        return float(np.mean(self.filled[self.observed]))
 
-    # a cell is [dev_id, topic, value]; fill_missing_cf needs an observed one
-    _CELL = Spec("int", one_of="dev_ids"), Spec("int", min=0, below="K")
     SCHEMA = Spec("obj", {
         "dev_ids": Spec("list", Spec("int"), unique=(None,)),
         "K": Spec("int", min=1),
-        "observed": Spec("list", Spec("list", (*_CELL, Spec("num", above=0))),
-                         unique=((0, 1),), min=1),
         "filled": Spec("list", Spec("list", Spec("num", above=0), length="K"), length="dev_ids"),
-        "provenance": Spec("list", Spec("list", (*_CELL, Spec("str", one_of=PROVENANCE))),
-                           unique=((0, 1),)),
+        "provenance": Spec("list", Spec("list", Spec("str", one_of=PROVENANCE), length="K"),
+                           length="dev_ids"),
     })
 
     def to_json(self) -> str:
-        return json.dumps({
-            "dev_ids": self.dev_ids,
-            "K": self.K,
-            "observed": [[d, k, v] for (d, k), v in sorted(self.observed.items())],
-            "filled": self.filled.tolist(),
-            "provenance": [[d, k, p] for (d, k), p in sorted(self.provenance.items())],
-        }, indent=2)
+        return json.dumps({"dev_ids": self.dev_ids, "K": self.K, "filled": self.filled.tolist(),
+                           "provenance": self.provenance.tolist()}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CostMatrix":
         obj = cls.SCHEMA.parse(text)
-        return cls(**dict(
-            obj,
-            observed={(d, k): v for d, k, v in obj["observed"]},
-            filled=np.array(obj["filled"], dtype=float),
-            provenance={(d, k): p for d, k, p in obj["provenance"]},
-        ))
+        provenance = np.array(obj["provenance"], dtype=object)
+        if not (provenance == OBSERVED).any():
+            raise ValidationError(f"provenance: no {OBSERVED} cell, which the global mean needs")
+        return cls(obj["dev_ids"], np.array(obj["filled"], dtype=float), provenance)
 
 
-def build_cost_matrix(train_records, topics) -> dict:
-    """Observed cells: (developer, topic) -> mean fixing days.
+def build_cost_matrix(train_records, topics, dev_ids, K: int) -> np.ndarray:
+    """(D, K) mean fixing days of each of the sorted ``dev_ids`` on each
+    topic; NaN where the developer fixed no training bug of that topic.
 
     ``topics`` holds each record's topic, aligned with
-    ``train_records``; every record has an assignee and a fixing time.
-    GLOBAL_TOPIC records have no cell.
+    ``train_records``; every record has an assignee in ``dev_ids`` and a
+    fixing time.  GLOBAL_TOPIC records have no cell.  A cell is one
+    ``np.mean`` of its times in record order.
     """
+    row = {d: i for i, d in enumerate(dev_ids)}
     samples: dict[tuple, list] = {}
     for rec, topic in zip(train_records, topics):
         if topic != GLOBAL_TOPIC:
-            samples.setdefault((rec.actual_assignee, topic), []).append(rec.fixing_time)
-    return {cell: float(np.mean(times)) for cell, times in sorted(samples.items())}
+            samples.setdefault((row[rec.actual_assignee], topic), []).append(rec.fixing_time)
+    observed = np.full((len(row), K), np.nan)
+    for cell, times in samples.items():
+        observed[cell] = np.mean(times)
+    return observed
 
 
-def _dev_similarity(obs_a: dict, obs_b: dict) -> float | None:
-    """Cosine over commonly observed topics; None without overlap."""
-    shared = sorted(set(obs_a) & set(obs_b))
-    if not shared:
-        return None
-    a = np.array([obs_a[k] for k in shared])
-    b = np.array([obs_b[k] for k in shared])
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0:
-        return None
-    return float(a @ b / denom)
+def _similarities(observed: np.ndarray, mask: np.ndarray) -> list:
+    """(D, D) nested lists: the cosine of two developers' costs over the
+    topics both observed; NaN on the diagonal and for a pair with no
+    shared topic or a zero norm."""
+    D = len(observed)
+    sim = [[np.nan] * D for _ in range(D)]
+    for i in range(D):
+        for j in range(i + 1, D):
+            shared = mask[i] & mask[j]
+            if shared.any():
+                a, b = observed[i, shared], observed[j, shared]
+                denom = np.linalg.norm(a) * np.linalg.norm(b)
+                if denom != 0:
+                    sim[i][j] = sim[j][i] = float(a @ b / denom)
+    return sim
 
 
-def fill_missing_cf(observed: dict, dev_ids, K: int) -> CostMatrix:
-    """The complete (developer, topic) matrix over sorted ``dev_ids``;
-    observed cells are never altered.
+def fill_missing_cf(observed: np.ndarray, dev_ids) -> CostMatrix:
+    """The complete cost matrix over sorted ``dev_ids`` from the
+    ``observed`` grid of ``build_cost_matrix``; observed cells are never
+    altered.
 
     Missing (d, k): similarity-weighted average of other developers'
-    observed topic-k costs; falls back to the topic column mean (tagged
-    CF, the uniform-weight degenerate case), then to the global mean.
+    observed topic-k costs, summed in developer order; falls back to the
+    topic column mean (labelled CF, the uniform-weight degenerate case),
+    then to the global mean.
     """
-    if not observed:
+    mask = ~np.isnan(observed)
+    if not mask.any():
         raise ValidationError("cannot fill a matrix with no observed cells")
-    dev_ids = list(dev_ids)
-    by_dev: dict[int, dict] = {d: {} for d in dev_ids}
-    for (d, k), v in observed.items():
-        by_dev[d][k] = v
-    global_mean = float(np.mean(list(observed.values())))
-
-    filled = np.zeros((len(dev_ids), K))
-    provenance = {}
-    for i, d in enumerate(dev_ids):
-        for k in range(K):
-            if (d, k) in observed:
-                filled[i, k] = observed[(d, k)]
-                provenance[(d, k)] = OBSERVED
-                continue
-            num = den = 0.0
-            for other in dev_ids:
-                if other == d or k not in by_dev[other]:
-                    continue
-                sim = _dev_similarity(by_dev[d], by_dev[other])
-                if sim is None or sim <= 0:
-                    continue
-                num += sim * by_dev[other][k]
-                den += sim
-            if den > 0:
-                filled[i, k] = num / den
-                provenance[(d, k)] = CF
-                continue
-            column = [by_dev[o][k] for o in dev_ids if k in by_dev[o]]
-            if column:
-                filled[i, k] = float(np.mean(column))
-                provenance[(d, k)] = CF
-            else:
-                filled[i, k] = global_mean
-                provenance[(d, k)] = GLOBAL_MEAN
+    global_mean = float(np.mean(observed[mask]))
+    sim = _similarities(observed, mask)
+    costs = observed.tolist()
+    filled = observed.copy()
+    provenance = np.full(observed.shape, OBSERVED, dtype=object)
+    for i, k in zip(*np.nonzero(~mask)):
+        num = den = 0.0
+        for j in np.flatnonzero(mask[:, k]):
+            if sim[i][j] > 0:
+                num += sim[i][j] * costs[j][k]
+                den += sim[i][j]
+        if den > 0:
+            filled[i, k], provenance[i, k] = num / den, CF
+        elif mask[:, k].any():
+            filled[i, k], provenance[i, k] = np.mean(observed[mask[:, k], k]), CF
+        else:
+            filled[i, k], provenance[i, k] = global_mean, GLOBAL_MEAN
     if not np.all(filled > 0):
         raise ValidationError("filled cost matrix must be strictly positive")
-    return CostMatrix(
-        dev_ids=dev_ids, K=K, observed=dict(observed), filled=filled, provenance=provenance
-    )
+    return CostMatrix(dev_ids=list(dev_ids), filled=filled, provenance=provenance)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import DeveloperProfile, clean_bugs, developer_profiles, split_train_test
 from .costmodel import (
+    DEFAULT_GIBBS_ITERS,
     GLOBAL_TOPIC,
     TopicModel,
     CostMatrix,
@@ -27,7 +28,7 @@ from .costmodel import (
 from .errors import ValidationError
 from .schema import Spec
 from .simulator import FeatureTable, ReplayCorpus, SimConfig, SimResult, run_simulation
-from .suitability import LinearModel, predict_suitability, train_classifier
+from .suitability import DEFAULT_C, LinearModel, predict_suitability, train_classifier
 from .textprep import Vocabulary, build_vocabulary, preprocess_text, tfidf_transform
 
 DEFAULT_TOPIC_GRID = tuple(range(5, 55, 5))
@@ -51,9 +52,9 @@ class TrainedModels:
 @dataclass
 class TrainSettings:
     topic_grid: tuple = DEFAULT_TOPIC_GRID
-    C: float = 1000.0
+    C: float = DEFAULT_C
     seed: int = 0
-    lda_iters: int = 1000
+    lda_iters: int = DEFAULT_GIBBS_ITERS
 
 
 def prepare(records, boundary_day):
@@ -83,9 +84,8 @@ def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedMod
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
     topics = fitted_topics(topic_model, docs, vocab)
-    cost = fill_missing_cf(
-        build_cost_matrix(train, topics), sorted(profiles), topic_model.K
-    )
+    dev_ids = sorted(profiles)
+    cost = fill_missing_cf(build_cost_matrix(train, topics, dev_ids, topic_model.K), dev_ids)
     return TrainedModels(
         linear_model=linear,
         vocab=vocab,

@@ -5,10 +5,10 @@ A table is a tree of ``Spec``s.  An object's keys are all required, and
 a key its table does not list is an error unless the object is
 ``open``.  A number is an ``int`` or a finite ``float``, never a
 ``bool`` and never a string.  A bound applies to a number, or to a
-list's length.  A bound or ``one_of`` may name a key of the file's
-top-level object: a number stands for itself, a list for its length,
-and ``one_of`` reads the list itself.  The walker visits keys in table
-order, so a table lists a key before the keys whose specs name it.
+list's length.  A bound may name a key of the file's top-level object:
+a number stands for itself, a list for its length.  The walker visits
+keys in table order, so a table lists a key before the keys whose specs
+name it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class Spec:
     """A JSON value's kind and rules.  ``of`` holds a list's item spec (a
     tuple: its items' specs by position, for a list of that length) or an
     object's specs by key.  Rules: the bounds of ``_BOUNDS``; ``one_of``,
-    the allowed values or the name of a list-valued key; ``unique``, the
-    item keys whose values may not repeat in a list (an index or key, a
-    tuple of them, or None for the item itself); and ``open``."""
+    the allowed values; ``unique``, the item keys whose values may not
+    repeat in a list (an index or key, or None for the item itself); and
+    ``open``."""
 
     def __init__(self, kind, of=None, one_of=None, unique=(), open=False, **bounds):
         self.types, self.expected = _KINDS[kind]
@@ -74,9 +74,8 @@ def check(spec: Spec, value, root=None, where=""):
                 f" ({bound})", named)
         if not test(measured, bound):
             _fail(where, f"expected {what}{sign}{bound}{text}, got {reprlib.repr(measured)}")
-    if spec.one_of is not None:
-        if value not in (root[spec.one_of] if isinstance(spec.one_of, str) else spec.one_of):
-            _fail(where, f"{reprlib.repr(value)} is not in {spec.one_of}")
+    if spec.one_of is not None and value not in spec.one_of:
+        _fail(where, f"{reprlib.repr(value)} is not in {spec.one_of}")
     if kind is dict:
         extra = [key for key in value if key not in spec.of]
         if extra and not spec.open:
@@ -91,8 +90,7 @@ def check(spec: Spec, value, root=None, where=""):
         for key in spec.unique:
             seen = set()
             for i, item in enumerate(value):
-                k = tuple(item[j] for j in key) if type(key) is tuple else (
-                    item if key is None else item[key])
+                k = item if key is None else item[key]
                 if k in seen:
                     at = f"{where}[{i}]" + {str: f".{key}", int: f"[{key}]"}.get(type(key), "")
                     _fail(at, f"{reprlib.repr(k)} repeats an earlier entry")

@@ -83,9 +83,9 @@ def _row_problem(bug, D):
     """Why one bug's rows give no real (bugs x ``D``) arrays, or None."""
     if len(bug.s) != D or len(bug.c) != D:
         return "row size mismatch"
-    try:  # a string, None or a list among the entries
-        rows = np.array([bug.s, bug.c])
-        if rows.ndim == 2 and rows.dtype.kind in "biuf":
+    try:  # a string, None, a bool or a list among the entries
+        rows = [np.array(bug.s), np.array(bug.c)]
+        if all(row.ndim == 1 and row.dtype.kind in "iuf" for row in rows):
             return None
     except ValueError:
         pass
@@ -130,7 +130,7 @@ class AssignmentInstance:
         except ValueError:  # rows of unequal length, or a list among the entries
             S = C = np.empty(0)
         kinds = {S.dtype.kind, C.dtype.kind}
-        if S.shape != (len(self.bugs), D) or C.shape != S.shape or kinds - set("biuf"):
+        if S.shape != (len(self.bugs), D) or C.shape != S.shape or kinds - set("iuf"):
             bug, problem = next((b, p) for b in self.bugs if (p := _row_problem(b, D)))
             raise ValidationError(f"bug {bug.bug_id}: {problem}")
         S, C = S.astype(float), C.astype(float)
@@ -180,16 +180,24 @@ class AssignmentInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "AssignmentInstance":
+        """The instance ``to_json`` writes.  Ids must be integers, and no
+        number may be a bool, which numpy would read as 0 or 1."""
         obj = json.loads(text)
-        return cls(
-            bugs=[
-                InstanceBug(b["bug_id"], tuple(b["s"]), tuple(b["c"]))
-                for b in obj["bugs"]
-            ],
-            developers=[tuple(d) for d in obj["developers"]],
-            precedence=[tuple(a) for a in obj.get("precedence", [])],
-            alpha=obj.get("alpha", 0.5),
-        )
+        bugs = [InstanceBug(b["bug_id"], tuple(b["s"]), tuple(b["c"])) for b in obj["bugs"]]
+        developers = [tuple(d) for d in obj["developers"]]
+        precedence = [tuple(a) for a in obj.get("precedence", [])]
+        alpha = obj.get("alpha", 0.5)
+        ids = ([("bug id", b.bug_id) for b in bugs] + [("developer id", d) for d, _ in developers]
+               + [("precedence bug id", i) for arc in precedence for i in arc])
+        for what, value in ids:
+            if type(value) is not int:
+                raise ValidationError(f"{what} {value!r} is not an integer")
+        numbers = [("alpha", (alpha,)), ("capacity", [cap for _, cap in developers])] + [
+            (f"bug {b.bug_id}: suitability or cost", b.s + b.c) for b in bugs]
+        for what, values in numbers:
+            if bool in map(type, values):
+                raise ValidationError(f"{what} is true or false, not a number")
+        return cls(bugs=bugs, developers=developers, precedence=precedence, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .schema import Spec
 
 DEFAULT_C = 1000.0
-DEFAULT_EPOCHS = 200
+EPOCHS = 200
 
 
 @dataclass
@@ -64,17 +64,12 @@ class LinearModel:
         return cls([d["dev_id"] for d in developers], weights, bias, obj["n_features"])
 
 
-def train_classifier(
-    X: np.ndarray,
-    labels,
-    C: float = DEFAULT_C,
-    epochs: int = DEFAULT_EPOCHS,
-) -> LinearModel:
+def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel:
     """Fit one-vs-rest hinge-loss linear separators.
 
     ``X`` holds one TF-IDF row per training bug and ``labels`` its
     developer.  Requires at least two distinct labels.  Deterministic:
-    fixed epoch count, full-batch updates, no shuffling.
+    ``EPOCHS`` full-batch updates, no shuffling.
     """
     if not C > 0:
         raise ValidationError(f"C must be positive, got {C}")
@@ -95,7 +90,7 @@ def train_classifier(
     for row, dev in enumerate(dev_ids):
         y = np.where(labels == dev, 1.0, -1.0)
         w = np.zeros(n_features + 1)
-        for t in range(1, epochs + 1):
+        for t in range(1, EPOCHS + 1):
             margins = y * (X @ w)
             violating = margins < 1.0
             grad = lam * np.concatenate([w[:-1], [0.0]])  # bias unregularized

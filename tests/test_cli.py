@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triagelab.cli import dispatch
+from triagelab.costmodel import CF, OBSERVED
 from triagelab.minicorpus import MiniCorpusSpec, generate, write_jsonl
 from triagelab.solver import AssignmentInstance, InstanceBug
 
@@ -256,6 +257,18 @@ def _set(path, value):
     return lambda obj, _: _at(obj, head, put)
 
 
+def _cell_list_cost_matrix(obj):
+    """``cost_matrix.json`` with ``observed`` and ``provenance`` as lists of
+    [dev_id, topic, value] cells, the format before the one grid."""
+    cells = [(d, k, i) for i, d in enumerate(obj["dev_ids"]) for k in range(obj["K"])]
+    return dict(
+        obj,
+        observed=[[d, k, obj["filled"][i][k]] for d, k, i in cells
+                  if obj["provenance"][i][k] == OBSERVED],
+        provenance=[[d, k, obj["provenance"][i][k]] for d, k, i in cells],
+    )
+
+
 @pytest.mark.parametrize(
     "name,edit,other",
     [
@@ -273,9 +286,13 @@ def _set(path, value):
                                                  + obj["filled"][1:]), "cost_matrix.json"),
         ("cost_matrix.json", lambda obj, _: dict(obj, filled=[[-3.0] * obj["K"]]
                                                  + obj["filled"][1:]), "cost_matrix.json"),
-        ("cost_matrix.json", lambda obj, _: dict(obj, observed=[obj["observed"][0][:2]
-                                                           + [float("nan")]]
-                                                 + obj["observed"][1:]), "cost_matrix.json"),
+        ("cost_matrix.json", lambda obj, _: dict(obj, provenance=[[CF] * obj["K"]
+                                                             for _ in obj["dev_ids"]]),
+         "cost_matrix.json"),
+        ("cost_matrix.json", lambda obj, _: dict(obj, provenance=[obj["provenance"][0][:-1]]
+                                                 + obj["provenance"][1:]), "cost_matrix.json"),
+        # a cost matrix in the cell-list format, with its own copy of the observed means
+        ("cost_matrix.json", lambda obj, _: _cell_list_cost_matrix(obj), "unknown key 'observed'"),
         ("topic_model.json", lambda obj, _: dict(obj, phi=[[float("nan")] * obj["vocab_size"]]
                                                  + obj["phi"][1:]), "topic_model.json"),
         ("classifier.json", lambda obj, _: dict(obj, developers=[dict(obj["developers"][0],
@@ -318,8 +335,6 @@ def _set(path, value):
         ("cost_matrix.json", _set(("filled", 0, 0), True), "cost_matrix.json"),
         ("classifier.json", _set(("developers", 0, "bias"), True), "classifier.json"),
         ("classifier.json", _set(("developers", 0, "weights", 0, 1), True), "classifier.json"),
-        ("cost_matrix.json", _set(("observed", 0, 1), 99), "cost_matrix.json"),
-        ("cost_matrix.json", _set(("observed", 0, 0), "x"), "cost_matrix.json"),
         ("cost_matrix.json", _set(("provenance", 0, 2), "BOGUS"), "cost_matrix.json"),
         ("classifier.json", _set(("C",), "x"), "classifier.json"),
         ("classifier.json", _set(("epochs",), None), "classifier.json"),
@@ -329,15 +344,16 @@ def _set(path, value):
         ("classifier.json", _set(("n_features",), 10**12), "classifier.json"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
-         "filled-nan", "filled-negative", "observed-nan", "phi-nan", "bias-nan",
+         "filled-nan", "filled-negative", "provenance-no-observed", "provenance-row-short",
+         "observed-cell-list", "phi-nan", "bias-nan",
          "weight-index-negative", "weight-index-bool", "weight-index-repeated",
          "term-index-huge", "term-index-negative", "term-index-repeated", "df-minus-1",
          "df-minus-5", "df-string", "n_docs-negative", "seed-negative", "seed-float",
          "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero", "phi-column-zero",
          "components-string", "classifier-extra-developer", "developer-repeated",
          "developer-id-string", "developer-id-float", "topic-K-float",
-         "bias-string", "phi-true", "filled-true", "bias-true", "weight-true", "observed-topic-99",
-         "observed-developer-x", "provenance-bogus", "C-string", "epochs-null", "extra-key",
+         "bias-string", "phi-true", "filled-true", "bias-true", "weight-true",
+         "provenance-bogus", "C-string", "epochs-null", "extra-key",
          "beta_lda", "n_features-huge"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
@@ -365,7 +381,6 @@ _MODEL_FILES = ("vocabulary.json", "classifier.json", "topic_model.json", "cost_
 # valid file, and numbers that may take any finite value.  Paths are
 # written with "*" for a list index except the last step.
 _FREE_LISTS = {("classifier.json", ("developers", "*", "weights")),
-               ("cost_matrix.json", ("observed",)), ("cost_matrix.json", ("provenance",)),
                ("dev_profiles.json", ("*", "components_experienced"))}
 _ANY_NUMBER = {("classifier.json", ("developers", "*", "bias")),
                ("classifier.json", ("developers", "*", "weights", "*", 1))}
@@ -579,9 +594,26 @@ def test_negative_seed_is_one_error_line(workdir, tmp_path, capsys):
         '{"bugs": [{"bug_id": 1, "s": [1.0, 1.0], "c": [2.0]}], "developers": [[1, 5.0], [2, 5.0]]}',
         '{"bugs": [{"bug_id": 1, "s": ["x"], "c": [2.0]}], "developers": [[7, 5.0]]}',
         '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7, 1' + "0" * 400 + ']]}',
+        # an id that is not an integer, or a bool that numpy reads as 0 or 1
+        '{"alpha": true, "developers": [[7, true]], "bugs": [{"bug_id": 1.5, "s": [true], "c": [1]}]}',
+        '{"bugs": [{"bug_id": 1.0, "s": [1.0], "c": [2.0]}], "developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": true, "s": [1.0], "c": [2.0]}], "developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7.5, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[true, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}, {"bug_id": 2, "s": [1.0], "c": [2.0]}],'
+        ' "developers": [[7, 5.0]], "precedence": [[1, 2.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7, true]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [2.0]}], "developers": [[7, 5.0]], "alpha": true}',
+        '{"bugs": [{"bug_id": 1, "s": [true], "c": [2.0]}], "developers": [[7, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0, true], "c": [2.0, 2.0]}],'
+        ' "developers": [[7, 5.0], [8, 5.0]]}',
+        '{"bugs": [{"bug_id": 1, "s": [1.0], "c": [true]}], "developers": [[7, 5.0]]}',
     ],
     ids=["not-json", "no-bugs", "capacity-nan", "suitability-nan", "cost-infinity",
-         "duplicate-developer", "cost-row-short", "suitability-string", "capacity-huge-integer"],
+         "duplicate-developer", "cost-row-short", "suitability-string", "capacity-huge-integer",
+         "all-bool", "bug-id-float", "bug-id-bool", "developer-id-float", "developer-id-bool",
+         "precedence-id-float", "capacity-bool", "alpha-bool", "suitability-bool",
+         "suitability-bool-among-floats", "cost-bool"],
 )
 def test_solve_bad_instance_is_one_error_line(tmp_path, capsys, content):
     path = tmp_path / "instance.json"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from triagelab import pipeline
 from triagelab.corpus import split_train_test
@@ -256,6 +256,94 @@ def test_infer_topic_deterministic_and_oov_sentinel():
     assert t1 != t2
 
 
+def reference_fill_missing_cf(observed: dict, dev_ids, K):
+    """(filled, provenance by (dev_id, k), global mean) of the filler over
+    per-developer dicts that recomputes a cosine for every (missing cell,
+    other developer), as fill_missing_cf did before the cost matrix became
+    one grid; the exactness reference."""
+    by_dev = {d: {} for d in dev_ids}
+    for (d, k), v in observed.items():
+        by_dev[d][k] = v
+    global_mean = float(np.mean(list(observed.values())))
+
+    def similarity(obs_a, obs_b):
+        shared = sorted(set(obs_a) & set(obs_b))
+        if not shared:
+            return None
+        a = np.array([obs_a[k] for k in shared])
+        b = np.array([obs_b[k] for k in shared])
+        denom = np.linalg.norm(a) * np.linalg.norm(b)
+        return None if denom == 0 else float(a @ b / denom)
+
+    filled = np.zeros((len(dev_ids), K))
+    provenance = {}
+    for i, d in enumerate(dev_ids):
+        for k in range(K):
+            if (d, k) in observed:
+                filled[i, k] = observed[(d, k)]
+                provenance[(d, k)] = OBSERVED
+                continue
+            num = den = 0.0
+            for other in dev_ids:
+                if other == d or k not in by_dev[other]:
+                    continue
+                sim = similarity(by_dev[d], by_dev[other])
+                if sim is None or sim <= 0:
+                    continue
+                num += sim * by_dev[other][k]
+                den += sim
+            if den > 0:
+                filled[i, k] = num / den
+                provenance[(d, k)] = CF
+                continue
+            column = [by_dev[o][k] for o in dev_ids if k in by_dev[o]]
+            if column:
+                filled[i, k] = float(np.mean(column))
+                provenance[(d, k)] = CF
+            else:
+                filled[i, k] = global_mean
+                provenance[(d, k)] = GLOBAL_MEAN
+    return filled, provenance, global_mean
+
+
+def _grid(rows):
+    """A cost grid from nested lists, with None for an unobserved cell."""
+    return np.array(rows, dtype=float)
+
+
+_COST = st.one_of(st.integers(1, 30).map(float), st.floats(min_value=0.5, max_value=100.0))
+
+
+@st.composite
+def _sparse_grids(draw):
+    """(observed grid, sorted dev_ids), D and K from 1 to 8, with some
+    developers and topics observed nowhere and at least one observed cell."""
+    D, K = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    dev_ids = sorted(draw(st.lists(st.integers(0, 99), min_size=D, max_size=D, unique=True)))
+    cells = draw(st.lists(st.one_of(st.none(), _COST), min_size=D * K, max_size=D * K))
+    grid = _grid([cells[i * K:(i + 1) * K] for i in range(D)])
+    grid[sorted(draw(st.sets(st.integers(0, D - 1), max_size=D - 1))), :] = np.nan
+    grid[:, sorted(draw(st.sets(st.integers(0, K - 1), max_size=K - 1)))] = np.nan
+    assume(not np.isnan(grid).all())
+    return grid, dev_ids
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_sparse_grids())
+def test_fill_matches_the_per_cell_reference_bit_for_bit(case):
+    grid, dev_ids = case
+    observed = {(d, k): float(grid[i, k]) for i, d in enumerate(dev_ids)
+                for k in range(grid.shape[1]) if not np.isnan(grid[i, k])}
+    filled, provenance, global_mean = reference_fill_missing_cf(observed, dev_ids, grid.shape[1])
+    matrix = fill_missing_cf(grid, dev_ids)
+    assert [v.hex() for v in matrix.filled.ravel().tolist()] == [
+        v.hex() for v in filled.ravel().tolist()]
+    assert matrix.provenance.tolist() == [
+        [provenance[(d, k)] for k in range(grid.shape[1])] for d in dev_ids]
+    assert matrix.global_mean.hex() == global_mean.hex()
+    assert matrix.dev_ids == dev_ids and matrix.K == grid.shape[1]
+
+
 def test_build_cost_matrix_hand_means():
     records = [
         make_bug(1, reported=1, assigned=1, resolved=2, dev=1),   # 2 days
@@ -263,55 +351,65 @@ def test_build_cost_matrix_hand_means():
         make_bug(3, reported=1, assigned=1, resolved=6, dev=2),   # 6 days
         make_bug(4, reported=1, assigned=1, resolved=9, dev=2),   # no topic: no cell
     ]
-    observed = build_cost_matrix(records, [0, 0, 1, GLOBAL_TOPIC])
-    assert observed == {(1, 0): 3.0, (2, 1): 6.0}
-    matrix = fill_missing_cf(observed, [1, 2], K=3)
-    assert matrix.provenance[(1, 0)] == matrix.provenance[(2, 1)] == OBSERVED
+    observed = build_cost_matrix(records, [0, 0, 1, GLOBAL_TOPIC], [1, 2], K=3)
+    assert np.array_equal(observed, _grid([[3.0, None, None], [None, 6.0, None]]),
+                          equal_nan=True)
+    matrix = fill_missing_cf(observed, [1, 2])
+    assert matrix.observed.tolist() == [[True, False, False], [False, True, False]]
+    assert matrix.provenance[0, 0] == matrix.provenance[1, 1] == OBSERVED
     assert matrix.global_mean == pytest.approx(4.5)
 
 
 def test_cf_fill_similarity_weighted_hand_value():
-    observed = {(1, 0): 2.0, (1, 1): 4.0, (2, 0): 2.0, (3, 0): 4.0, (3, 1): 8.0}
-    filled = fill_missing_cf(observed, [1, 2, 3], K=2)
+    observed = _grid([[2.0, 4.0], [2.0, None], [4.0, 8.0]])
+    filled = fill_missing_cf(observed, [1, 2, 3])
     # dev 2 topic 1: 1-D overlaps give cosine 1 to both dev 1 and dev 3
     # -> (4 + 8) / 2 = 6
     assert filled.filled[1, 1] == pytest.approx(6.0)
-    assert filled.provenance[(2, 1)] == CF
+    assert filled.provenance[1, 1] == CF
     # observed cells untouched
-    for (d, k), v in observed.items():
-        assert filled.filled[filled.dev_ids.index(d), k] == v
-        assert filled.provenance[(d, k)] is not CF
+    seen = ~np.isnan(observed)
+    assert np.array_equal(filled.filled[seen], observed[seen])
+    assert np.array_equal(filled.observed, seen)
 
 
 def test_cf_fill_column_mean_and_global_fallbacks():
-    filled = fill_missing_cf({(1, 0): 3.0, (1, 1): 5.0}, [1, 2], K=3)
+    filled = fill_missing_cf(_grid([[3.0, 5.0, None], [None, None, None]]), [1, 2])
     # dev 2 has no observations: no similarity, column-mean fallback
     assert filled.filled[1, 0] == pytest.approx(3.0)
-    assert filled.provenance[(2, 0)] == CF
+    assert filled.provenance[1, 0] == CF
     # topic 2 observed nowhere: global mean for every developer
     assert filled.filled[:, 2].tolist() == pytest.approx([4.0, 4.0])
-    assert filled.provenance[(1, 2)] == GLOBAL_MEAN
+    assert filled.provenance[:, 2].tolist() == [GLOBAL_MEAN, GLOBAL_MEAN]
     assert np.all(filled.filled > 0)
 
 
 def test_cost_global_topic_sentinel_maps_to_global_mean():
-    matrix = fill_missing_cf({(1, 0): 2.0, (1, 1): 6.0}, [1], K=2)
+    matrix = fill_missing_cf(_grid([[2.0, 6.0]]), [1])
     # feature_table gives a GLOBAL_TOPIC bug this cost for every developer
     assert matrix.global_mean == pytest.approx(4.0)
 
 
 def test_empty_matrix_rejected():
     with pytest.raises(ValidationError):
-        fill_missing_cf({}, [1], K=2)
+        fill_missing_cf(_grid([[None, None]]), [1])
 
 
 def test_cost_matrix_json_roundtrip():
-    matrix = fill_missing_cf({(1, 0): 2.0, (2, 1): 3.0}, [1, 2], K=2)
-    again = CostMatrix.from_json(matrix.to_json())
+    matrix = fill_missing_cf(_grid([[2.0, None], [None, 3.0]]), [1, 2])
+    text = matrix.to_json()
+    again = CostMatrix.from_json(text)
     assert again.dev_ids == matrix.dev_ids
-    assert again.observed == matrix.observed
-    assert np.allclose(again.filled, matrix.filled)
-    assert again.provenance == matrix.provenance
+    assert again.filled.tobytes() == matrix.filled.tobytes()
+    assert np.array_equal(again.provenance, matrix.provenance)
+    assert again.to_json() == text
+    obj = json.loads(text)
+    assert sorted(obj) == ["K", "dev_ids", "filled", "provenance"]
+    # the global mean reads the OBSERVED cells, so a grid needs one
+    with pytest.raises(ValidationError, match="no OBSERVED cell"):
+        CostMatrix.from_json(json.dumps(dict(obj, provenance=[[CF, CF], [CF, GLOBAL_MEAN]])))
+    with pytest.raises(ValidationError, match="unknown key 'observed'"):
+        CostMatrix.from_json(json.dumps(dict(obj, observed=[[1, 0, 2.0], [2, 1, 3.0]])))
 
 
 def test_topic_model_json_roundtrip():

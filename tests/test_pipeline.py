@@ -5,7 +5,7 @@ import numpy as np
 
 from triagelab import costmodel, pipeline
 from triagelab.corpus import DeveloperProfile
-from triagelab.costmodel import GLOBAL_TOPIC, OBSERVED, build_cost_matrix
+from triagelab.costmodel import GLOBAL_TOPIC, build_cost_matrix
 from triagelab.simulator import FeatureTable, SimConfig, run_simulation
 from triagelab.textprep import preprocess_text
 
@@ -65,6 +65,14 @@ def test_actual_replays_a_bug_whose_assignee_has_no_profile():
     assert entry["accurate"] is False
 
 
+def _assert_observed_cells(matrix, observed):
+    """``matrix`` labels OBSERVED exactly the cells of the ``observed``
+    grid that are not NaN, and holds their means unchanged."""
+    seen = ~np.isnan(observed)
+    assert np.array_equal(matrix.observed, seen)
+    assert matrix.filled[seen].tobytes() == observed[seen].tobytes()
+
+
 def _fold_in_forbidden(*args, **kwargs):
     raise AssertionError("training must not fold in a training doc")
 
@@ -89,11 +97,10 @@ def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
         records, profiles, pipeline.TrainSettings(topic_grid=(2,), lda_iters=5)
     )
     topics = models.topic_model.doc_topic.argmax(axis=1).tolist()
-    assert models.cost_matrix.observed == build_cost_matrix(
-        records, topics[:-1] + [GLOBAL_TOPIC]
+    _assert_observed_cells(
+        models.cost_matrix, build_cost_matrix(records, topics[:-1] + [GLOBAL_TOPIC], [1, 2, 3], 2)
     )
-    assert not any(d == 3 for d, _ in models.cost_matrix.observed)
-    assert all(models.cost_matrix.provenance[(3, k)] != OBSERVED for k in range(2))
+    assert not models.cost_matrix.observed[2].any()  # dev 3
 
 
 def _mini_training(env):
@@ -108,7 +115,8 @@ def test_mini_cost_cells_average_the_fitted_topics(mini_env):
     assert model.doc_topic.shape == (len(train), model.K)
     assert all(any(t in vocab.index for t in doc.tokens) for doc in docs)
     topics = model.doc_topic.argmax(axis=1).tolist()
-    assert mini_env.models.cost_matrix.observed == build_cost_matrix(train, topics)
+    _assert_observed_cells(mini_env.models.cost_matrix,
+                           build_cost_matrix(train, topics, mini_env.models.dev_ids, model.K))
 
 
 def test_mini_training_topics_recover_planted_components(mini_env):

@@ -328,7 +328,8 @@ def test_instance_validation_errors():
                  ((float("-inf"),), (2.0,))):
         with pytest.raises(ValidationError, match="bug 1: suitability and cost must be finite"):
             AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
-    for s, c in ((("x",), (2.0,)), (("1.0",), (2.0,)), ((None,), (2.0,)), (([1.0],), (2.0,))):
+    for s, c in ((("x",), (2.0,)), (("1.0",), (2.0,)), ((None,), (2.0,)), (([1.0],), (2.0,)),
+                 ((True,), (2.0,)), ((1.0,), (True,))):
         with pytest.raises(ValidationError, match="suitability and cost must be real numbers"):
             AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
     for s, c in (((1.0,), (2.0, 2.0)), ((1.0, 1.0), (2.0,))):  # an s row, then a c row, of the wrong length
