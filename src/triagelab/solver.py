@@ -10,7 +10,7 @@ plain suitability under capacity only.
 Solved by depth-first branch and bound over the bugs in
 ``bdg.topological_order``, best contribution first among ready bugs.  A
 branch is pruned on an admissible bound on what the undecided bugs can
-still add, read from one suffix table per vector of fit counts (how
+still add, read from the suffix table of the node's fit counts (how
 many of each developer's distinct costs its remaining capacity admits):
 
 - in general the fit-aware bound: the sum of each one's best
@@ -26,25 +26,30 @@ many of each developer's distinct costs its remaining capacity admits):
 
 Pruning only skips subtrees that hold no completion the search would
 accept, so the solution is the one an unpruned search finds, from fewer
-nodes.  A table is built when a node first reaches its counts.  Each
-node receives its counts and table from its parent, and the root
-computes them from the capacities: a child's counts are its node's with
-one entry lowered, and leaving a bug unassigned keeps them.  Neither
-bound rises when a count falls, so the node's own table bounds every
-child, and that lookup is each branch's first test.  A child whose fit
-count does not change reuses its node's table and passes that test
-alone; only the others look up a table of their own.  The search
-recurses once per bug, so a pool deeper than Python's recursion limit
-is refused with a ValidationError.  A separate vectorized
-exhaustive-enumeration oracle exists for verification and never shares
-code with the search.
+nodes.  A table's key is its counts packed into one Python int (many
+developers pass 64 bits), each in a bit field just wide enough for its
+developer's distinct costs.  A table is built, and its key decoded to
+counts, when a node first reaches that key.  Each node receives its key
+and table from its parent, and the root computes them from the
+capacities: a child's counts are its node's with one entry lowered, so
+one addition rewrites that field of the key, and leaving a bug
+unassigned keeps them.  Neither bound rises when a count falls, so the
+node's own table bounds every child, and that lookup is each branch's
+first test.  A child whose fit count does not change reuses its node's
+table and passes that test alone; only the others look up a table of
+their own.  The search recurses once per bug, so a pool deeper than
+Python's recursion limit is refused with a ValidationError.  A separate
+vectorized exhaustive-enumeration oracle exists for verification and
+never shares code with the search.
 
 An instance arrives as per-bug ``InstanceBug`` rows (the JSON and CLI
-face).  ``AssignmentInstance.__post_init__`` checks their lengths, then
-builds and validates, once, the (bugs x developers) arrays ``S`` and
-``C``, the capacities ``caps`` and the precedence by row; every reader
-(``contributions``, ``check_feasible``, ``objective_value``, the search
-and the oracle) reads these, not the rows.
+face).  ``AssignmentInstance.__post_init__`` checks that every id is an
+int and no number a bool, which numpy would read as 0 or 1, and the
+rows' lengths, then builds and validates, once, the (bugs x developers)
+arrays ``S`` and ``C``, the capacities ``caps`` and the precedence by
+row; every reader (``contributions``, ``check_feasible``,
+``objective_value``, the search and the oracle) reads these, not the
+rows.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ def _row_problem(bug, D):
     """Why one bug's rows give no real (bugs x ``D``) arrays, or None."""
     if len(bug.s) != D or len(bug.c) != D:
         return "row size mismatch"
-    try:  # a string, None, a bool or a list among the entries
+    try:  # a string, None or a list among the entries
         rows = [np.array(bug.s), np.array(bug.c)]
         if all(row.ndim == 1 and row.dtype.kind in "iuf" for row in rows):
             return None
@@ -112,6 +117,17 @@ class AssignmentInstance:
     children: dict = field(init=False, repr=False, compare=False)  # row -> rows it blocks
 
     def __post_init__(self):
+        ids = ([("bug id", b.bug_id) for b in self.bugs]
+               + [("developer id", d) for d, _ in self.developers]
+               + [("precedence bug id", i) for arc in self.precedence for i in arc])
+        for what, value in ids:
+            if type(value) is not int:
+                raise ValidationError(f"{what} {value!r} is not an integer")
+        numbers = [("alpha", (self.alpha,)), ("capacity", [cap for _, cap in self.developers])] + [
+            (f"bug {b.bug_id}: suitability or cost", (*b.s, *b.c)) for b in self.bugs]
+        for what, values in numbers:
+            if bool in map(type, values):
+                raise ValidationError(f"{what} is true or false, not a number")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError("alpha must lie in [0, 1]")
         row = {b.bug_id: i for i, b in enumerate(self.bugs)}
@@ -180,24 +196,14 @@ class AssignmentInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "AssignmentInstance":
-        """The instance ``to_json`` writes.  Ids must be integers, and no
-        number may be a bool, which numpy would read as 0 or 1."""
+        """The instance ``to_json`` writes."""
         obj = json.loads(text)
-        bugs = [InstanceBug(b["bug_id"], tuple(b["s"]), tuple(b["c"])) for b in obj["bugs"]]
-        developers = [tuple(d) for d in obj["developers"]]
-        precedence = [tuple(a) for a in obj.get("precedence", [])]
-        alpha = obj.get("alpha", 0.5)
-        ids = ([("bug id", b.bug_id) for b in bugs] + [("developer id", d) for d, _ in developers]
-               + [("precedence bug id", i) for arc in precedence for i in arc])
-        for what, value in ids:
-            if type(value) is not int:
-                raise ValidationError(f"{what} {value!r} is not an integer")
-        numbers = [("alpha", (alpha,)), ("capacity", [cap for _, cap in developers])] + [
-            (f"bug {b.bug_id}: suitability or cost", b.s + b.c) for b in bugs]
-        for what, values in numbers:
-            if bool in map(type, values):
-                raise ValidationError(f"{what} is true or false, not a number")
-        return cls(bugs=bugs, developers=developers, precedence=precedence, alpha=alpha)
+        return cls(
+            bugs=[InstanceBug(b["bug_id"], tuple(b["s"]), tuple(b["c"])) for b in obj["bugs"]],
+            developers=[tuple(d) for d in obj["developers"]],
+            precedence=[tuple(a) for a in obj.get("precedence", [])],
+            alpha=obj.get("alpha", 0.5),
+        )
 
 
 @dataclass(frozen=True)
@@ -399,34 +405,38 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
 
     # One bound table per vector of fit counts, built when a node first
     # reaches that vector: a free-developer column where that table
-    # applies, else the fit-aware table.
+    # applies, else the fit-aware table.  Count j is code >> shift[j] & bits[j].
     distinct = _distinct_costs(instance.C)
+    widths = [len(costs).bit_length() for costs in distinct]
+    bits = [(1 << w) - 1 for w in widths]
+    shift = list(accumulate(widths[:-1], initial=0))
     blocked = {i for i in range(n) if parents_of[i]}
     matching = _matching_table(order, contrib_rows, cost_rows, caps, slack, blocked)
     walks = _fit_walks(order, contrib_rows, cost_rows, dev_order, distinct) if matching is None else None
-    tables: dict[tuple, list] = {}
+    tables: dict[int, list] = {}
 
-    def fit_table(counts: tuple) -> list:
-        table = tables.get(counts)
-        if table is None:
-            if matching is None:
-                table = _fit_table(counts, walks)
-            else:
-                mask = sum(1 << j for j, k in enumerate(counts) if k)
-                table = matching[:, mask].tolist()
-            tables[counts] = table
+    def build_table(code: int) -> list:
+        counts = [code >> s & b for s, b in zip(shift, bits)]
+        if matching is None:
+            table = _fit_table(counts, walks)
+        else:
+            mask = sum(1 << j for j, k in enumerate(counts) if k)
+            table = matching[:, mask].tolist()
+        tables[code] = table
         return table
 
+    # per rank: the bug, its blockers, its developers best first, its rows
+    by_rank = [(i, parents_of[i], dev_order[i], contrib_rows[i], cost_rows[i]) for i in order]
     incumbent, best_value = _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps)
     best_choice = dict(incumbent)
     choice: dict[int, int] = {}
     remaining = list(caps)
     node_count = 0
 
-    def dfs(rank: int, value: float, counts: tuple, table: list):
-        # `counts` are the fit counts of `remaining` at entry, `table` their
-        # bound table.  Below the root, entered only when that bound leaves
-        # room above best_value + _EPS.
+    def dfs(rank: int, value: float, code: int, table: list):
+        # `code` packs the fit counts of `remaining` at entry, `table` is
+        # their bound table.  Below the root, entered only when that bound
+        # leaves room above best_value + _EPS.
         nonlocal best_value, best_choice, node_count
         node_count += 1
         if rank == n:
@@ -434,14 +444,12 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
                 best_value = value
                 best_choice = dict(choice)
             return
-        i = order[rank]
-        parents = parents_of[i]
-        allowed = _allowed_devs(parents, choice) if parents else dev_order[i]
+        i, parents, devs, row, cost = by_rank[rank]
+        allowed = _allowed_devs(parents, choice) if parents else devs
         nxt = rank + 1
         # A child's counts are never above the node's, so table[nxt] bounds
         # every child: the cheap test.
         bound = table[nxt]
-        row, cost = contrib_rows[i], cost_rows[i]
         for j in allowed:
             c = cost[j]
             if c > remaining[j] + _EPS:
@@ -450,28 +458,27 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
             if child + bound <= best_value + _EPS:
                 break  # `allowed` runs by contribution, descending
             k = bisect_right(distinct[j], remaining[j] - c + slack)
-            if k == counts[j]:
+            now = code >> shift[j] & bits[j]
+            if k == now:
                 # same counts: the node's table, which the test above read
-                child_counts, child_table = counts, table
+                child_code, child_table = code, table
             else:
-                child_counts = (*counts[:j], k, *counts[j + 1:])
-                child_table = fit_table(child_counts)
+                child_code = code + ((k - now) << shift[j])
+                child_table = tables.get(child_code) or build_table(child_code)
                 if child + child_table[nxt] <= best_value + _EPS:
                     continue
             choice[i] = j
             remaining[j] -= c
-            dfs(nxt, child, child_counts, child_table)
+            dfs(nxt, child, child_code, child_table)
             remaining[j] += c
             del choice[i]
         # leave unassigned: same counts, so `bound` is its own bound
         if value + bound > best_value + _EPS:
-            dfs(nxt, value, counts, table)
+            dfs(nxt, value, code, table)
 
-    root_counts = tuple(
-        [bisect_right(costs, cap + slack) for costs, cap in zip(distinct, caps)]
-    )
+    root = sum(bisect_right(costs, cap + slack) << s for costs, cap, s in zip(distinct, caps, shift))
     try:
-        dfs(0, 0.0, root_counts, fit_table(root_counts))
+        dfs(0, 0.0, root, build_table(root))
     except RecursionError:
         raise ValidationError(
             f"a pool of {n} bugs is deeper than the exact search can recurse "

@@ -1,3 +1,4 @@
+import re
 import warnings
 from bisect import bisect_right
 from pathlib import Path
@@ -328,9 +329,12 @@ def test_instance_validation_errors():
                  ((float("-inf"),), (2.0,))):
         with pytest.raises(ValidationError, match="bug 1: suitability and cost must be finite"):
             AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
-    for s, c in ((("x",), (2.0,)), (("1.0",), (2.0,)), ((None,), (2.0,)), (([1.0],), (2.0,)),
-                 ((True,), (2.0,)), ((1.0,), (True,))):
+    for s, c in ((("x",), (2.0,)), (("1.0",), (2.0,)), ((None,), (2.0,)), (([1.0],), (2.0,))):
         with pytest.raises(ValidationError, match="suitability and cost must be real numbers"):
+            AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
+    for s, c in (((True,), (2.0,)), ((1.0,), (True,))):
+        with pytest.raises(ValidationError,
+                           match="^bug 1: suitability or cost is true or false, not a number$"):
             AssignmentInstance(bugs=[InstanceBug(1, s=s, c=c)], developers=[(1, 5.0)])
     for s, c in (((1.0,), (2.0, 2.0)), ((1.0, 1.0), (2.0,))):  # an s row, then a c row, of the wrong length
         with pytest.raises(ValidationError, match="bug 1: row size mismatch"):
@@ -348,6 +352,30 @@ def test_instance_validation_errors():
         AssignmentInstance(
             bugs=two, developers=[(1, 5.0)], precedence=[(1, 2), (2, 1)]
         )  # cyclic
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        # a bool among floats makes a float array, which reads it as 0 or 1
+        (dict(bugs=[InstanceBug(1, (True, 0.5), (2.0, 2.0))], developers=[(7, True), (8, 5.0)],
+              alpha=True), "alpha is true or false, not a number"),
+        (dict(bugs=[InstanceBug(1, (1.0, 0.5), (2.0, 2.0))], developers=[(7, True), (8, 5.0)]),
+         "capacity is true or false, not a number"),
+        (dict(bugs=[InstanceBug(1, (1.0, 0.5), (2.0, False))], developers=[(7, 5.0), (8, 5.0)]),
+         "bug 1: suitability or cost is true or false, not a number"),
+        (dict(bugs=[InstanceBug(1.0, (1.0,), (2.0,))], developers=[(7, 5.0)]),
+         "bug id 1.0 is not an integer"),
+        (dict(bugs=[InstanceBug(1, (1.0,), (2.0,)), InstanceBug(2, (1.0,), (2.0,))],
+              developers=[(7, 5.0)], precedence=[(1, 2.0)]),
+         "precedence bug id 2.0 is not an integer"),
+    ],
+    ids=["all-three-bools", "capacity-bool", "cost-bool-among-floats", "bug-id-float",
+         "precedence-id-float"],
+)
+def test_direct_construction_refuses_what_from_json_refuses(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        AssignmentInstance(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -488,15 +516,59 @@ def test_arrays_equal_the_tuple_references(inst, variant):
     assert _hexes([solution.objective_value]) == _hexes([total])
 
 
+def _assert_search_equals_suffix_reference(inst, variant):
+    got = _branch_and_bound(inst, variant)
+    want = reference_branch_and_bound(inst, variant)
+    assert got.assignments == want.assignments
+    assert got.objective_value == want.objective_value  # to the bit
+    assert got.node_count <= want.node_count
+
+
 @settings(max_examples=300, deadline=None)
 @given(inst=coarse_instances() | unit_case_instances())
 def test_capacity_bound_search_equals_suffix_reference(inst):
     for variant in (DABT, RABT):
-        got = _branch_and_bound(inst, variant)
-        want = reference_branch_and_bound(inst, variant)
-        assert got.assignments == want.assignments
-        assert got.objective_value == want.objective_value  # to the bit
-        assert got.node_count <= want.node_count
+        _assert_search_equals_suffix_reference(inst, variant)
+
+
+# Ten costs, so a developer whose bugs all cost differently has up to
+# eight distinct costs and a fit-count field four bits wide.
+_WIDE_COST_GRID = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0]
+
+
+@st.composite
+def wide_instances(draw):
+    """Up to 16 developers, about half with a distinct cost per bug, so
+    the packed fit counts run to 64 bits and more developers than the
+    free-developer table takes.  Half the draws have 8 bugs, the most a
+    four-bit field needs."""
+    n = draw(st.integers(1, 8) | st.just(8))
+    D = draw(st.integers(1, 16))
+    columns = [
+        draw(st.lists(st.sampled_from(_WIDE_COST_GRID), min_size=n, max_size=n,
+                      unique=draw(st.booleans())))
+        for _ in range(D)
+    ]
+    bugs = []
+    for i in range(n):
+        s = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=D, max_size=D))
+        s[draw(st.integers(0, D - 1))] = 1.0
+        bugs.append(InstanceBug(i, tuple(s), tuple(column[i] for column in columns)))
+    caps = draw(st.lists(st.sampled_from(_CAPACITY_GRID), min_size=D, max_size=D))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    return AssignmentInstance(
+        bugs=bugs,
+        developers=[(10 + j, cap) for j, cap in enumerate(caps)],
+        precedence=sorted(arcs),
+        alpha=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=wide_instances(), variant=st.sampled_from([DABT, RABT]))
+def test_wide_packed_keys_search_equals_suffix_reference(inst, variant):
+    _assert_search_equals_suffix_reference(inst, variant)
 
 
 @settings(max_examples=150, deadline=None)
@@ -651,6 +723,28 @@ def test_matches_milp_above_oracle_size():
             sol = solve(inst)
             check_feasible(inst, sol.assignments, variant)
             assert sol.objective_value == pytest.approx(milp_optimum(inst, variant), abs=1e-9)
+
+
+def test_key_wider_than_64_bits_matches_milp():
+    # 14 bugs x 24 developers with 8 or more distinct costs each: 24
+    # four-bit fit-count fields make a 96-bit key, past numpy's ints.
+    rng = np.random.default_rng(24)
+    n, D = 14, 24
+    s = rng.random((n, D)) ** 4
+    s /= s.max(axis=1, keepdims=True)
+    costs = rng.uniform(1, 8, (n, D)).round(2)
+    caps = rng.uniform(0, 4, D).round(2)
+    inst = AssignmentInstance(
+        bugs=[InstanceBug(i, tuple(s[i].tolist()), tuple(costs[i].tolist())) for i in range(n)],
+        developers=[(d, cap) for d, cap in enumerate(caps.tolist())],
+        precedence=[(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1],
+        alpha=0.5,
+    )
+    assert sum(len(column).bit_length() for column in _distinct_costs(inst.C)) == 96
+    for variant, solve in ((DABT, solve_dabt), (RABT, solve_rabt)):
+        sol = solve(inst)
+        check_feasible(inst, sol.assignments, variant)
+        assert sol.objective_value == pytest.approx(milp_optimum(inst, variant), abs=1e-9)
 
 
 def test_node_count_on_above_oracle_family_is_pinned():
