@@ -14,10 +14,13 @@ file holds the filled grid and the labels, so each cell's cost is
 written once.
 
 Every Gibbs draw takes one uniform ``u`` from the generator, as
-``Generator.choice`` does.  The fit's sweep is scalar Python over lists
-of counts; each draw is a plain inverse-CDF draw on the unnormalised
-weights: the first index whose running sum exceeds ``u`` times their
-total.  The fold-in computes ``p`` in numpy and repeats ``choice``'s
+``Generator.choice`` does; both samplers draw the uniforms of a sweep
+(fit) or of a doc (fold-in) in one ``rng.random`` call, which returns
+the values the per-draw calls would.  The fit's sweep is scalar Python
+over lists of counts; each draw is a plain inverse-CDF draw on the
+unnormalised weights: the first index whose running sum exceeds ``u``
+times their total.  The fold-in reads ``phi`` by rows (``phi.T[ids]``,
+once per doc), computes ``p`` in numpy and repeats ``choice``'s
 arithmetic (``_draw``) without its per-call overhead.
 tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 """
@@ -81,13 +84,13 @@ def _doc_word_ids(doc, vocab):
     return [vocab.index[t] for t in doc.tokens if t in vocab.index]
 
 
-def _draw(rng, p) -> int:
-    """The index ``rng.choice(len(p), p=p)`` returns, from the same single
-    ``rng.random()`` draw and the same arithmetic, without ``choice``'s
-    per-call validation."""
+def _draw(u, p) -> int:
+    """The index ``rng.choice(len(p), p=p)`` returns when its single
+    ``rng.random()`` draw is ``u``: the same arithmetic, without
+    ``choice``'s per-call validation."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
@@ -222,21 +225,30 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
     Deterministic: a fresh generator is seeded from the model seed, so
     the same doc always lands on the same topic.  A doc with zero
     in-vocabulary tokens gets the GLOBAL_TOPIC sentinel.
+
+    The doc's uniforms come from one ``rng.random(sweeps * n)`` after the
+    initial topics, the values ``sweeps * n`` per-token ``rng.random()``
+    calls would give; token ``j``'s ``phi`` column is read once, as row
+    ``j`` of ``phi.T[ids]``.
     """
     ids = _doc_word_ids(doc, vocab)
     if not ids:
         return GLOBAL_TOPIC
     rng = np.random.default_rng(model.seed)
-    K = model.K
+    n = len(ids)
+    z = rng.integers(0, model.K, size=n)
+    counts = np.bincount(z, minlength=model.K).astype(float)
+    z = z.tolist()
+    uniforms = iter(rng.random(sweeps * n).tolist())
+    columns = list(model.phi.T[ids])  # (n, K) rows: token j's phi[:, w]
     alpha = model.alpha_lda
-    z = rng.integers(0, K, size=len(ids))
-    counts = np.bincount(z, minlength=K).astype(float)
+    total = np.add.reduce
     for _ in range(sweeps):
-        for j, w in enumerate(ids):
+        for j, column in enumerate(columns):
             counts[z[j]] -= 1
-            p = (counts + alpha) * model.phi[:, w]
-            p /= p.sum()
-            k = _draw(rng, p)
+            p = (counts + alpha) * column
+            p /= total(p)
+            k = _draw(next(uniforms), p)
             z[j] = k
             counts[k] += 1
     return int(np.argmax(counts))  # argmax takes the smallest tied index

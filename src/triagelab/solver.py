@@ -122,6 +122,8 @@ class AssignmentInstance:
                + [("precedence bug id", i) for arc in self.precedence for i in arc])
         for what, value in ids:
             if type(value) is not int:
+                if isinstance(value, np.integer):
+                    raise ValidationError(f"{what} {value!r} is a numpy integer; convert it with int()")
                 raise ValidationError(f"{what} {value!r} is not an integer")
         numbers = [("alpha", (self.alpha,)), ("capacity", [cap for _, cap in self.developers])] + [
             (f"bug {b.bug_id}: suitability or cost", (*b.s, *b.c)) for b in self.bugs]

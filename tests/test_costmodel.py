@@ -9,6 +9,7 @@ from triagelab.corpus import split_train_test
 from triagelab.costmodel import (
     BETA_LDA,
     CF,
+    DEFAULT_INFER_SWEEPS,
     GLOBAL_MEAN,
     GLOBAL_TOPIC,
     OBSERVED,
@@ -25,7 +26,7 @@ from triagelab.costmodel import (
 from triagelab.errors import ValidationError
 from triagelab.textprep import TokenizedDoc, build_vocabulary, preprocess_text
 
-from conftest import MINI_BOUNDARY, make_bug
+from conftest import MINI_BOUNDARY, MINI_END, make_bug
 
 
 def reference_fit_lda(docs, vocab, K, seed, iters):
@@ -159,17 +160,9 @@ def test_draw_matches_generator_choice(weights, seed):
     p /= p.sum()
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(200):
-        assert _draw(ours, p) == int(theirs.choice(len(p), p=p))
+        assert _draw(ours.random(), p) == int(theirs.choice(len(p), p=p))
     # both consumed the stream identically
     assert ours.random() == theirs.random()
-
-
-class _FixedUniform:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 def test_draw_normalizes_a_cdf_that_ends_below_one():
@@ -177,10 +170,10 @@ def test_draw_normalizes_a_cdf_that_ends_below_one():
     p /= p.sum()
     assert p.cumsum()[-1] < 1.0  # rounding leaves a gap below 1
     # as in choice, the largest uniform below 1 lands on the last index
-    assert _draw(_FixedUniform(np.nextafter(1.0, 0.0)), p) == 6
-    assert _draw(_FixedUniform(0.0), p) == 0
+    assert _draw(np.nextafter(1.0, 0.0), p) == 6
+    assert _draw(0.0, p) == 0
     # a uniform equal to a cumulative value goes right, as in choice
-    assert _draw(_FixedUniform(0.25), np.array([0.25, 0.75])) == 1
+    assert _draw(0.25, np.array([0.25, 0.75])) == 1
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +201,40 @@ def test_gibbs_bitwise_equal_to_choice_reference(mini_training_docs, K, iters):
     assert model.doc_topic.tobytes() == theta.tobytes()
     topics = [infer_topic(model, doc, vocab, sweeps=3) for doc in docs]
     assert topics == [reference_infer_topic(model, doc, vocab, 3) for doc in docs]
+
+
+@pytest.fixture(scope="module")
+def mini_test_docs(mini_records):
+    """The docs a mini replay to day 730 folds in, in bug-id order."""
+    cleaned, _, _ = pipeline.prepare(mini_records, MINI_BOUNDARY)
+    return [
+        preprocess_text(r.summary, r.description, r.bug_id)
+        for r in sorted(cleaned, key=lambda r: r.bug_id)
+        if MINI_BOUNDARY < r.reported_at <= MINI_END
+    ]
+
+
+# K=4 at 20 iterations is the README and benchmark model; from K=8 on,
+# numpy sums p eight lanes at a time instead of left to right.
+@pytest.mark.parametrize("K,iters,step", [(4, 20, 4), (8, 1, 50), (9, 1, 50), (16, 1, 50), (50, 1, 50)])
+def test_fold_in_at_default_sweeps_bitwise_equal_to_choice_reference(
+    mini_training_docs, mini_test_docs, K, iters, step
+):
+    docs, vocab = mini_training_docs
+    terms = vocab.terms
+    edge_docs = [
+        TokenizedDoc(-1, (terms[5],)),  # a single token
+        TokenizedDoc(-2, (terms[7],) * 40),  # one word repeated
+        TokenizedDoc(-3, (terms[0], terms[-1]) * 3),  # vocabulary indices 0 and V-1
+    ]
+    probes = mini_test_docs[::step] + edge_docs
+    model = fit_lda(docs, vocab, K, seed=0, iters=iters)
+    topics = [infer_topic(model, doc, vocab) for doc in probes]
+    assert topics == [reference_infer_topic(model, doc, vocab, DEFAULT_INFER_SWEEPS) for doc in probes]
+    # no sweep: the dominant topic of the initial draw
+    assert [infer_topic(model, doc, vocab, sweeps=0) for doc in probes] == [
+        reference_infer_topic(model, doc, vocab, 0) for doc in probes
+    ]
 
 
 def test_topic_count_selection_prefers_planted_count():

@@ -369,9 +369,11 @@ def test_instance_validation_errors():
         (dict(bugs=[InstanceBug(1, (1.0,), (2.0,)), InstanceBug(2, (1.0,), (2.0,))],
               developers=[(7, 5.0)], precedence=[(1, 2.0)]),
          "precedence bug id 2.0 is not an integer"),
+        (dict(bugs=[InstanceBug(np.int64(1), (1.0,), (2.0,))], developers=[(7, 5.0)]),
+         "bug id np.int64(1) is a numpy integer; convert it with int()"),
     ],
     ids=["all-three-bools", "capacity-bool", "cost-bool-among-floats", "bug-id-float",
-         "precedence-id-float"],
+         "precedence-id-float", "bug-id-numpy-int"],
 )
 def test_direct_construction_refuses_what_from_json_refuses(kwargs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
