@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         lda_iters=args.lda_iters,
     )
-    models = pipeline.train_models(train, profiles, settings)
+    models = pipeline.train_models(train, profiles, args.boundary, settings)
     pipeline.save_models(models, args.out)
     pipeline.save_prepared(summary, profiles, args.out)
     print(
@@ -144,9 +144,9 @@ def _sim_config(args, policy, alpha, records, summary) -> SimConfig:
 
 def cmd_simulate(args) -> int:
     records = _load_corpus(args)
-    cleaned, summary, _ = pipeline.prepare(records, args.boundary)
-    models = pipeline.load_models(args.out)
+    cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     config = _sim_config(args, args.policy, args.alpha, records, summary)
+    models = pipeline.load_models(args.out, profiles, args.boundary)
     result = pipeline.run_policy(config, records, cleaned, models)
     tag = metrics_mod.run_tag(config.policy, config.alpha)
     with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
@@ -187,9 +187,9 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     alphas = [_cast(a, float, f"--alphas {args.alphas!r}") for a in args.alphas.split(",")]
     records = _load_corpus(args)
-    cleaned, summary, _ = pipeline.prepare(records, args.boundary)
-    models = pipeline.load_models(args.out)
+    cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     config = _sim_config(args, "dabt", alphas[0], records, summary)
+    models = pipeline.load_models(args.out, profiles, args.boundary)
     corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
     table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
     rows = []

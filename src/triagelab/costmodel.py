@@ -9,9 +9,9 @@ A training bug's topic is its dominant topic in the fitted mixture
 developer's training fixing times on that topic, NaN where they have
 none; ``fill_missing_cf`` fills those cells by a user-based cosine
 collaborative filter with deterministic fallbacks (topic column mean,
-then global mean) and labels every cell with how it was filled.  The
-file holds the filled grid and the labels, so each cell's cost is
-written once.
+then global mean) and labels every cell with how it was filled.
+``model.json`` holds the filled grid and the labels, so each cell's
+cost is written once.
 
 Every Gibbs draw takes one uniform ``u`` from the generator, as
 ``Generator.choice`` does; both samplers draw the uniforms of a sweep
@@ -27,7 +27,6 @@ tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -35,7 +34,6 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ValidationError
-from .schema import Spec
 
 GLOBAL_TOPIC = -1  # sentinel for docs with no in-vocabulary tokens
 
@@ -58,26 +56,6 @@ class TopicModel:
     vocab_size: int
     # (D, K) training mixture, for selection and the training bugs' topics
     doc_topic: np.ndarray | None = None
-
-    SCHEMA = Spec("obj", {
-        "K": Spec("int", min=1),
-        "alpha_lda": Spec("num", above=0),
-        "seed": Spec("int", min=0),
-        "vocab_size": Spec("int", min=1),
-        "phi": Spec("list", Spec("list", Spec("num", min=0), length="vocab_size"), length="K"),
-    })
-
-    def to_json(self) -> str:
-        return json.dumps({"K": self.K, "alpha_lda": self.alpha_lda, "seed": self.seed,
-                           "vocab_size": self.vocab_size, "phi": self.phi.tolist()}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TopicModel":
-        obj = cls.SCHEMA.parse(text)
-        phi = np.array(obj["phi"], dtype=float)
-        if not ((phi.sum(axis=1) > 0).all() and (phi.sum(axis=0) > 0).all()):
-            raise ValidationError("every phi row and column must have a positive sum")
-        return cls(**dict(obj, phi=phi))
 
 
 def _doc_word_ids(doc, vocab):
@@ -272,26 +250,6 @@ class CostMatrix:
     @property
     def global_mean(self) -> float:
         return float(np.mean(self.filled[self.observed]))
-
-    SCHEMA = Spec("obj", {
-        "dev_ids": Spec("list", Spec("int"), unique=(None,)),
-        "K": Spec("int", min=1),
-        "filled": Spec("list", Spec("list", Spec("num", above=0), length="K"), length="dev_ids"),
-        "provenance": Spec("list", Spec("list", Spec("str", one_of=PROVENANCE), length="K"),
-                           length="dev_ids"),
-    })
-
-    def to_json(self) -> str:
-        return json.dumps({"dev_ids": self.dev_ids, "K": self.K, "filled": self.filled.tolist(),
-                           "provenance": self.provenance.tolist()}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CostMatrix":
-        obj = cls.SCHEMA.parse(text)
-        provenance = np.array(obj["provenance"], dtype=object)
-        if not (provenance == OBSERVED).any():
-            raise ValidationError(f"provenance: no {OBSERVED} cell, which the global mean needs")
-        return cls(obj["dev_ids"], np.array(obj["filled"], dtype=float), provenance)
 
 
 def build_cost_matrix(train_records, topics, dev_ids, K: int) -> np.ndarray:

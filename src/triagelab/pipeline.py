@@ -1,8 +1,14 @@
-"""End-to-end wiring: clean -> train artifacts -> replay -> report.
+"""End-to-end wiring: clean -> train -> replay -> report.
 
-Every stage reads and writes plain JSON artifacts so stages can be
-run, inspected, and re-run independently (and compared across
-implementations).
+``prepare`` cleans the corpus and profiles the active developers;
+``save_prepared`` writes the cleaning summary, its log and the profiles
+for people to read.  ``train_models`` fits the vocabulary, the
+suitability classifier, the topic model and the cost matrix, and
+``save_models`` writes them into one ``model.json``, each trained fact
+once, checked on load against ``MODEL_SCHEMA``.  A replay computes the
+profiles from the data again and takes the models from ``load_models``,
+which refuses a file trained at another boundary or for other
+developers.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import DeveloperProfile, clean_bugs, developer_profiles, split_train_test
+from .corpus import clean_bugs, developer_profiles, split_train_test
 from .costmodel import (
     DEFAULT_GIBBS_ITERS,
     GLOBAL_TOPIC,
+    OBSERVED,
+    PROVENANCE,
     TopicModel,
     CostMatrix,
     build_cost_matrix,
@@ -43,6 +51,7 @@ class TrainedModels:
     topic_model: TopicModel
     cost_matrix: CostMatrix
     dev_profiles: dict  # dev_id -> DeveloperProfile (active set)
+    boundary_day: int  # the last training day
 
     @property
     def dev_ids(self):
@@ -70,9 +79,10 @@ def prepare(records, boundary_day):
     return cleaned, summary, profiles
 
 
-def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedModels:
+def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings) -> TrainedModels:
     """Fit vocabulary, suitability classifier, topic model, and cost
-    matrix on the cleaned training records."""
+    matrix on the cleaned training records, those reported up to
+    ``boundary_day``."""
     if not profiles:
         raise ValidationError("no active developers to train on")
     train = [r for r in cleaned_train if r.actual_assignee in profiles]
@@ -92,6 +102,7 @@ def train_models(cleaned_train, profiles, settings: TrainSettings) -> TrainedMod
         topic_model=topic_model,
         cost_matrix=cost,
         dev_profiles=dict(profiles),
+        boundary_day=boundary_day,
     )
 
 
@@ -109,8 +120,8 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     Each bug's text is preprocessed once and feeds both the classifier
     and the topic fold-in; its cost row is the filled cost matrix's
     column for its topic, or the global mean for GLOBAL_TOPIC.  The
-    columns are the models' one developer order, which ``load_models``
-    checks.
+    columns are the models' one developer order, ``dev_ids`` in
+    ``model.json``.
     """
     matrix, vocab, history = models.cost_matrix, models.vocab, corpus.history
     bug_ids = sorted(
@@ -136,10 +147,71 @@ def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels) -
 
 # --- artifact persistence ----------------------------------------------
 
-PROFILES_SCHEMA = Spec("list", Spec("obj", {
-    "dev_id": Spec("int"),
-    "components_experienced": Spec("list", Spec("str"), unique=(None,)),
-}), unique=("dev_id",))
+MODEL_FILE = "model.json"
+
+# Each trained fact once.  dev_ids orders the classifier's and the cost
+# grid's rows; a term's position is its column in weights and phi; phi's
+# rows are the topics, the cost grid's columns.  weights holds each
+# developer's nonzero weights as [column, value] pairs.
+MODEL_SCHEMA = Spec("obj", {
+    "boundary_day": Spec("int"),
+    "dev_ids": Spec("list", Spec("int"), unique=(None,)),
+    "n_docs": Spec("int", min=1),
+    "terms": Spec("list", Spec("list", (Spec("str"), Spec("int", min=1, max="n_docs"))),
+                  unique=(0,)),
+    "bias": Spec("list", Spec("num"), length="dev_ids"),
+    "weights": Spec("list", Spec("list", Spec("list", (Spec("int", min=0, below="terms"),
+                                                       Spec("num"))), unique=(0,)),
+                    length="dev_ids"),
+    "alpha_lda": Spec("num", above=0),
+    "seed": Spec("int", min=0),
+    "phi": Spec("list", Spec("list", Spec("num", min=0), length="terms"), min=1),
+    "cost": Spec("list", Spec("list", Spec("num", above=0), length="phi"), length="dev_ids"),
+    "provenance": Spec("list", Spec("list", Spec("str", one_of=PROVENANCE), length="phi"),
+                       length="dev_ids"),
+})
+
+
+def models_to_json(models: TrainedModels) -> str:
+    vocab, linear = models.vocab, models.linear_model
+    return json.dumps({
+        "boundary_day": models.boundary_day,
+        "dev_ids": models.dev_ids,
+        "n_docs": vocab.n_docs,
+        "terms": [[t, vocab.doc_freq[t]] for t in vocab.terms],
+        "bias": linear.bias.tolist(),
+        "weights": [[[int(i), float(w[i])] for i in np.flatnonzero(w)] for w in linear.weights],
+        "alpha_lda": models.topic_model.alpha_lda,
+        "seed": models.topic_model.seed,
+        "phi": models.topic_model.phi.tolist(),
+        "cost": models.cost_matrix.filled.tolist(),
+        "provenance": models.cost_matrix.provenance.tolist(),
+    }, indent=2)
+
+
+def models_from_json(text, profiles) -> TrainedModels:
+    """The models ``models_to_json`` wrote, to replay with the developer
+    ``profiles``."""
+    obj = MODEL_SCHEMA.parse(text)
+    phi = np.array(obj["phi"], dtype=float)
+    if not ((phi.sum(axis=1) > 0).all() and (phi.sum(axis=0) > 0).all()):
+        raise ValidationError("every phi row and column must have a positive sum")
+    provenance = np.array(obj["provenance"], dtype=object)
+    if not (provenance == OBSERVED).any():
+        raise ValidationError(f"provenance: no {OBSERVED} cell, which the global mean needs")
+    dev_ids, terms = obj["dev_ids"], obj["terms"]
+    weights = np.zeros((len(dev_ids), len(terms)))
+    for row, pairs in zip(weights, obj["weights"]):
+        for i, w in pairs:
+            row[i] = w
+    return TrainedModels(
+        linear_model=LinearModel(dev_ids, weights, np.array(obj["bias"], dtype=float), len(terms)),
+        vocab=Vocabulary({t: i for i, (t, _) in enumerate(terms)}, dict(terms), obj["n_docs"]),
+        topic_model=TopicModel(len(phi), phi, obj["alpha_lda"], obj["seed"], len(terms)),
+        cost_matrix=CostMatrix(dev_ids, np.array(obj["cost"], dtype=float), provenance),
+        dev_profiles=dict(profiles),
+        boundary_day=obj["boundary_day"],
+    )
 
 
 def profiles_to_json(profiles) -> str:
@@ -147,13 +219,6 @@ def profiles_to_json(profiles) -> str:
         {"dev_id": p.dev_id, "components_experienced": sorted(p.components_experienced)}
         for p in sorted(profiles.values(), key=lambda p: p.dev_id)
     ], indent=2)
-
-
-def profiles_from_json(text) -> dict:
-    return {
-        p["dev_id"]: DeveloperProfile(p["dev_id"], frozenset(p["components_experienced"]))
-        for p in PROFILES_SCHEMA.parse(text)
-    }
 
 
 def save_prepared(summary, profiles, out_dir) -> None:
@@ -169,11 +234,8 @@ def save_prepared(summary, profiles, out_dir) -> None:
 
 def save_models(models: TrainedModels, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    for name, model in (("vocabulary.json", models.vocab), ("classifier.json", models.linear_model),
-                        ("topic_model.json", models.topic_model),
-                        ("cost_matrix.json", models.cost_matrix)):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(model.to_json())
+    with open(os.path.join(out_dir, MODEL_FILE), "w") as fh:
+        fh.write(models_to_json(models))
 
 
 def read_json_file(path, parse):
@@ -191,42 +253,22 @@ def read_json_file(path, parse):
         ) from exc
 
 
-def load_models(out_dir) -> TrainedModels:
-    """The artifacts ``save_models`` and ``save_prepared`` wrote to
-    ``out_dir``.  Files that disagree on the topic count, the vocabulary
-    size or the developers, as files from two runs can, raise
-    ValidationError naming both."""
-    def path(name):
-        return os.path.join(out_dir, name)
-
-    def read(name, parse):
-        if not os.path.exists(path(name)):
-            raise ValidationError(f"missing artifact {name}; run `train` first")
-        return read_json_file(path(name), parse)
-
-    models = TrainedModels(
-        linear_model=read("classifier.json", LinearModel.from_json),
-        vocab=read("vocabulary.json", Vocabulary.from_json),
-        topic_model=read("topic_model.json", TopicModel.from_json),
-        cost_matrix=read("cost_matrix.json", CostMatrix.from_json),
-        dev_profiles=read("dev_profiles.json", profiles_from_json),
-    )
-    topics, n_terms = models.topic_model, len(models.vocab)
-    for name, what, value, other, other_what, expected in (
-        ("topic_model.json", "K", topics.K, "cost_matrix.json", "K", models.cost_matrix.K),
-        ("topic_model.json", "vocab_size", topics.vocab_size, "vocabulary.json", "size", n_terms),
-        ("classifier.json", "n_features", models.linear_model.n_features,
-         "vocabulary.json", "size", n_terms),
-        ("cost_matrix.json", "dev_ids", models.cost_matrix.dev_ids,
-         "dev_profiles.json", "developers", models.dev_ids),
-        ("classifier.json", "developers", models.linear_model.dev_ids,
-         "dev_profiles.json", "developers", models.dev_ids),
-    ):
-        if value != expected:
-            raise ValidationError(
-                f"{path(name)}: {what} {value} does not match {path(other)}: "
-                f"{other_what} {expected}; run `train` again"
-            )
+def load_models(out_dir, profiles, boundary_day) -> TrainedModels:
+    """The models ``save_models`` wrote to ``out_dir``, to replay the
+    data whose active developers ``prepare`` profiled at
+    ``boundary_day``.  A file trained at another boundary or for other
+    developers raises ValidationError naming it."""
+    path = os.path.join(out_dir, MODEL_FILE)
+    if not os.path.exists(path):
+        raise ValidationError(f"missing artifact {MODEL_FILE}; run `train` first")
+    models = read_json_file(path, lambda text: models_from_json(text, profiles))
+    if models.boundary_day != boundary_day:
+        raise ValidationError(f"{path}: trained at --boundary {models.boundary_day}, "
+                              f"not {boundary_day}; run `train` again")
+    trained, active = models.linear_model.dev_ids, models.dev_ids  # the file's, the data's
+    if trained != active:
+        raise ValidationError(f"{path}: developers {trained} are not the data's active "
+                              f"developers {active}; run `train` again")
     return models
 
 

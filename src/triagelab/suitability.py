@@ -10,14 +10,12 @@ weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .schema import Spec
 
 DEFAULT_C = 1000.0
 EPOCHS = 200
@@ -30,38 +28,8 @@ class LinearModel:
     bias: np.ndarray  # (n_devs,)
     n_features: int
 
-    # each developer's weights are sparse [index, value] pairs
-    _WEIGHT = Spec("list", (Spec("int", min=0, below="n_features"), Spec("num")))
-    SCHEMA = Spec("obj", {
-        "n_features": Spec("int", min=1),
-        "developers": Spec("list", Spec("obj", {
-            "dev_id": Spec("int"),
-            "bias": Spec("num"),
-            "weights": Spec("list", _WEIGHT, unique=(0,)),
-        }), unique=("dev_id",)),
-    })
-
     def decision_values(self, row: np.ndarray) -> np.ndarray:
         return self.weights @ row + self.bias
-
-    def to_json(self) -> str:
-        per_dev = [
-            {"dev_id": dev, "bias": float(b),
-             "weights": [[int(i), float(w[i])] for i in np.nonzero(w)[0]]}
-            for dev, b, w in zip(self.dev_ids, self.bias, self.weights)
-        ]
-        return json.dumps({"n_features": self.n_features, "developers": per_dev}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearModel":
-        obj = cls.SCHEMA.parse(text)
-        developers = obj["developers"]
-        weights = np.zeros((len(developers), obj["n_features"]))
-        for row, d in enumerate(developers):
-            for idx, w in d["weights"]:
-                weights[row, idx] = w
-        bias = np.array([d["bias"] for d in developers], dtype=float)
-        return cls([d["dev_id"] for d in developers], weights, bias, obj["n_features"])
 
 
 def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel:

@@ -9,7 +9,6 @@ are reproducible bit for bit).
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .schema import Spec
 
 MAX_TOKEN_LEN = 20
 
@@ -128,26 +126,6 @@ class Vocabulary:
     @property
     def terms(self):
         return sorted(self.index, key=self.index.get)
-
-    # the indices are distinct and in [0, size): a permutation of the columns
-    SCHEMA = Spec("obj", {
-        "n_docs": Spec("int", min=1),
-        "terms": Spec("list", Spec("obj", {
-            "term": Spec("str"),
-            "index": Spec("int", min=0, below="terms"),
-            "df": Spec("int", min=1, max="n_docs"),
-        }), unique=("term", "index")),
-    })
-
-    def to_json(self) -> str:
-        terms = [{"term": t, "index": self.index[t], "df": self.doc_freq[t]} for t in self.terms]
-        return json.dumps({"n_docs": self.n_docs, "terms": terms}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        obj = cls.SCHEMA.parse(text)
-        index = {e["term"]: e["index"] for e in obj["terms"]}
-        return cls(index, {e["term"]: e["df"] for e in obj["terms"]}, obj["n_docs"])
 
 
 def build_vocabulary(docs, min_df: int = 2) -> Vocabulary:

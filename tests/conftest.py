@@ -7,13 +7,17 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from triagelab import pipeline
-from triagelab.corpus import BugRecord, split_train_test
+from triagelab.corpus import BugRecord, DeveloperProfile, split_train_test
+from triagelab.costmodel import OBSERVED, CostMatrix, TopicModel
 from triagelab.metrics import compute_report
 from triagelab.minicorpus import MiniCorpusSpec, generate
 from triagelab.simulator import SimConfig, run_simulation
+from triagelab.suitability import LinearModel
+from triagelab.textprep import Vocabulary
 
 MINI_BOUNDARY = 365
 MINI_END = 730
@@ -35,6 +39,37 @@ def make_bug(bug_id, *, reported=1, assigned=None, resolved=None, dev=None,
         status_final=status,
         dependency_events=tuple(deps),
     )
+
+
+def models_around(**parts):
+    """TrainedModels holding the given ``parts`` (vocab, linear_model,
+    topic_model, cost_matrix) and plain stand-ins of matching shape for
+    the others, so that one part can round-trip through model.json."""
+    dev_ids, V, K = [1, 2], 2, 2
+    if "vocab" in parts:
+        V = len(parts["vocab"])
+    if "linear_model" in parts:
+        dev_ids, V = parts["linear_model"].dev_ids, parts["linear_model"].n_features
+    if "topic_model" in parts:
+        K, V = parts["topic_model"].K, parts["topic_model"].vocab_size
+    if "cost_matrix" in parts:
+        dev_ids, K = parts["cost_matrix"].dev_ids, parts["cost_matrix"].K
+    terms, D = [f"t{i}" for i in range(V)], len(dev_ids)
+    stand_ins = dict(
+        vocab=Vocabulary({t: i for i, t in enumerate(terms)}, dict.fromkeys(terms, 1), 1),
+        linear_model=LinearModel(list(dev_ids), np.zeros((D, V)), np.zeros(D), V),
+        topic_model=TopicModel(K, np.full((K, V), 1 / V), 1.0, 0, V),
+        cost_matrix=CostMatrix(list(dev_ids), np.ones((D, K)),
+                               np.full((D, K), OBSERVED, dtype=object)),
+        dev_profiles={d: DeveloperProfile(d, frozenset()) for d in dev_ids},
+        boundary_day=0,
+    )
+    return pipeline.TrainedModels(**dict(stand_ins, **parts))
+
+
+def round_trip(models):
+    """``models`` written as model.json's text and read back."""
+    return pipeline.models_from_json(pipeline.models_to_json(models), models.dev_profiles)
 
 
 def cleaning_fixture_20():
@@ -90,7 +125,7 @@ def mini_env(mini_records):
     shared by every cached policy run."""
     cleaned, summary, profiles = pipeline.prepare(mini_records, MINI_BOUNDARY)
     train, _ = split_train_test(cleaned, MINI_BOUNDARY)
-    models = pipeline.train_models(train, profiles, FAST_TRAIN)
+    models = pipeline.train_models(train, profiles, MINI_BOUNDARY, FAST_TRAIN)
     corpus = pipeline.replay_corpus(mini_records, cleaned, MINI_BOUNDARY)
     table = pipeline.feature_table(models, corpus, MINI_BOUNDARY, MINI_END)
     cache = {}

@@ -216,14 +216,9 @@ def test_model_invariants(mini_env):
 
 
 def test_determinism_byte_identical(mini_env):
-    models2 = pipeline.train_models(mini_env.train, mini_env.profiles, FAST_TRAIN)
+    models2 = pipeline.train_models(mini_env.train, mini_env.profiles, MINI_BOUNDARY, FAST_TRAIN)
     m1, m2 = mini_env.models, models2
-    artifacts_ok = (
-        m1.vocab.to_json() == m2.vocab.to_json()
-        and m1.linear_model.to_json() == m2.linear_model.to_json()
-        and m1.topic_model.to_json() == m2.topic_model.to_json()
-        and m1.cost_matrix.to_json() == m2.cost_matrix.to_json()
-    )
+    artifacts_ok = pipeline.models_to_json(m1) == pipeline.models_to_json(m2)
     config = SimConfig(
         policy="dabt",
         boundary_day=MINI_BOUNDARY,

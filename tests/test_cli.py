@@ -71,9 +71,9 @@ def test_train_writes_what_prepare_writes(workdir, tmp_path):
 
 def test_train_wrote_model_artifacts(workdir):
     _, _, out, _ = workdir
-    for name in ("vocabulary.json", "classifier.json", "topic_model.json",
-                 "cost_matrix.json"):
-        assert (out / name).exists(), name
+    assert (out / "model.json").exists()
+    for name in ("vocabulary.json", "classifier.json", "topic_model.json", "cost_matrix.json"):
+        assert not (out / name).exists(), name
 
 
 def test_simulate_and_report(workdir, capsys):
@@ -129,11 +129,12 @@ def test_sweep(workdir):
 
 def test_train_with_more_topics_than_terms(workdir, tmp_path):
     _, data, out, _ = workdir
-    V = len(json.loads((out / "vocabulary.json").read_text())["terms"])
+    V = len(json.loads((out / "model.json").read_text())["terms"])
     other = tmp_path / "out"
     assert dispatch(["train", "--data", str(data), "--boundary", "120", "--out", str(other),
                      "--topics", f"{V - 1}-{V + 1}:1", "--lda-iters", "1"]) == 0
-    assert json.loads((other / "topic_model.json").read_text())["vocab_size"] == V
+    trained = json.loads((other / "model.json").read_text())
+    assert len(trained["terms"]) == V and {len(row) for row in trained["phi"]} == {V}
 
 
 def test_solve_subcommand(tmp_path, capsys):
@@ -196,41 +197,43 @@ def test_simulate_corrupt_artifact_is_one_error_line(workdir, tmp_path, capsys):
     _, data, out, _ = workdir
     bad = tmp_path / "out"
     shutil.copytree(out, bad)
-    text = (bad / "classifier.json").read_text()
-    (bad / "classifier.json").write_text(text[: len(text) // 2])
+    text = (bad / "model.json").read_text()
+    (bad / "model.json").write_text(text[: len(text) // 2])
     code = dispatch(["simulate", "--data", str(data), "--boundary", "120",
                      "--out", str(bad), "--end", "240"])
     assert code == 1
-    assert "classifier.json" in _one_error_line(capsys)
+    assert "model.json" in _one_error_line(capsys)
 
 
-def _k6_topic_model(data, tmp_path):
+def _k6_phi(data, tmp_path):
     other = tmp_path / "k6"
     assert dispatch(["train", "--data", str(data), "--boundary", "120", "--out", str(other),
                      "--topics", "6", "--lda-iters", "1"]) == 0
-    return json.loads((other / "topic_model.json").read_text())
+    return json.loads((other / "model.json").read_text())["phi"]
 
 
 def _first_weights(obj, index):
-    """classifier.json content whose first developer's first weight moves
-    to ``index``, or, for None, appears twice."""
-    first = obj["developers"][0]
-    weights = first["weights"]
+    """model.json content whose first developer's first weight moves to
+    ``index``, or, for None, appears twice."""
+    weights = obj["weights"][0]
     weights = weights[:1] + weights if index is None else [[index, weights[0][1]]] + weights[1:]
-    return dict(obj, developers=[dict(first, weights=weights)] + obj["developers"][1:])
+    return dict(obj, weights=[weights] + obj["weights"][1:])
 
 
-def _first_term(obj, **changes):
-    """vocabulary.json content with ``changes`` made to its first term."""
-    return dict(obj, terms=[dict(obj["terms"][0], **changes)] + obj["terms"][1:])
+def _without_last_developer(obj):
+    """model.json content for every developer but the last."""
+    return dict(obj, **{key: obj[key][:-1]
+                        for key in ("dev_ids", "bias", "weights", "cost", "provenance")})
 
 
-def _zero_first_phi_row(obj):
-    return dict(obj, phi=[[0.0] * obj["vocab_size"]] + obj["phi"][1:])
-
-
-def _first_components(obj, components):
-    return [dict(obj[0], components_experienced=components)] + obj[1:]
+def _with_observed_cells(obj):
+    """model.json content that also lists each observed mean as a
+    [dev_id, topic, value] cell, as the cost file did before the one
+    grid."""
+    return dict(obj, observed=[[d, k, cost] for d, row, labels in
+                               zip(obj["dev_ids"], obj["cost"], obj["provenance"])
+                               for k, (cost, label) in enumerate(zip(row, labels))
+                               if label == OBSERVED])
 
 
 def _at(obj, path, edit):
@@ -257,133 +260,161 @@ def _set(path, value):
     return lambda obj, _: _at(obj, head, put)
 
 
-def _cell_list_cost_matrix(obj):
-    """``cost_matrix.json`` with ``observed`` and ``provenance`` as lists of
-    [dev_id, topic, value] cells, the format before the one grid."""
-    cells = [(d, k, i) for i, d in enumerate(obj["dev_ids"]) for k in range(obj["K"])]
-    return dict(
-        obj,
-        observed=[[d, k, obj["filled"][i][k]] for d, k, i in cells
-                  if obj["provenance"][i][k] == OBSERVED],
-        provenance=[[d, k, obj["provenance"][i][k]] for d, k, i in cells],
-    )
+def _edit(path, change):
+    """An edit for the parametrized cases below: ``change`` of the value
+    at ``path``."""
+    return lambda obj, _: _at(obj, path, change)
+
+
+def _replays_refuse(data, out, capsys, boundary="120"):
+    """The one error line of ``simulate`` and of ``sweep`` on the models
+    in ``out``, each of which must exit 1."""
+    capsys.readouterr()
+    errors = []
+    for command in (["simulate"], ["sweep", "--alphas", "0.5"]):
+        code = dispatch(command + ["--data", str(data), "--boundary", boundary,
+                                   "--out", str(out), "--end", "240"])
+        assert code == 1
+        errors.append(_one_error_line(capsys))
+    return errors
 
 
 @pytest.mark.parametrize(
-    "name,edit,other",
+    "edit,other",
     [
-        ("topic_model.json", lambda obj, k6: k6(), "cost_matrix.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, phi=[row[:-1] for row in obj["phi"]],
-                                                 vocab_size=obj["vocab_size"] - 1),
-         "vocabulary.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, phi=obj["phi"][:-1]), "topic_model.json"),
-        ("cost_matrix.json", lambda obj, _: dict(obj, filled=[row[:-1] for row in obj["filled"]]),
-         "cost_matrix.json"),
-        ("classifier.json", lambda obj, _: dict(obj, n_features=obj["n_features"] + 1),
-         "vocabulary.json"),
-        ("dev_profiles.json", lambda obj, _: obj[:-1], "cost_matrix.json"),
-        ("cost_matrix.json", lambda obj, _: dict(obj, filled=[[float("nan")] + obj["filled"][0][1:]]
-                                                 + obj["filled"][1:]), "cost_matrix.json"),
-        ("cost_matrix.json", lambda obj, _: dict(obj, filled=[[-3.0] * obj["K"]]
-                                                 + obj["filled"][1:]), "cost_matrix.json"),
-        ("cost_matrix.json", lambda obj, _: dict(obj, provenance=[[CF] * obj["K"]
-                                                             for _ in obj["dev_ids"]]),
-         "cost_matrix.json"),
-        ("cost_matrix.json", lambda obj, _: dict(obj, provenance=[obj["provenance"][0][:-1]]
-                                                 + obj["provenance"][1:]), "cost_matrix.json"),
-        # a cost matrix in the cell-list format, with its own copy of the observed means
-        ("cost_matrix.json", lambda obj, _: _cell_list_cost_matrix(obj), "unknown key 'observed'"),
-        ("topic_model.json", lambda obj, _: dict(obj, phi=[[float("nan")] * obj["vocab_size"]]
-                                                 + obj["phi"][1:]), "topic_model.json"),
-        ("classifier.json", lambda obj, _: dict(obj, developers=[dict(obj["developers"][0],
-                                                                      bias=float("nan"))]
-                                                + obj["developers"][1:]), "classifier.json"),
-        ("classifier.json", lambda obj, _: _first_weights(obj, -1), "classifier.json"),
-        ("classifier.json", lambda obj, _: _first_weights(obj, True), "classifier.json"),
-        ("classifier.json", lambda obj, _: _first_weights(obj, None), "classifier.json"),
-        ("vocabulary.json", lambda obj, _: _first_term(obj, index=10**6), "vocabulary.json"),
-        ("vocabulary.json", lambda obj, _: _first_term(obj, index=-1), "vocabulary.json"),
-        ("vocabulary.json", lambda obj, _: _first_term(obj, index=obj["terms"][1]["index"]),
-         "vocabulary.json"),
-        ("vocabulary.json", lambda obj, _: _first_term(obj, df=-1), "vocabulary.json"),
-        ("vocabulary.json", lambda obj, _: _first_term(obj, df=-5), "vocabulary.json"),
-        ("vocabulary.json", lambda obj, _: _first_term(obj, df="2"), "vocabulary.json"),
-        ("vocabulary.json", lambda obj, _: dict(obj, n_docs=-3), "vocabulary.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, seed=-1), "topic_model.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, seed=1.5), "topic_model.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, alpha_lda="x"), "topic_model.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, alpha_lda=-100), "topic_model.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, alpha_lda=float("nan")),
-         "topic_model.json"),
-        ("topic_model.json", lambda obj, _: _zero_first_phi_row(obj), "topic_model.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, phi=[[0.0] + row[1:] for row in obj["phi"]]),
-         "topic_model.json"),
-        ("dev_profiles.json", lambda obj, _: _first_components(obj, "abc"), "dev_profiles.json"),
-        ("classifier.json", lambda obj, _: dict(obj, developers=obj["developers"]
-                                                + [dict(obj["developers"][0], dev_id=999)]),
-         "dev_profiles.json"),
-        ("dev_profiles.json", lambda obj, _: obj + [dict(obj[0], components_experienced=[])],
-         "dev_profiles.json"),
-        ("dev_profiles.json", lambda obj, _: [dict(obj[0], dev_id=str(obj[0]["dev_id"]))]
-         + obj[1:], "dev_profiles.json"),
-        ("dev_profiles.json", lambda obj, _: [dict(obj[0], dev_id=float(obj[0]["dev_id"]))]
-         + obj[1:], "dev_profiles.json"),
-        ("topic_model.json", lambda obj, _: dict(obj, K=float(obj["K"])), "topic_model.json"),
+        # 6 topics beside a 4-column cost grid
+        (lambda obj, k6: dict(obj, phi=k6()), "(len(phi))"),
+        (_edit(("phi",), lambda phi: [row[:-1] for row in phi]), "(len(terms))"),
+        (_edit(("phi",), lambda phi: phi[:-1]), "(len(phi))"),
+        (_edit(("cost",), lambda cost: [row[:-1] for row in cost]), "(len(phi))"),
+        # a weight's column past the vocabulary
+        (lambda obj, _: _first_weights(obj, len(obj["terms"])), "(len(terms))"),
+        (lambda obj, _: _without_last_developer(obj), "data's active developers"),
+        (_set(("cost", 0, 0), float("nan")), "cost[0][0]"),
+        (_edit(("cost", 0), lambda row: [-3.0] * len(row)), "cost[0][0]"),
+        (_edit(("provenance",), lambda rows: [[CF] * len(row) for row in rows]),
+         "no OBSERVED cell"),
+        (_edit(("provenance", 0), lambda row: row[:-1]), "provenance[0]"),
+        # the observed means in the cell-list format, a second copy
+        (lambda obj, _: _with_observed_cells(obj), "unknown key 'observed'"),
+        (_edit(("phi", 0), lambda row: [float("nan")] * len(row)), "phi[0][0]"),
+        (_set(("bias", 0), float("nan")), "bias[0]"),
+        (lambda obj, _: _first_weights(obj, -1), "weights[0][0][0]"),
+        (lambda obj, _: _first_weights(obj, True), "weights[0][0][0]"),
+        (lambda obj, _: _first_weights(obj, None), "repeats an earlier entry"),
+        (_set(("terms", 0, 1), -1), "terms[0][1]"),
+        (_set(("terms", 0, 1), -5), "terms[0][1]"),
+        (_set(("terms", 0, 1), "2"), "terms[0][1]"),
+        (_set(("n_docs",), -3), "n_docs"),
+        (_set(("seed",), -1), "seed"),
+        (_set(("seed",), 1.5), "seed"),
+        (_set(("alpha_lda",), "x"), "alpha_lda"),
+        (_set(("alpha_lda",), -100), "alpha_lda"),
+        (_set(("alpha_lda",), float("nan")), "alpha_lda"),
+        (_edit(("phi", 0), lambda row: [0.0] * len(row)), "positive sum"),
+        (_edit(("phi",), lambda phi: [[0.0] + row[1:] for row in phi]), "positive sum"),
+        # one more classifier row than developers
+        (_edit(("weights",), lambda rows: rows + rows[:1]), "(len(dev_ids))"),
+        (_edit(("dev_ids",), lambda ids: ids[:-1] + ids[:1]), "repeats an earlier entry"),
+        (_edit(("dev_ids", 0), str), "dev_ids[0]"),
+        (_edit(("dev_ids", 0), float), "dev_ids[0]"),
         # each of these loaded without a word before the files had one schema
-        ("classifier.json", _set(("developers", 0, "bias"), "0.25"), "classifier.json"),
-        ("topic_model.json", _set(("phi", 0, 0), True), "topic_model.json"),
-        ("cost_matrix.json", _set(("filled", 0, 0), True), "cost_matrix.json"),
-        ("classifier.json", _set(("developers", 0, "bias"), True), "classifier.json"),
-        ("classifier.json", _set(("developers", 0, "weights", 0, 1), True), "classifier.json"),
-        ("cost_matrix.json", _set(("provenance", 0, 2), "BOGUS"), "cost_matrix.json"),
-        ("classifier.json", _set(("C",), "x"), "classifier.json"),
-        ("classifier.json", _set(("epochs",), None), "classifier.json"),
-        ("vocabulary.json", _set(("extra",), 1), "vocabulary.json"),
-        ("topic_model.json", _set(("beta_lda",), 7.5), "topic_model.json"),
-        # a width no array can have, found before the vocabulary is compared
-        ("classifier.json", _set(("n_features",), 10**12), "classifier.json"),
+        (_set(("bias", 0), "0.25"), "bias[0]"),
+        (_set(("phi", 0, 0), True), "phi[0][0]"),
+        (_set(("cost", 0, 0), True), "cost[0][0]"),
+        (_set(("bias", 0), True), "bias[0]"),
+        (_set(("weights", 0, 0, 1), True), "weights[0][0][1]"),
+        (_set(("provenance", 0, 2), "BOGUS"), "provenance[0][2]"),
+        (_set(("C",), "x"), "unknown key 'C'"),
+        (_set(("epochs",), None), "unknown key 'epochs'"),
+        (_set(("extra",), 1), "unknown key 'extra'"),
+        (_set(("beta_lda",), 7.5), "unknown key 'beta_lda'"),
+        # what the four model files before model.json wrote
+        (lambda obj, _: dict(obj, vocab_size=len(obj["terms"])), "unknown key 'vocab_size'"),
+        (lambda obj, _: dict(obj, n_features=len(obj["terms"])), "unknown key 'n_features'"),
+        (lambda obj, _: dict(obj, K=len(obj["phi"])), "unknown key 'K'"),
+        (_edit(("terms", 0), lambda term: {"term": term[0], "df": term[1]}),
+         "terms[0]: expected a list"),
+        (_edit(("terms", 0), lambda term: [term[0], 0, term[1]]), "terms[0]: expected length 2"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
          "filled-nan", "filled-negative", "provenance-no-observed", "provenance-row-short",
          "observed-cell-list", "phi-nan", "bias-nan",
          "weight-index-negative", "weight-index-bool", "weight-index-repeated",
-         "term-index-huge", "term-index-negative", "term-index-repeated", "df-minus-1",
-         "df-minus-5", "df-string", "n_docs-negative", "seed-negative", "seed-float",
-         "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero", "phi-column-zero",
-         "components-string", "classifier-extra-developer", "developer-repeated",
-         "developer-id-string", "developer-id-float", "topic-K-float",
+         "df-minus-1", "df-minus-5", "df-string", "n_docs-negative", "seed-negative",
+         "seed-float", "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero",
+         "phi-column-zero", "classifier-extra-developer", "developer-repeated",
+         "developer-id-string", "developer-id-float",
          "bias-string", "phi-true", "filled-true", "bias-true", "weight-true",
-         "provenance-bogus", "C-string", "epochs-null", "extra-key",
-         "beta_lda", "n_features-huge"],
+         "provenance-bogus", "C-string", "epochs-null", "extra-key", "beta_lda",
+         "old-vocab_size", "old-n_features", "old-K", "term-object", "term-triple"],
 )
-def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, name, edit, other):
-    """Model files that disagree, such as a --topics 6 topic model beside
-    a K=4 cost matrix, give one error line naming both, not a traceback;
-    so does a file with a NaN or a cost that is not positive, which would
-    otherwise replay on wrong numbers."""
+def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, edit, other):
+    """A model.json whose parts disagree, such as 6 topics in phi beside
+    a 4-column cost grid, or that was trained for other developers, gives
+    one error line naming the file and the disagreement, not a traceback;
+    so does a NaN or a cost that is not positive, which would otherwise
+    replay on wrong numbers, and a key or term format of the files before
+    model.json."""
     _, data, out, _ = workdir
     bad = tmp_path / "out"
     shutil.copytree(out, bad)
-    obj = json.loads((bad / name).read_text())
-    (bad / name).write_text(json.dumps(edit(obj, lambda: _k6_topic_model(data, tmp_path))))
-    capsys.readouterr()
-    for command in (["simulate"], ["sweep", "--alphas", "0.5"]):
-        code = dispatch(command + ["--data", str(data), "--boundary", "120",
-                                   "--out", str(bad), "--end", "240"])
-        assert code == 1
-        err = _one_error_line(capsys)
-        assert name in err and other in err
+    obj = json.loads((bad / "model.json").read_text())
+    (bad / "model.json").write_text(json.dumps(edit(obj, lambda: _k6_phi(data, tmp_path))))
+    for err in _replays_refuse(data, bad, capsys):
+        assert "model.json" in err and other in err, err
 
 
-_MODEL_FILES = ("vocabulary.json", "classifier.json", "topic_model.json", "cost_matrix.json",
-                "dev_profiles.json")
+def test_model_trained_at_another_boundary_is_one_error_line(workdir, tmp_path, capsys):
+    """A model trained up to day 120 would replay the data split at day
+    100 on test bugs it was trained on."""
+    _, data, out, _ = workdir
+    other = tmp_path / "out"
+    shutil.copytree(out, other)
+    for err in _replays_refuse(data, other, capsys, boundary="100"):
+        assert err == (f"error: {other / 'model.json'}: trained at --boundary 120, not 100; "
+                       "run `train` again\n")
+
+
+def _old_model_files(obj):
+    """The four files an older ``train`` wrote, holding model.json
+    content ``obj``."""
+    V, K = len(obj["terms"]), len(obj["phi"])
+    return {
+        "vocabulary.json": {"n_docs": obj["n_docs"], "terms": [
+            {"term": term, "index": i, "df": df} for i, (term, df) in enumerate(obj["terms"])]},
+        "classifier.json": {"n_features": V, "developers": [
+            {"dev_id": d, "bias": b, "weights": w}
+            for d, b, w in zip(obj["dev_ids"], obj["bias"], obj["weights"])]},
+        "topic_model.json": {"K": K, "alpha_lda": obj["alpha_lda"], "seed": obj["seed"],
+                             "vocab_size": V, "phi": obj["phi"]},
+        "cost_matrix.json": {"dev_ids": obj["dev_ids"], "K": K, "filled": obj["cost"],
+                             "provenance": obj["provenance"]},
+    }
+
+
+def test_old_model_files_ask_for_train(workdir, tmp_path, capsys):
+    _, data, out, _ = workdir
+    old = tmp_path / "out"
+    shutil.copytree(out, old)
+    for name, content in _old_model_files(json.loads((old / "model.json").read_text())).items():
+        (old / name).write_text(json.dumps(content, indent=2))
+    (old / "model.json").unlink()
+    for err in _replays_refuse(data, old, capsys):
+        assert err.endswith(": missing artifact model.json; run `train` first\n"), err
+
+
 # Lists whose length no other key fixes, so one entry fewer is still a
-# valid file, and numbers that may take any finite value.  Paths are
-# written with "*" for a list index except the last step.
-_FREE_LISTS = {("classifier.json", ("developers", "*", "weights")),
-               ("dev_profiles.json", ("*", "components_experienced"))}
-_ANY_NUMBER = {("classifier.json", ("developers", "*", "bias")),
-               ("classifier.json", ("developers", "*", "weights", "*", 1))}
+# valid file, and numbers that may take any finite value.  A "*" in a
+# pattern matches any one step of a path.
+_FREE_LISTS = {("weights", "*")}
+_ANY_NUMBER = {("bias", "*"), ("weights", "*", "*", 1)}
+
+
+def _matches(path, patterns):
+    return any(len(pattern) == len(path)
+               and all(p in ("*", step) for p, step in zip(pattern, path))
+               for pattern in patterns)
 
 
 def _parts(value, path=()):
@@ -395,20 +426,19 @@ def _parts(value, path=()):
         yield from _parts(inner, path + (key,))
 
 
-def _schema_breaks(name, obj):
-    """(kind, path, edit) for every change to one part of the model file
-    ``obj`` called ``name`` that its schema forbids.  Every number the
-    writers write as an integer must be one, and no model file holds a
-    bool, a null or a numeric string."""
+def _schema_breaks(obj):
+    """(kind, path, edit) for every change to one part of the model.json
+    content ``obj`` that its schema forbids.  Every number the writer
+    writes as an integer must be one, and the file holds no bool, null
+    or numeric string."""
     for path, value in _parts(obj):
-        where = (name, tuple("*" if type(p) is int else p for p in path[:-1]) + path[-1:])
         if isinstance(value, dict):
             yield "extra key", path, lambda d: dict(d, extra_key=0)
             for key in value:
                 yield "deleted key", path, lambda d, key=key: {k: v for k, v in d.items()
                                                                if k != key}
         elif isinstance(value, list):
-            if value and where not in _FREE_LISTS:
+            if value and not _matches(path, _FREE_LISTS):
                 yield "list one short", path, lambda items: items[:-1]
         else:
             changes = [("bool", True), ("NaN", math.nan), ("inf", math.inf),
@@ -417,7 +447,7 @@ def _schema_breaks(name, obj):
                 changes.append(("int to float", float(value)))
             if type(value) in (int, float):
                 changes.append(("numeric string", str(value)))
-                if where not in _ANY_NUMBER:
+                if not _matches(path, _ANY_NUMBER):
                     changes.append(("out of range", -1))
             else:
                 changes.append(("number for a string", 1))
@@ -428,27 +458,27 @@ def _schema_breaks(name, obj):
 @pytest.fixture(scope="module")
 def schema_breaks(workdir, tmp_path_factory):
     """A copy of the trained files, and every schema-breaking change to
-    them grouped by (file, kind)."""
+    model.json grouped by kind."""
     _, _, out, _ = workdir
     copy = tmp_path_factory.mktemp("mutated") / "out"
     shutil.copytree(out, copy)
     groups = {}
-    for name in _MODEL_FILES:
-        for kind, path, edit in _schema_breaks(name, json.loads((out / name).read_text())):
-            groups.setdefault((name, kind), []).append((path, edit))
+    for kind, path, edit in _schema_breaks(json.loads((out / "model.json").read_text())):
+        groups.setdefault(kind, []).append((path, edit))
     return copy, groups
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_schema_breaking_change_is_one_error_line(workdir, schema_breaks, data):
-    """One schema-breaking change to any one model file makes ``simulate``
-    print one ``error:`` line naming that file and exit 1, never a
-    traceback."""
+    """One schema-breaking change to any one part of model.json makes
+    ``simulate`` print one ``error:`` line naming the file and exit 1,
+    never a traceback."""
     _, data_path, _, _ = workdir
     copy, groups = schema_breaks
-    name, kind = data.draw(st.sampled_from(sorted(groups)), label="file, kind")
-    path, edit = data.draw(st.sampled_from(groups[name, kind]), label="path")
+    kind = data.draw(st.sampled_from(sorted(groups)), label="kind")
+    path, edit = data.draw(st.sampled_from(groups[kind]), label="path")
+    name = "model.json"
     original = (copy / name).read_text()
     (copy / name).write_text(json.dumps(_at(json.loads(original), path, edit)))
     err = io.StringIO()
@@ -489,7 +519,7 @@ def _result_obj():
 
 
 def test_report_reads_well_formed_result(tmp_path):
-    # report reads only its result files: no corpus and no dev_profiles.json
+    # report reads only its result files: no corpus and no model.json
     path = tmp_path / "result_ok.json"
     path.write_text(json.dumps(_result_obj()))
     out = tmp_path / "report"

@@ -13,8 +13,6 @@ from triagelab.costmodel import (
     GLOBAL_MEAN,
     GLOBAL_TOPIC,
     OBSERVED,
-    CostMatrix,
-    TopicModel,
     _draw,
     arun_measure,
     build_cost_matrix,
@@ -26,7 +24,7 @@ from triagelab.costmodel import (
 from triagelab.errors import ValidationError
 from triagelab.textprep import TokenizedDoc, build_vocabulary, preprocess_text
 
-from conftest import MINI_BOUNDARY, MINI_END, make_bug
+from conftest import MINI_BOUNDARY, MINI_END, make_bug, models_around, round_trip
 
 
 def reference_fit_lda(docs, vocab, K, seed, iters):
@@ -244,7 +242,10 @@ def test_topic_count_selection_prefers_planted_count():
     assert model.K == 2
     # the selected model is the fit of its K, not a refit
     again = fit_lda(docs, vocab, 2, seed=0, iters=120)
-    assert model.to_json() == again.to_json()
+    assert (model.K, model.alpha_lda, model.seed, model.vocab_size) == (
+        again.K, again.alpha_lda, again.seed, again.vocab_size)
+    assert np.array_equal(model.phi, again.phi)
+    assert np.array_equal(model.doc_topic, again.doc_topic)
 
 
 def test_arun_measure_finite_and_deterministic():
@@ -424,32 +425,39 @@ def test_empty_matrix_rejected():
 
 def test_cost_matrix_json_roundtrip():
     matrix = fill_missing_cf(_grid([[2.0, None], [None, 3.0]]), [1, 2])
-    text = matrix.to_json()
-    again = CostMatrix.from_json(text)
+    models = models_around(cost_matrix=matrix)
+    text = pipeline.models_to_json(models)
+    loaded = pipeline.models_from_json(text, models.dev_profiles)
+    again = loaded.cost_matrix
     assert again.dev_ids == matrix.dev_ids
     assert again.filled.tobytes() == matrix.filled.tobytes()
     assert np.array_equal(again.provenance, matrix.provenance)
-    assert again.to_json() == text
+    assert pipeline.models_to_json(loaded) == text
     obj = json.loads(text)
-    assert sorted(obj) == ["K", "dev_ids", "filled", "provenance"]
+    assert list(obj) == list(pipeline.MODEL_SCHEMA.of)
     # the global mean reads the OBSERVED cells, so a grid needs one
     with pytest.raises(ValidationError, match="no OBSERVED cell"):
-        CostMatrix.from_json(json.dumps(dict(obj, provenance=[[CF, CF], [CF, GLOBAL_MEAN]])))
+        pipeline.models_from_json(json.dumps(dict(obj, provenance=[[CF, CF], [CF, GLOBAL_MEAN]])),
+                                  models.dev_profiles)
     with pytest.raises(ValidationError, match="unknown key 'observed'"):
-        CostMatrix.from_json(json.dumps(dict(obj, observed=[[1, 0, 2.0], [2, 1, 3.0]])))
+        pipeline.models_from_json(json.dumps(dict(obj, observed=[[1, 0, 2.0], [2, 1, 3.0]])),
+                                  models.dev_profiles)
 
 
 def test_topic_model_json_roundtrip():
     docs, _ = _planted_docs(5)
     vocab = build_vocabulary(docs, min_df=1)
     model = fit_lda(docs, vocab, K=2, seed=2, iters=30)
-    again = TopicModel.from_json(model.to_json())
-    assert np.allclose(again.phi, model.phi)
+    models = models_around(vocab=vocab, topic_model=model)
+    again = round_trip(models).topic_model
+    assert (again.K, again.alpha_lda, again.seed, again.vocab_size) == (
+        model.K, model.alpha_lda, model.seed, model.vocab_size)
+    assert np.array_equal(again.phi, model.phi)
     probe = TokenizedDoc(1, ("render", "pixel"))
     assert infer_topic(again, probe, vocab) == infer_topic(model, probe, vocab)
     # keys that were dropped from the file, or never in it, are refused
-    obj = json.loads(model.to_json())
-    assert "iters" not in obj and "beta_lda" not in obj
-    for key, value in (("iters", 30), ("beta_lda", 0.01), ("extra", None)):
+    obj = json.loads(pipeline.models_to_json(models))
+    for key, value in (("iters", 30), ("beta_lda", 0.01), ("K", 2),
+                       ("vocab_size", len(vocab)), ("extra", None)):
         with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
-            TopicModel.from_json(json.dumps({**obj, key: value}))
+            pipeline.models_from_json(json.dumps({**obj, key: value}), models.dev_profiles)

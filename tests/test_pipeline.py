@@ -9,7 +9,7 @@ from triagelab.costmodel import GLOBAL_TOPIC, build_cost_matrix
 from triagelab.simulator import FeatureTable, SimConfig, run_simulation
 from triagelab.textprep import preprocess_text
 
-from conftest import make_bug
+from conftest import MINI_BOUNDARY, make_bug
 
 BOUNDARY = 100
 
@@ -94,7 +94,7 @@ def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
     monkeypatch.setattr(pipeline, "infer_topic", _fold_in_forbidden)
     monkeypatch.setattr(costmodel, "infer_topic", _fold_in_forbidden)
     models = pipeline.train_models(
-        records, profiles, pipeline.TrainSettings(topic_grid=(2,), lda_iters=5)
+        records, profiles, 1, pipeline.TrainSettings(topic_grid=(2,), lda_iters=5)
     )
     topics = models.topic_model.doc_topic.argmax(axis=1).tolist()
     _assert_observed_cells(
@@ -131,16 +131,12 @@ def test_mini_training_topics_recover_planted_components(mini_env):
 
 
 def test_loaded_models_rewrite_every_file_byte_for_byte(mini_env, tmp_path):
-    # the writers and the key tables cannot drift apart: what load_models
+    # the writer and the key table cannot drift apart: what load_models
     # accepts from save_models, save_models writes back unchanged
     first, second = tmp_path / "first", tmp_path / "second"
     pipeline.save_models(mini_env.models, first)
-    (first / "dev_profiles.json").write_text(pipeline.profiles_to_json(mini_env.profiles))
-    loaded = pipeline.load_models(first)
+    loaded = pipeline.load_models(first, mini_env.profiles, MINI_BOUNDARY)
+    assert loaded.dev_profiles == mini_env.profiles
     pipeline.save_models(loaded, second)
-    (second / "dev_profiles.json").write_text(pipeline.profiles_to_json(loaded.dev_profiles))
-    names = ["classifier.json", "cost_matrix.json", "dev_profiles.json", "topic_model.json",
-             "vocabulary.json"]
-    assert sorted(p.name for p in first.iterdir()) == names
-    for name in names:
-        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    assert sorted(p.name for p in first.iterdir()) == ["model.json"]
+    assert (second / "model.json").read_bytes() == (first / "model.json").read_bytes()

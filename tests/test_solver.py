@@ -1,6 +1,8 @@
+import importlib.util
 import re
 import warnings
 from bisect import bisect_right
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -823,3 +825,37 @@ def test_backlog_pool_matches_milp(name, nodes):
         check_feasible(inst, sol.assignments, variant)
         assert sol.objective_value == pytest.approx(milp_optimum(inst, variant), abs=1e-9)
         assert sol.node_count == nodes[variant]
+
+
+def _load_script(name):
+    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_BACKLOG_POOLS = sorted(map(str, (Path(__file__).parent / "data").glob("backlog_pool_*.json")))
+
+
+def test_backlog_pools_keep_the_metamorphic_relations(capsys):
+    # scripts/check_relations.py: the same solution after shuffling rows and
+    # columns, doubling costs and capacities, or adding an idle developer,
+    # under DABT and RABT; and DABT at alpha 1 without arcs is RABT
+    relations = _load_script("check_relations")
+    assert len(_BACKLOG_POOLS) == 4
+    assert relations.main(_BACKLOG_POOLS) == 0
+    assert capsys.readouterr().out == "28 checks on 4 pools: no difference\n"
+
+
+def test_relations_script_reports_a_solver_that_reads_input_order(monkeypatch, capsys):
+    relations = _load_script("check_relations")
+
+    def order_dependent(instance):
+        solution = solve_rabt(instance)
+        return replace(solution, node_count=solution.node_count + instance.developers[0][0])
+
+    monkeypatch.setitem(relations.SOLVERS, "RABT", order_dependent)
+    assert relations.main(_BACKLOG_POOLS[:1]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {_BACKLOG_POOLS[0]}: shuffle under RABT: the solution differs\n")

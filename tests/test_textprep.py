@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 from triagelab.errors import ValidationError
 from triagelab.textprep import (
     TokenizedDoc,
-    Vocabulary,
     build_vocabulary,
     preprocess_text,
     tfidf_transform,
     _strip_suffix,
 )
+
+from conftest import models_around, round_trip
 
 
 @pytest.mark.parametrize(
@@ -71,8 +72,7 @@ def test_build_vocabulary_empty_rejected():
 def test_vocabulary_json_roundtrip():
     docs = [TokenizedDoc(1, ("a1", "b2")), TokenizedDoc(2, ("a1", "b2"))]
     vocab = build_vocabulary(docs)
-    again = Vocabulary.from_json(vocab.to_json())
-    assert again == vocab
+    assert round_trip(models_around(vocab=vocab)).vocab == vocab
 
 
 def test_tfidf_hand_example():
