@@ -81,10 +81,9 @@ def _parse_topic_grid(spec: str):
 def _load_corpus(args):
     if not args.data:
         raise TriageError("--data is required")
-    records = corpus_mod.load_events(args.data)
     if args.boundary is None:
         raise TriageError("--boundary is required")
-    return records
+    return corpus_mod.load_events(args.data)
 
 
 def cmd_validate(args) -> int:

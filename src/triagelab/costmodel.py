@@ -49,13 +49,15 @@ PROVENANCE = (OBSERVED, CF, GLOBAL_MEAN)  # how a cost cell was filled
 
 @dataclass
 class TopicModel:
-    K: int
     phi: np.ndarray  # (K, V); rows sum to 1
     alpha_lda: float
     seed: int
-    vocab_size: int
     # (D, K) training mixture, for selection and the training bugs' topics
     doc_topic: np.ndarray | None = None
+
+    @property
+    def K(self) -> int:
+        return len(self.phi)
 
 
 def _doc_word_ids(doc, vocab):
@@ -137,14 +139,7 @@ def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS
     n_dk = np.array(n_dk)
     phi = (n_kw + beta) / (n_k + V * beta)[:, None]
     theta = (n_dk + alpha) / (n_dk.sum(axis=1) + K * alpha)[:, None]
-    return TopicModel(
-        K=K,
-        phi=phi,
-        alpha_lda=alpha,
-        seed=seed,
-        vocab_size=V,
-        doc_topic=theta,
-    )
+    return TopicModel(phi=phi, alpha_lda=alpha, seed=seed, doc_topic=theta)
 
 
 def _symmetric_kl(p, q):
@@ -234,8 +229,7 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
 
 @dataclass
 class CostMatrix:
-    dev_ids: list  # sorted; the row order
-    filled: np.ndarray  # (D, K), complete and positive
+    filled: np.ndarray  # (D, K), complete and positive; rows in the models' developer order
     provenance: np.ndarray  # (D, K) of OBSERVED, CF or GLOBAL_MEAN: how a cell was filled
 
     @property
@@ -289,10 +283,10 @@ def _similarities(observed: np.ndarray, mask: np.ndarray) -> list:
     return sim
 
 
-def fill_missing_cf(observed: np.ndarray, dev_ids) -> CostMatrix:
-    """The complete cost matrix over sorted ``dev_ids`` from the
-    ``observed`` grid of ``build_cost_matrix``; observed cells are never
-    altered.
+def fill_missing_cf(observed: np.ndarray) -> CostMatrix:
+    """The complete cost matrix from the ``observed`` grid of
+    ``build_cost_matrix``, rows in its developer order; observed cells
+    are never altered.
 
     Missing (d, k): similarity-weighted average of other developers'
     observed topic-k costs, summed in developer order; falls back to the
@@ -321,4 +315,4 @@ def fill_missing_cf(observed: np.ndarray, dev_ids) -> CostMatrix:
             filled[i, k], provenance[i, k] = global_mean, GLOBAL_MEAN
     if not np.all(filled > 0):
         raise ValidationError("filled cost matrix must be strictly positive")
-    return CostMatrix(dev_ids=list(dev_ids), filled=filled, provenance=provenance)
+    return CostMatrix(filled=filled, provenance=provenance)

@@ -94,8 +94,7 @@ def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings)
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
     topics = fitted_topics(topic_model, docs, vocab)
-    dev_ids = sorted(profiles)
-    cost = fill_missing_cf(build_cost_matrix(train, topics, dev_ids, topic_model.K), dev_ids)
+    cost = fill_missing_cf(build_cost_matrix(train, topics, sorted(profiles), topic_model.K))
     return TrainedModels(
         linear_model=linear,
         vocab=vocab,
@@ -205,10 +204,10 @@ def models_from_json(text, profiles) -> TrainedModels:
         for i, w in pairs:
             row[i] = w
     return TrainedModels(
-        linear_model=LinearModel(dev_ids, weights, np.array(obj["bias"], dtype=float), len(terms)),
+        linear_model=LinearModel(dev_ids, weights, np.array(obj["bias"], dtype=float)),
         vocab=Vocabulary({t: i for i, (t, _) in enumerate(terms)}, dict(terms), obj["n_docs"]),
-        topic_model=TopicModel(len(phi), phi, obj["alpha_lda"], obj["seed"], len(terms)),
-        cost_matrix=CostMatrix(dev_ids, np.array(obj["cost"], dtype=float), provenance),
+        topic_model=TopicModel(phi, obj["alpha_lda"], obj["seed"]),
+        cost_matrix=CostMatrix(np.array(obj["cost"], dtype=float), provenance),
         dev_profiles=dict(profiles),
         boundary_day=obj["boundary_day"],
     )

@@ -24,9 +24,8 @@ EPOCHS = 200
 @dataclass
 class LinearModel:
     dev_ids: list  # sorted; row order of weights
-    weights: np.ndarray  # (n_devs, n_features) finite
+    weights: np.ndarray  # (n_devs, n_terms) finite
     bias: np.ndarray  # (n_devs,)
-    n_features: int
 
     def decision_values(self, row: np.ndarray) -> np.ndarray:
         return self.weights @ row + self.bias
@@ -44,7 +43,7 @@ def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel
     dev_ids = sorted(set(labels))
     if len(dev_ids) < 2:
         raise ValidationError("need at least two developer labels to train")
-    n, n_features = X.shape
+    n, n_terms = X.shape
     X = np.hstack([X, np.ones((n, 1))])  # last column: constant bias feature
     labels = np.array(labels)
     lam = 1.0 / (C * n)
@@ -53,11 +52,11 @@ def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel
             f"C={C} gives regularization 1/(C*n) = {lam} for n={n} bugs; "
             "it must be finite and positive"
         )
-    weights = np.zeros((len(dev_ids), n_features))
+    weights = np.zeros((len(dev_ids), n_terms))
     bias = np.zeros(len(dev_ids))
     for row, dev in enumerate(dev_ids):
         y = np.where(labels == dev, 1.0, -1.0)
-        w = np.zeros(n_features + 1)
+        w = np.zeros(n_terms + 1)
         for t in range(1, EPOCHS + 1):
             margins = y * (X @ w)
             violating = margins < 1.0
@@ -68,12 +67,7 @@ def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel
             raise ValidationError("training diverged to non-finite weights")
         weights[row] = w[:-1]
         bias[row] = w[-1]
-    return LinearModel(
-        dev_ids=dev_ids,
-        weights=weights,
-        bias=bias,
-        n_features=n_features,
-    )
+    return LinearModel(dev_ids=dev_ids, weights=weights, bias=bias)
 
 
 def predict_suitability(model: LinearModel, X: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -148,8 +150,8 @@ def build_vocabulary(docs, min_df: int = 2) -> Vocabulary:
 
 def tfidf_transform(doc: TokenizedDoc, vocab: Vocabulary) -> np.ndarray:
     """Dense row of tf * (ln((1+N)/(1+df)) + 1), L2-normalized; OOV
-    terms ignored.  Weights and their norm are summed in first-occurrence
-    order.
+    terms ignored.  The squared weights are summed left to right in
+    first-occurrence order (``sum`` compensates from Python 3.12).
 
     A doc with no in-vocabulary terms yields the zero row.
     """
@@ -165,7 +167,7 @@ def tfidf_transform(doc: TokenizedDoc, vocab: Vocabulary) -> np.ndarray:
         term: tf * (math.log((1 + n) / (1 + vocab.doc_freq[term])) + 1.0)
         for term, tf in counts.items()
     }
-    norm = math.sqrt(sum(w * w for w in weights.values()))
+    norm = math.sqrt(reduce(add, (w * w for w in weights.values()), 0.0))
     for term, weight in weights.items():
         row[vocab.index[term]] = weight / norm
     return row

@@ -49,18 +49,18 @@ def models_around(**parts):
     if "vocab" in parts:
         V = len(parts["vocab"])
     if "linear_model" in parts:
-        dev_ids, V = parts["linear_model"].dev_ids, parts["linear_model"].n_features
+        dev_ids, V = parts["linear_model"].dev_ids, parts["linear_model"].weights.shape[1]
     if "topic_model" in parts:
-        K, V = parts["topic_model"].K, parts["topic_model"].vocab_size
+        K, V = parts["topic_model"].phi.shape
     if "cost_matrix" in parts:
-        dev_ids, K = parts["cost_matrix"].dev_ids, parts["cost_matrix"].K
+        D, K = parts["cost_matrix"].filled.shape
+        dev_ids = list(range(1, D + 1))
     terms, D = [f"t{i}" for i in range(V)], len(dev_ids)
     stand_ins = dict(
         vocab=Vocabulary({t: i for i, t in enumerate(terms)}, dict.fromkeys(terms, 1), 1),
-        linear_model=LinearModel(list(dev_ids), np.zeros((D, V)), np.zeros(D), V),
-        topic_model=TopicModel(K, np.full((K, V), 1 / V), 1.0, 0, V),
-        cost_matrix=CostMatrix(list(dev_ids), np.ones((D, K)),
-                               np.full((D, K), OBSERVED, dtype=object)),
+        linear_model=LinearModel(list(dev_ids), np.zeros((D, V)), np.zeros(D)),
+        topic_model=TopicModel(np.full((K, V), 1 / V), 1.0, 0),
+        cost_matrix=CostMatrix(np.ones((D, K)), np.full((D, K), OBSERVED, dtype=object)),
         dev_profiles={d: DeveloperProfile(d, frozenset()) for d in dev_ids},
         boundary_day=0,
     )

@@ -194,7 +194,7 @@ def test_model_invariants(mini_env):
     train = [r for r in mini_env.train if r.actual_assignee in mini_env.profiles]
     docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
     observed = build_cost_matrix(
-        train, fitted_topics(models.topic_model, docs, models.vocab), cm.dev_ids, cm.K
+        train, fitted_topics(models.topic_model, docs, models.vocab), models.dev_ids, cm.K
     )
     seen = ~np.isnan(observed)
     cost_ok = (bool(np.all(cm.filled > 0)) and np.array_equal(cm.observed, seen)

@@ -162,6 +162,15 @@ def test_missing_data_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ['{"bug_id": 1}\n', None], ids=["bad-line", "no-file"])
+def test_missing_boundary_is_reported_before_the_data_is_read(tmp_path, capsys, content):
+    data = tmp_path / "bad.jsonl"
+    if content is not None:
+        data.write_text(content)
+    assert dispatch(["prepare", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert _one_error_line(capsys) == "error: --boundary is required\n"
+
+
 def test_missing_artifacts_suggest_train(workdir, tmp_path, capsys):
     _, data, _, _ = workdir
     code = dispatch(["simulate", "--data", str(data), "--boundary", "120",

@@ -242,8 +242,8 @@ def test_topic_count_selection_prefers_planted_count():
     assert model.K == 2
     # the selected model is the fit of its K, not a refit
     again = fit_lda(docs, vocab, 2, seed=0, iters=120)
-    assert (model.K, model.alpha_lda, model.seed, model.vocab_size) == (
-        again.K, again.alpha_lda, again.seed, again.vocab_size)
+    assert (model.K, model.alpha_lda, model.seed, model.phi.shape) == (
+        again.K, again.alpha_lda, again.seed, again.phi.shape)
     assert np.array_equal(model.phi, again.phi)
     assert np.array_equal(model.doc_topic, again.doc_topic)
 
@@ -363,13 +363,13 @@ def test_fill_matches_the_per_cell_reference_bit_for_bit(case):
     observed = {(d, k): float(grid[i, k]) for i, d in enumerate(dev_ids)
                 for k in range(grid.shape[1]) if not np.isnan(grid[i, k])}
     filled, provenance, global_mean = reference_fill_missing_cf(observed, dev_ids, grid.shape[1])
-    matrix = fill_missing_cf(grid, dev_ids)
+    matrix = fill_missing_cf(grid)
     assert [v.hex() for v in matrix.filled.ravel().tolist()] == [
         v.hex() for v in filled.ravel().tolist()]
     assert matrix.provenance.tolist() == [
         [provenance[(d, k)] for k in range(grid.shape[1])] for d in dev_ids]
     assert matrix.global_mean.hex() == global_mean.hex()
-    assert matrix.dev_ids == dev_ids and matrix.K == grid.shape[1]
+    assert matrix.filled.shape == (len(dev_ids), grid.shape[1]) and matrix.K == grid.shape[1]
 
 
 def test_build_cost_matrix_hand_means():
@@ -382,7 +382,7 @@ def test_build_cost_matrix_hand_means():
     observed = build_cost_matrix(records, [0, 0, 1, GLOBAL_TOPIC], [1, 2], K=3)
     assert np.array_equal(observed, _grid([[3.0, None, None], [None, 6.0, None]]),
                           equal_nan=True)
-    matrix = fill_missing_cf(observed, [1, 2])
+    matrix = fill_missing_cf(observed)
     assert matrix.observed.tolist() == [[True, False, False], [False, True, False]]
     assert matrix.provenance[0, 0] == matrix.provenance[1, 1] == OBSERVED
     assert matrix.global_mean == pytest.approx(4.5)
@@ -390,7 +390,7 @@ def test_build_cost_matrix_hand_means():
 
 def test_cf_fill_similarity_weighted_hand_value():
     observed = _grid([[2.0, 4.0], [2.0, None], [4.0, 8.0]])
-    filled = fill_missing_cf(observed, [1, 2, 3])
+    filled = fill_missing_cf(observed)
     # dev 2 topic 1: 1-D overlaps give cosine 1 to both dev 1 and dev 3
     # -> (4 + 8) / 2 = 6
     assert filled.filled[1, 1] == pytest.approx(6.0)
@@ -402,7 +402,7 @@ def test_cf_fill_similarity_weighted_hand_value():
 
 
 def test_cf_fill_column_mean_and_global_fallbacks():
-    filled = fill_missing_cf(_grid([[3.0, 5.0, None], [None, None, None]]), [1, 2])
+    filled = fill_missing_cf(_grid([[3.0, 5.0, None], [None, None, None]]))
     # dev 2 has no observations: no similarity, column-mean fallback
     assert filled.filled[1, 0] == pytest.approx(3.0)
     assert filled.provenance[1, 0] == CF
@@ -413,23 +413,23 @@ def test_cf_fill_column_mean_and_global_fallbacks():
 
 
 def test_cost_global_topic_sentinel_maps_to_global_mean():
-    matrix = fill_missing_cf(_grid([[2.0, 6.0]]), [1])
+    matrix = fill_missing_cf(_grid([[2.0, 6.0]]))
     # feature_table gives a GLOBAL_TOPIC bug this cost for every developer
     assert matrix.global_mean == pytest.approx(4.0)
 
 
 def test_empty_matrix_rejected():
     with pytest.raises(ValidationError):
-        fill_missing_cf(_grid([[None, None]]), [1])
+        fill_missing_cf(_grid([[None, None]]))
 
 
 def test_cost_matrix_json_roundtrip():
-    matrix = fill_missing_cf(_grid([[2.0, None], [None, 3.0]]), [1, 2])
+    matrix = fill_missing_cf(_grid([[2.0, None], [None, 3.0]]))
     models = models_around(cost_matrix=matrix)
     text = pipeline.models_to_json(models)
     loaded = pipeline.models_from_json(text, models.dev_profiles)
     again = loaded.cost_matrix
-    assert again.dev_ids == matrix.dev_ids
+    assert loaded.linear_model.dev_ids == models.linear_model.dev_ids
     assert again.filled.tobytes() == matrix.filled.tobytes()
     assert np.array_equal(again.provenance, matrix.provenance)
     assert pipeline.models_to_json(loaded) == text
@@ -450,8 +450,8 @@ def test_topic_model_json_roundtrip():
     model = fit_lda(docs, vocab, K=2, seed=2, iters=30)
     models = models_around(vocab=vocab, topic_model=model)
     again = round_trip(models).topic_model
-    assert (again.K, again.alpha_lda, again.seed, again.vocab_size) == (
-        model.K, model.alpha_lda, model.seed, model.vocab_size)
+    assert (again.K, again.alpha_lda, again.seed, again.phi.shape) == (
+        model.K, model.alpha_lda, model.seed, model.phi.shape)
     assert np.array_equal(again.phi, model.phi)
     probe = TokenizedDoc(1, ("render", "pixel"))
     assert infer_topic(again, probe, vocab) == infer_topic(model, probe, vocab)

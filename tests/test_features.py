@@ -23,7 +23,7 @@ def _reference_rows(models, rec):
     topic = infer_topic(models.topic_model, doc, models.vocab)
     c = np.array([
         matrix.global_mean if topic == GLOBAL_TOPIC
-        else matrix.filled[matrix.dev_ids.index(d), topic]
+        else matrix.filled[linear.dev_ids.index(d), topic]
         for d in models.dev_ids
     ])
     return s, c, topic

@@ -30,7 +30,7 @@ def _separable_fixture():
 def test_separable_fixture_learned():
     docs, vocab, X, labels = _separable_fixture()
     model = train_classifier(X, labels)
-    assert model.n_features == len(vocab)
+    assert model.weights.shape[1] == len(vocab)
     S = predict_suitability(model, np.array([tfidf_transform(doc, vocab) for doc in docs]))
     assert S.shape == (len(docs), 2)
     for row, label in zip(S, labels):
@@ -45,14 +45,14 @@ def test_training_deterministic():
     b = train_classifier(X, labels)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
-    assert (a.dev_ids, a.n_features) == (b.dev_ids, b.n_features)
+    assert (a.dev_ids, a.weights.shape) == (b.dev_ids, b.weights.shape)
 
 
 def test_model_json_roundtrip_preserves_decisions():
     docs, vocab, X, labels = _separable_fixture()
     model = train_classifier(X, labels, C=1000.0)
     again = round_trip(models_around(vocab=vocab, linear_model=model)).linear_model
-    assert (again.dev_ids, again.n_features) == (model.dev_ids, model.n_features)
+    assert (again.dev_ids, again.weights.shape) == (model.dev_ids, model.weights.shape)
     assert np.array_equal(again.weights, model.weights)
     assert np.array_equal(again.bias, model.bias)
     row = tfidf_transform(docs[0], vocab)
@@ -70,7 +70,6 @@ def test_all_equal_scores_normalize_to_one():
         dev_ids=[1, 2, 3],
         weights=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
         bias=np.zeros(3),
-        n_features=2,
     )
     # the second row's decision values are all 0.0; the first's are not
     S = predict_suitability(model, np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -78,7 +77,7 @@ def test_all_equal_scores_normalize_to_one():
 
 
 def test_no_rows_give_an_empty_matrix():
-    model = LinearModel([1, 2], np.zeros((2, 3)), np.zeros(2), 3)
+    model = LinearModel([1, 2], np.zeros((2, 3)), np.zeros(2))
     assert predict_suitability(model, np.zeros((0, 3))).shape == (0, 2)
 
 
@@ -88,7 +87,6 @@ def test_argmax_tie_breaks_to_smallest_dev():
         dev_ids=[3, 5, 9],
         weights=np.zeros((3, 2)),
         bias=np.array([1.0, 1.0, 0.2]),
-        n_features=2,
     )
     row = predict_suitability(model, np.zeros((1, 2)))[0]  # columns in model.dev_ids order
     assert row.tolist() == [1.0, 1.0, 0.0]

@@ -89,6 +89,22 @@ def test_tfidf_hand_example():
     assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tfidf_norm_is_the_left_fold_of_the_squares():
+    docs = [TokenizedDoc(1, ("alpha", "beta", "gamma")), TokenizedDoc(2, ("beta", "gamma")),
+            TokenizedDoc(3, ("gamma",))]
+    vocab = build_vocabulary(docs, min_df=1)
+    doc = TokenizedDoc(4, ("alpha",) + ("beta",) * 3 + ("gamma",) * 4)
+    weights = [tf * (math.log(4 / (1 + df)) + 1.0) for tf, df in ((1, 1), (3, 2), (4, 3))]
+    squares = [w * w for w in weights]
+    left_fold = 0.0
+    for square in squares:
+        left_fold += square
+    # a compensated sum, as the builtin sum is from Python 3.12, differs here
+    assert left_fold != math.fsum(squares)
+    norm = math.sqrt(left_fold)
+    assert tfidf_transform(doc, vocab).tolist() == [w / norm for w in weights]
+
+
 def test_tfidf_oov_only_doc_is_zero_vector():
     docs = [TokenizedDoc(1, ("cat", "dog")), TokenizedDoc(2, ("cat", "dog"))]
     vocab = build_vocabulary(docs)
