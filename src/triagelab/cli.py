@@ -119,7 +119,7 @@ def cmd_train(args) -> int:
     pipeline.save_prepared(summary, profiles, args.out)
     print(
         f"trained on {len(train)} bugs: |V|={len(models.vocab)}, "
-        f"K={models.topic_model.K}, D={len(models.dev_profiles)}"
+        f"K={models.topic_model.K}, D={len(models.dev_ids)}"
     )
     return 0
 
@@ -146,7 +146,7 @@ def cmd_simulate(args) -> int:
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     config = _sim_config(args, args.policy, args.alpha, records, summary)
     models = pipeline.load_models(args.out, profiles, args.boundary)
-    result = pipeline.run_policy(config, records, cleaned, models)
+    result = pipeline.run_policy(config, records, cleaned, models, profiles)
     tag = metrics_mod.run_tag(config.policy, config.alpha)
     with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
         fh.write(pipeline.result_to_json(result))
@@ -193,7 +193,7 @@ def cmd_sweep(args) -> int:
     table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
     rows = []
     for alpha in sorted(set(alphas)):
-        result = run_simulation(replace(config, alpha=alpha), corpus, table, models.dev_profiles)
+        result = run_simulation(replace(config, alpha=alpha), corpus, table, profiles)
         report = metrics_mod.compute_report(result)
         rows.append((alpha, report.accuracy_pct, report.pct_overdue))
     csv_text = metrics_mod.sweep_to_csv(rows)

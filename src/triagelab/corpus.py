@@ -74,12 +74,6 @@ class BugRecord:
         return self.resolved_at - self.assigned_at + 1
 
 
-@dataclass(frozen=True)
-class DeveloperProfile:
-    dev_id: int
-    components_experienced: frozenset
-
-
 @dataclass
 class DatasetSummary:
     counts_by_step: list  # [input, step1, step2, step3, step4]
@@ -229,16 +223,14 @@ def active_developers(records) -> frozenset:
     return frozenset(dev for dev, n in counts.items() if n > q3 - q1)
 
 
-def developer_profiles(records) -> list[DeveloperProfile]:
-    """One profile per developer with a fix in ``records``, by dev_id."""
+def developer_profiles(records) -> dict[int, frozenset]:
+    """Each developer with a fix in ``records``, by dev_id, mapped to the
+    components of their fixes."""
     components: dict[int, set] = {}
     for rec in records:
         if rec.actual_assignee is not None:
             components.setdefault(rec.actual_assignee, set()).add(rec.component)
-    return [
-        DeveloperProfile(dev_id=dev, components_experienced=frozenset(experienced))
-        for dev, experienced in sorted(components.items())
-    ]
+    return {dev: frozenset(experienced) for dev, experienced in sorted(components.items())}
 
 
 def fixing_time_threshold(fixing_times) -> float:

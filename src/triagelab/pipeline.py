@@ -44,18 +44,18 @@ DEFAULT_TOPIC_GRID = tuple(range(5, 55, 5))
 
 @dataclass
 class TrainedModels:
-    """Frozen artifacts from the training phase."""
+    """The trained models, holding what ``model.json`` holds; the
+    developers they were trained for are the classifier's."""
 
     linear_model: LinearModel
     vocab: Vocabulary
     topic_model: TopicModel
     cost_matrix: CostMatrix
-    dev_profiles: dict  # dev_id -> DeveloperProfile (active set)
     boundary_day: int  # the last training day
 
     @property
     def dev_ids(self):
-        return sorted(self.dev_profiles)
+        return self.linear_model.dev_ids
 
 
 @dataclass
@@ -70,13 +70,12 @@ def prepare(records, boundary_day):
     """Clean the corpus and profile the active developers.
 
     Returns (cleaned, summary, profiles).  Cleaning keeps only active
-    developers' bugs, so profiles covers every developer with a cleaned
-    training bug, with their training-phase component experience.
+    developers' bugs, so profiles maps every developer with a cleaned
+    training bug to the components of their training-phase fixes.
     """
     cleaned, summary = clean_bugs(records, boundary_day)
     train, _ = split_train_test(cleaned, boundary_day)
-    profiles = {p.dev_id: p for p in developer_profiles(train)}
-    return cleaned, summary, profiles
+    return cleaned, summary, developer_profiles(train)
 
 
 def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings) -> TrainedModels:
@@ -94,13 +93,12 @@ def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings)
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
     topics = fitted_topics(topic_model, docs, vocab)
-    cost = fill_missing_cf(build_cost_matrix(train, topics, sorted(profiles), topic_model.K))
+    cost = fill_missing_cf(build_cost_matrix(train, topics, linear.dev_ids, topic_model.K))
     return TrainedModels(
         linear_model=linear,
         vocab=vocab,
         topic_model=topic_model,
         cost_matrix=cost,
-        dev_profiles=dict(profiles),
         boundary_day=boundary_day,
     )
 
@@ -136,12 +134,12 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     return FeatureTable(dev_ids=tuple(models.dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
 
 
-def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels) -> SimResult:
+def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels, profiles) -> SimResult:
     corpus = replay_corpus(all_records, cleaned, config.boundary_day)
     # the actual policy replays history and reads no table rows
     end_day = config.boundary_day if config.policy == "actual" else config.end_day
     table = feature_table(models, corpus, config.boundary_day, end_day)
-    return run_simulation(config, corpus, table, models.dev_profiles)
+    return run_simulation(config, corpus, table, profiles)
 
 
 # --- artifact persistence ----------------------------------------------
@@ -188,9 +186,8 @@ def models_to_json(models: TrainedModels) -> str:
     }, indent=2)
 
 
-def models_from_json(text, profiles) -> TrainedModels:
-    """The models ``models_to_json`` wrote, to replay with the developer
-    ``profiles``."""
+def models_from_json(text) -> TrainedModels:
+    """The models ``models_to_json`` wrote."""
     obj = MODEL_SCHEMA.parse(text)
     phi = np.array(obj["phi"], dtype=float)
     if not ((phi.sum(axis=1) > 0).all() and (phi.sum(axis=0) > 0).all()):
@@ -208,15 +205,14 @@ def models_from_json(text, profiles) -> TrainedModels:
         vocab=Vocabulary({t: i for i, (t, _) in enumerate(terms)}, dict(terms), obj["n_docs"]),
         topic_model=TopicModel(phi, obj["alpha_lda"], obj["seed"]),
         cost_matrix=CostMatrix(np.array(obj["cost"], dtype=float), provenance),
-        dev_profiles=dict(profiles),
         boundary_day=obj["boundary_day"],
     )
 
 
 def profiles_to_json(profiles) -> str:
     return json.dumps([
-        {"dev_id": p.dev_id, "components_experienced": sorted(p.components_experienced)}
-        for p in sorted(profiles.values(), key=lambda p: p.dev_id)
+        {"dev_id": dev, "components_experienced": sorted(components)}
+        for dev, components in sorted(profiles.items())
     ], indent=2)
 
 
@@ -260,11 +256,11 @@ def load_models(out_dir, profiles, boundary_day) -> TrainedModels:
     path = os.path.join(out_dir, MODEL_FILE)
     if not os.path.exists(path):
         raise ValidationError(f"missing artifact {MODEL_FILE}; run `train` first")
-    models = read_json_file(path, lambda text: models_from_json(text, profiles))
+    models = read_json_file(path, models_from_json)
     if models.boundary_day != boundary_day:
         raise ValidationError(f"{path}: trained at --boundary {models.boundary_day}, "
                               f"not {boundary_day}; run `train` again")
-    trained, active = models.linear_model.dev_ids, models.dev_ids  # the file's, the data's
+    trained, active = models.dev_ids, sorted(profiles)  # the file's, the data's
     if trained != active:
         raise ValidationError(f"{path}: developers {trained} are not the data's active "
                               f"developers {active}; run `train` again")

@@ -119,11 +119,11 @@ class Replay:
     order.
     """
 
-    def __init__(self, config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, dev_profiles):
+    def __init__(self, config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, profiles):
         self.config = config
         self.corpus = corpus
         self.table = table
-        self.dev_profiles = dev_profiles
+        self.profiles = profiles
         self.opens, self.arcs, self.hist_resolves = _events_by_day(corpus.records)
         self.graph = DependencyGraph()
         self.day = config.boundary_day
@@ -192,7 +192,6 @@ class Replay:
         for bug_id, dev_id, cost in decision.assignments:
             rec = self.corpus.history[bug_id]
             parents = self.graph.parents.get(bug_id, ())
-            profile = self.dev_profiles.get(dev_id)
             entry = {
                 "bug_id": bug_id,
                 "dev_id": dev_id,
@@ -200,8 +199,7 @@ class Replay:
                 "assigned_day": day,
                 "estimated_cost": cost,
                 "infeasible": any(same_batch.get(p) != dev_id for p in parents),
-                "accurate": profile is not None
-                and rec.component in profile.components_experienced,
+                "accurate": rec.component in self.profiles.get(dev_id, ()),
                 "component": rec.component,
                 # actual replays history with no capacity accounting: the
                 # assignee starts at once and may have no profile
@@ -264,15 +262,15 @@ class SimResult:
     total_entering: int
 
 
-def run_simulation(config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, dev_profiles) -> SimResult:
+def run_simulation(config: SimConfig, corpus: ReplayCorpus, table: FeatureTable, profiles) -> SimResult:
     """Run one policy over the whole testing phase, deterministically.
 
     ``table`` must hold a row for every bug the policy decides on (the
-    actual policy reads none); ``dev_profiles`` maps each active
-    dev_id, the table's columns, to its DeveloperProfile.
+    actual policy reads none); ``profiles`` maps each active dev_id, the
+    table's columns, to the components of their training-phase fixes.
     """
-    if not dev_profiles:
+    if not profiles:
         raise ValidationError("no active developers; refusing to simulate")
-    if list(table.dev_ids) != sorted(dev_profiles):
+    if list(table.dev_ids) != sorted(profiles):
         raise ValidationError("feature table columns differ from the active developers")
-    return Replay(config, corpus, table, dev_profiles).run()
+    return Replay(config, corpus, table, profiles).run()

@@ -26,18 +26,20 @@ many of each developer's distinct costs its remaining capacity admits):
 
 Pruning only skips subtrees that hold no completion the search would
 accept, so the solution is the one an unpruned search finds, from fewer
-nodes.  A table's key is its counts packed into one Python int (many
-developers pass 64 bits), each in a bit field just wide enough for its
-developer's distinct costs.  A table is built, and its key decoded to
-counts, when a node first reaches that key.  Each node receives its key
-and table from its parent, and the root computes them from the
-capacities: a child's counts are its node's with one entry lowered, so
-one addition rewrites that field of the key, and leaving a bug
-unassigned keeps them.  Neither bound rises when a count falls, so the
-node's own table bounds every child, and that lookup is each branch's
-first test.  A child whose fit count does not change reuses its node's
-table and passes that test alone; only the others look up a table of
-their own.  The search recurses once per bug, so a pool deeper than
+nodes.  A developer whose capacity fits none of their costs takes no bug
+and bounds nothing, so the search leaves their column out and they count
+toward neither table.  A table's key is its counts packed into one
+Python int (many developers pass 64 bits), each in a bit field just wide
+enough for its developer's distinct costs.  A table is built, and its
+key decoded to counts, when a node first reaches that key.  Each node
+receives its key and table from its parent, and the root computes them
+from the capacities: a child's counts are its node's with one entry
+lowered, so one addition rewrites that field of the key, and leaving a
+bug unassigned keeps them.  Neither bound rises when a count falls, so
+the node's own table bounds every child, and that lookup is each
+branch's first test.  A child whose fit count does not change reuses its
+node's table and passes that test alone; only the others look up a table
+of their own.  The search recurses once per bug, so a pool deeper than
 Python's recursion limit is refused with a ValidationError.  A separate
 vectorized exhaustive-enumeration oracle exists for verification and
 never shares code with the search.
@@ -282,16 +284,16 @@ def _allowed_devs(parents, chosen):
     return [] if len(devs) != 1 or -1 in devs else list(devs)
 
 
-def _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps):
-    """Feasible warm start: best fitting developer per bug in order."""
+def _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps, by_id):
+    """Feasible warm start: best fitting developer per bug in order, the
+    first of ``by_id`` (the columns in dev_id order) among near ties."""
     remaining = list(caps)
-    every = range(len(caps))
     chosen: dict[int, int] = {}
     value = 0.0
     for i in order:
         row, cost, parents = contrib_rows[i], cost_rows[i], parents_of[i]
         best_j, best_v = -1, 0.0
-        for j in _allowed_devs(parents, chosen) if parents else every:
+        for j in _allowed_devs(parents, chosen) if parents else by_id:
             if cost[j] <= remaining[j] + _EPS and row[j] > best_v + _EPS:
                 best_j, best_v = j, row[j]
         if best_j >= 0:
@@ -388,11 +390,6 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     for p, kids in instance.children.items() if with_prec else ():
         for ch in kids:
             parents_of[ch].append(p)
-    caps = instance.caps.tolist()
-    # The search runs on Python floats: the same IEEE arithmetic as numpy
-    # scalars, without their per-operation overhead.
-    contrib_rows = contrib.tolist()
-    cost_rows = instance.C.tolist()
 
     # The search admits each bug with + _EPS and `remaining` picks up
     # rounding over a search, so a fit test against remaining + slack
@@ -400,15 +397,27 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     # tolerance).
     slack = (n + 1) * _EPS + 1e-9
 
+    # A developer whose capacity fits none of their costs has a fit count of
+    # 0 from the root on and takes nothing: the search runs on the other
+    # columns, once the contributions and the order have read every column.
+    kept = np.flatnonzero(instance.C.min(axis=0) <= instance.caps + slack)
+    contrib, C = contrib[:, kept], instance.C[:, kept]
+    dev_ids = [instance.developers[j][0] for j in kept.tolist()]
+    caps = instance.caps[kept].tolist()
+    # The search runs on Python floats: the same IEEE arithmetic as numpy
+    # scalars, without their per-operation overhead.
+    contrib_rows = contrib.tolist()
+    cost_rows = C.tolist()
+
     # per-bug developer option order: contribution desc, then dev_id, as
     # one stable sort of the columns taken in dev_id order
-    by_id = np.argsort([d for d, _ in instance.developers], kind="stable")
+    by_id = np.argsort(dev_ids, kind="stable")
     dev_order = by_id[np.argsort(-contrib[:, by_id], axis=1, kind="stable")].tolist()
 
     # One bound table per vector of fit counts, built when a node first
     # reaches that vector: a free-developer column where that table
     # applies, else the fit-aware table.  Count j is code >> shift[j] & bits[j].
-    distinct = _distinct_costs(instance.C)
+    distinct = _distinct_costs(C)
     widths = [len(costs).bit_length() for costs in distinct]
     bits = [(1 << w) - 1 for w in widths]
     shift = list(accumulate(widths[:-1], initial=0))
@@ -429,7 +438,8 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
 
     # per rank: the bug, its blockers, its developers best first, its rows
     by_rank = [(i, parents_of[i], dev_order[i], contrib_rows[i], cost_rows[i]) for i in order]
-    incumbent, best_value = _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps)
+    incumbent, best_value = _greedy_incumbent(contrib_rows, cost_rows, order, parents_of, caps,
+                                              by_id.tolist())
     best_choice = dict(incumbent)
     choice: dict[int, int] = {}
     remaining = list(caps)
@@ -489,7 +499,7 @@ def _branch_and_bound(instance: AssignmentInstance, variant: str) -> AssignmentS
     # in bug-id order; the objective sums their contributions left to right
     # by plain float addition (the builtin sum compensates from Python 3.12)
     cells = sorted(best_choice.items(), key=lambda cell: instance.bugs[cell[0]].bug_id)
-    assignments = tuple((instance.bugs[i].bug_id, instance.developers[j][0]) for i, j in cells)
+    assignments = tuple((instance.bugs[i].bug_id, dev_ids[j]) for i, j in cells)
     check_feasible(instance, assignments, variant)
     value = reduce(add, (contrib_rows[i][j] for i, j in cells), 0.0)
     return AssignmentSolution(assignments=assignments, objective_value=value, node_count=node_count)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from triagelab import pipeline
-from triagelab.corpus import BugRecord, DeveloperProfile, split_train_test
+from triagelab.corpus import BugRecord, split_train_test
 from triagelab.costmodel import OBSERVED, CostMatrix, TopicModel
 from triagelab.metrics import compute_report
 from triagelab.minicorpus import MiniCorpusSpec, generate
@@ -61,7 +61,6 @@ def models_around(**parts):
         linear_model=LinearModel(list(dev_ids), np.zeros((D, V)), np.zeros(D)),
         topic_model=TopicModel(np.full((K, V), 1 / V), 1.0, 0),
         cost_matrix=CostMatrix(np.ones((D, K)), np.full((D, K), OBSERVED, dtype=object)),
-        dev_profiles={d: DeveloperProfile(d, frozenset()) for d in dev_ids},
         boundary_day=0,
     )
     return pipeline.TrainedModels(**dict(stand_ins, **parts))
@@ -69,7 +68,7 @@ def models_around(**parts):
 
 def round_trip(models):
     """``models`` written as model.json's text and read back."""
-    return pipeline.models_from_json(pipeline.models_to_json(models), models.dev_profiles)
+    return pipeline.models_from_json(pipeline.models_to_json(models))
 
 
 def cleaning_fixture_20():
@@ -155,7 +154,7 @@ def mini_env(mini_records):
                 seed=seed,
                 horizon_L=env.horizon,
             )
-            result = run_simulation(config, corpus, table, models.dev_profiles)
+            result = run_simulation(config, corpus, table, profiles)
             cache[key] = (result, compute_report(result))
         return cache[key]
 

@@ -227,8 +227,8 @@ def test_determinism_byte_identical(mini_env):
         horizon_L=mini_env.horizon,
     )
     table2 = pipeline.feature_table(m2, mini_env.corpus, MINI_BOUNDARY, MINI_END)
-    r1 = run_simulation(config, mini_env.corpus, mini_env.table, m1.dev_profiles)
-    r2 = run_simulation(config, mini_env.corpus, table2, m2.dev_profiles)
+    r1 = run_simulation(config, mini_env.corpus, mini_env.table, mini_env.profiles)
+    r2 = run_simulation(config, mini_env.corpus, table2, mini_env.profiles)
     runs_ok = pipeline.result_to_json(r1) == pipeline.result_to_json(r2)
     _verdict(
         f"determinism: artifacts byte-identical {artifacts_ok}, "

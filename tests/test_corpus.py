@@ -64,7 +64,7 @@ def test_active_developer_iqr_rule():
     )
     # counts [10, 1, 1, 1]: IQR = 3.25 - 1 = 2.25 -> only dev 1 active
     assert active_developers(records) == frozenset({1})
-    assert [p.dev_id for p in developer_profiles(records)] == [1, 2, 3, 4]
+    assert list(developer_profiles(records)) == [1, 2, 3, 4]
 
 
 def test_active_single_developer_is_active():

@@ -427,7 +427,7 @@ def test_cost_matrix_json_roundtrip():
     matrix = fill_missing_cf(_grid([[2.0, None], [None, 3.0]]))
     models = models_around(cost_matrix=matrix)
     text = pipeline.models_to_json(models)
-    loaded = pipeline.models_from_json(text, models.dev_profiles)
+    loaded = pipeline.models_from_json(text)
     again = loaded.cost_matrix
     assert loaded.linear_model.dev_ids == models.linear_model.dev_ids
     assert again.filled.tobytes() == matrix.filled.tobytes()
@@ -437,11 +437,9 @@ def test_cost_matrix_json_roundtrip():
     assert list(obj) == list(pipeline.MODEL_SCHEMA.of)
     # the global mean reads the OBSERVED cells, so a grid needs one
     with pytest.raises(ValidationError, match="no OBSERVED cell"):
-        pipeline.models_from_json(json.dumps(dict(obj, provenance=[[CF, CF], [CF, GLOBAL_MEAN]])),
-                                  models.dev_profiles)
+        pipeline.models_from_json(json.dumps(dict(obj, provenance=[[CF, CF], [CF, GLOBAL_MEAN]])))
     with pytest.raises(ValidationError, match="unknown key 'observed'"):
-        pipeline.models_from_json(json.dumps(dict(obj, observed=[[1, 0, 2.0], [2, 1, 3.0]])),
-                                  models.dev_profiles)
+        pipeline.models_from_json(json.dumps(dict(obj, observed=[[1, 0, 2.0], [2, 1, 3.0]])))
 
 
 def test_topic_model_json_roundtrip():
@@ -460,4 +458,4 @@ def test_topic_model_json_roundtrip():
     for key, value in (("iters", 30), ("beta_lda", 0.01), ("K", 2),
                        ("vocab_size", len(vocab)), ("extra", None)):
         with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
-            pipeline.models_from_json(json.dumps({**obj, key: value}), models.dev_profiles)
+            pipeline.models_from_json(json.dumps({**obj, key: value}))

@@ -81,7 +81,8 @@ def test_actual_run_builds_no_rows(mini_env, monkeypatch):
         end_day=MINI_END,
         horizon_L=mini_env.horizon,
     )
-    result = pipeline.run_policy(config, mini_env.records, mini_env.cleaned, mini_env.models)
+    result = pipeline.run_policy(config, mini_env.records, mini_env.cleaned, mini_env.models,
+                                 mini_env.profiles)
     assert [table.bug_ids for table in built] == [()]
     assert pipeline.result_to_json(result) == pipeline.result_to_json(
         mini_env.run("actual")[0]

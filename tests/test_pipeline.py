@@ -4,7 +4,6 @@ training topics train_models reads off the fitted LDA."""
 import numpy as np
 
 from triagelab import costmodel, pipeline
-from triagelab.corpus import DeveloperProfile
 from triagelab.costmodel import GLOBAL_TOPIC, build_cost_matrix
 from triagelab.simulator import FeatureTable, SimConfig, run_simulation
 from triagelab.textprep import preprocess_text
@@ -89,8 +88,7 @@ def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
     ]
     records.append(make_bug(99, reported=1, assigned=1, resolved=5, dev=3,
                             summary="zebra quokka", description="narwhal"))
-    profiles = {d: DeveloperProfile(dev_id=d, components_experienced=frozenset({"core"}))
-                for d in (1, 2, 3)}
+    profiles = dict.fromkeys((1, 2, 3), frozenset({"core"}))
     monkeypatch.setattr(pipeline, "infer_topic", _fold_in_forbidden)
     monkeypatch.setattr(costmodel, "infer_topic", _fold_in_forbidden)
     models = pipeline.train_models(
@@ -136,7 +134,7 @@ def test_loaded_models_rewrite_every_file_byte_for_byte(mini_env, tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     pipeline.save_models(mini_env.models, first)
     loaded = pipeline.load_models(first, mini_env.profiles, MINI_BOUNDARY)
-    assert loaded.dev_profiles == mini_env.profiles
+    assert loaded.dev_ids == sorted(mini_env.profiles)
     pipeline.save_models(loaded, second)
     assert sorted(p.name for p in first.iterdir()) == ["model.json"]
     assert (second / "model.json").read_bytes() == (first / "model.json").read_bytes()

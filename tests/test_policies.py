@@ -256,7 +256,7 @@ def test_replay_hands_the_solver_binding_each_days_pool_and_arcs(mini_env, monke
     monkeypatch.setattr(simulator, "decide_knapsack", deciding)
     config = SimConfig(policy=policy, boundary_day=MINI_BOUNDARY, end_day=MINI_END, alpha=0.5,
                        seed=0, horizon_L=mini_env.horizon)
-    result = run_simulation(config, mini_env.corpus, mini_env.table, mini_env.models.dev_profiles)
+    result = run_simulation(config, mini_env.corpus, mini_env.table, mini_env.profiles)
     assert len(seen) == len(want) == MINI_END - MINI_BOUNDARY
     assert [(len(inst.bugs), len(inst.precedence)) for inst in seen] == [
         (len(pool), len(arcs)) for pool, arcs in want

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from triagelab.corpus import DeveloperProfile
 from triagelab import simulator
 from triagelab.errors import ValidationError
 from triagelab.policies import DailyDecision
@@ -25,13 +24,10 @@ class Stub:
             S=np.tile([suit[d] for d in dev_ids], (len(bug_ids), 1)),
             C=np.tile([costs[d] for d in dev_ids], (len(bug_ids), 1)),
         )
-        self.dev_profiles = {
-            d: DeveloperProfile(dev_id=d, components_experienced=frozenset(components))
-            for d in suit
-        }
+        self.profiles = dict.fromkeys(suit, frozenset(components))
 
     def run(self, config, corpus):
-        return run_simulation(config, corpus, self.table, self.dev_profiles)
+        return run_simulation(config, corpus, self.table, self.profiles)
 
 
 def _config(policy, **kw):

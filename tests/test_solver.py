@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import re
 import warnings
 from bisect import bisect_right
@@ -63,7 +64,8 @@ def reference_branch_and_bound(instance, variant):
         dev_order.append(js)
 
     incumbent, best_value = _greedy_incumbent(
-        contrib.tolist(), [list(b.c) for b in instance.bugs], order, parents_of, caps
+        contrib.tolist(), [list(b.c) for b in instance.bugs], order, parents_of, caps,
+        sorted(range(D), key=lambda j: instance.developers[j][0]),
     )
     best_choice = dict(incumbent)
     choice = {}
@@ -859,3 +861,69 @@ def test_relations_script_reports_a_solver_that_reads_input_order(monkeypatch, c
     assert relations.main(_BACKLOG_POOLS[:1]) == 1
     assert capsys.readouterr().err == (
         f"error: {_BACKLOG_POOLS[0]}: shuffle under RABT: the solution differs\n")
+
+
+def test_a_developer_who_fits_no_bug_leaves_the_search_as_it_is():
+    # The first 20 bugs of pool 77 with copies of its first 4 developers
+    # fill the free-developer table's 12 columns.  One more developer of
+    # capacity 0 (check_relations' idle developer) takes no bug, so the
+    # search drops that column and still reads the table: the node counts
+    # stay the same, where counting the column would leave the search
+    # without the table.
+    relations = _load_script("check_relations")
+    pool = AssignmentInstance.from_json(
+        (Path(__file__).parent / "data" / "backlog_pool_77.json").read_text())
+    bugs = pool.bugs[:20]
+    ids = {b.bug_id for b in bugs}
+    top = max(d for d, _ in pool.developers)
+    inst = replace(
+        pool,
+        bugs=[replace(b, s=b.s + b.s[:4], c=b.c + b.c[:4]) for b in bugs],
+        developers=pool.developers + [(top + 1 + j, cap)
+                                      for j, (_, cap) in enumerate(pool.developers[:4])],
+        precedence=[arc for arc in pool.precedence if set(arc) <= ids],
+    )
+    idle = relations.with_idle_developer(inst, None)
+    assert len(idle.developers) == 13
+    for solve, nodes in ((solve_dabt, 169), (solve_rabt, 234)):
+        want = relations.outcome(solve(inst))
+        assert want[2] == nodes
+        assert relations.outcome(solve(idle)) == want
+
+
+# Backlog-shaped pools: each developer has a few distinct costs and a
+# capacity below their two cheapest, so no developer fits two bugs and the
+# free-developer table bounds the search; a few arcs run forward.
+_BACKLOG_COSTS = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]
+
+
+@st.composite
+def backlog_instances(draw):
+    n, D = draw(st.integers(30, 60)), 8
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = [rng.choice(_BACKLOG_COSTS, size=rng.integers(2, 4), replace=False) for _ in range(D)]
+    C = np.column_stack([rng.choice(levels, size=n) for levels in costs])
+    S = rng.choice([0.0, 0.25, 0.5, 0.75], size=(n, D))
+    S[np.arange(n), rng.integers(0, D, size=n)] = 1.0
+    caps = [
+        float(rng.choice([0.0] + [c for c in _BACKLOG_COSTS if c < sum(sorted(column)[:2])]))
+        for column in C.T.tolist()
+    ]
+    arcs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
+            for _ in range(rng.integers(0, 6))}
+    return AssignmentInstance(
+        bugs=[InstanceBug(i, tuple(S[i].tolist()), tuple(C[i].tolist())) for i in range(n)],
+        developers=[(10 + j, cap) for j, cap in enumerate(caps)],
+        precedence=sorted(arcs),
+        alpha=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=coarse_instances() | unit_case_instances() | backlog_instances(),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_instances_keep_the_metamorphic_relations(inst, seed):
+    # scripts/check_relations.py's seven checks, on random instances up to
+    # backlog scale
+    relations = _load_script("check_relations")
+    assert relations.check(inst, random.Random(seed)) == (7, None)
