@@ -74,7 +74,11 @@ def _parse_topic_grid(spec: str):
         step = num(step or "5")
         if step < 1:
             raise ValidationError(f"--topics {spec!r}: step must be at least 1")
-        return tuple(range(num(lo), num(hi) + 1, step))
+        # a missing LO or HI, a negative HI or HI below LO gives no count
+        grid = tuple(range(num(lo), num(hi) + 1, step)) if lo and hi else ()
+        if not grid:
+            raise ValidationError(f"--topics {spec!r}: expected a range LO-HI[:STEP] with LO <= HI")
+        return grid
     return (num(spec),)
 
 

@@ -20,8 +20,11 @@ the values the per-draw calls would.  The fit's sweep is scalar Python
 over lists of counts; each draw is a plain inverse-CDF draw on the
 unnormalised weights: the first index whose running sum exceeds ``u``
 times their total.  The fold-in reads ``phi`` by rows (``phi.T[ids]``,
-once per doc), computes ``p`` in numpy and repeats ``choice``'s
-arithmetic (``_draw``) without its per-call overhead.
+once per doc), keeps the doc's topic counts in a list and ``counts +
+alpha`` in an array whose one changed entry is recomputed after each
+move, computes ``p`` in numpy into two work buffers made once per doc,
+and repeats ``choice``'s arithmetic (``_draw``) without its per-call
+overhead or allocation.
 tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 """
 
@@ -64,12 +67,13 @@ def _doc_word_ids(doc, vocab):
     return [vocab.index[t] for t in doc.tokens if t in vocab.index]
 
 
-def _draw(u, p) -> int:
+def _draw(u, p, cdf) -> int:
     """The index ``rng.choice(len(p), p=p)`` returns when its single
-    ``rng.random()`` draw is ``u``: the same arithmetic, without
-    ``choice``'s per-call validation."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    ``rng.random()`` draw is ``u``: the same arithmetic (``cumsum``, then
+    divide by its last element), written into the work buffer ``cdf``
+    of ``p``'s length, without ``choice``'s per-call validation."""
+    np.add.accumulate(p, out=cdf)
+    np.divide(cdf, cdf[-1], out=cdf)
     return int(cdf.searchsorted(u, side="right"))
 
 
@@ -202,7 +206,14 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
     The doc's uniforms come from one ``rng.random(sweeps * n)`` after the
     initial topics, the values ``sweeps * n`` per-token ``rng.random()``
     calls would give; token ``j``'s ``phi`` column is read once, as row
-    ``j`` of ``phi.T[ids]``.
+    ``j`` of ``phi.T[ids]``.  A token allocates no array: ``shifted``
+    holds ``counts + alpha``, and when a count moves by one only its
+    entry is recomputed as ``counts[k] + alpha`` (never stepped by one,
+    which would give other bits, as ``50/K`` need not be a binary
+    fraction); ``p`` and the draw's ``cdf`` are written into two ``(K,)``
+    buffers made once per doc, by the ufuncs that ``(counts + alpha) *
+    column``, ``p /= p.sum()`` and ``choice`` apply, in their order, so
+    every draw is the same to the bit.
     """
     ids = _doc_word_ids(doc, vocab)
     if not ids:
@@ -215,15 +226,22 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
     uniforms = iter(rng.random(sweeps * n).tolist())
     columns = list(model.phi.T[ids])  # (n, K) rows: token j's phi[:, w]
     alpha = model.alpha_lda
-    total = np.add.reduce
+    shifted = counts + alpha
+    counts = counts.tolist()
+    p = np.empty_like(shifted)  # work buffers, reused by every token
+    cdf = np.empty_like(shifted)
+    multiply, divide, total = np.multiply, np.divide, np.add.reduce
     for _ in range(sweeps):
         for j, column in enumerate(columns):
-            counts[z[j]] -= 1
-            p = (counts + alpha) * column
-            p /= total(p)
-            k = _draw(next(uniforms), p)
+            k = z[j]
+            counts[k] -= 1.0
+            shifted[k] = counts[k] + alpha
+            multiply(shifted, column, out=p)
+            divide(p, total(p), out=p)
+            k = _draw(next(uniforms), p, cdf)
             z[j] = k
-            counts[k] += 1
+            counts[k] += 1.0
+            shifted[k] = counts[k] + alpha
     return int(np.argmax(counts))  # argmax takes the smallest tied index
 
 

@@ -568,6 +568,10 @@ def test_report_malformed_result_rows_are_one_error_line(tmp_path, capsys, key, 
     [
         ("train", ["--topics", "abc"], "--topics 'abc'"),
         ("train", ["--topics", "5-50:0"], "step must be at least 1"),
+        ("train", ["--topics", "4-"], "--topics '4-': expected a range LO-HI[:STEP]"),
+        ("train", ["--topics", "-"], "--topics '-': expected a range LO-HI[:STEP]"),
+        ("train", ["--topics", "5--50"], "--topics '5--50': expected a range LO-HI[:STEP]"),
+        ("train", ["--topics", "5-3"], "--topics '5-3': expected a range LO-HI[:STEP]"),
         ("train", ["--topics", "4", "--lda-iters", "-5"], "LDA iterations"),
         ("train", ["--topics", "4", "--C", "0"], "C must be positive"),
         ("sweep", ["--alphas", "0,x"], "--alphas '0,x'"),
@@ -580,7 +584,8 @@ def test_report_malformed_result_rows_are_one_error_line(tmp_path, capsys, key, 
         ("sweep", ["--alphas", "0.5", "--L", "inf"], "horizon L must be finite"),
         ("sweep", ["--alphas", "0.5", "--L", "nan"], "horizon L must be finite"),
     ],
-    ids=["topics-abc", "topics-step-0", "lda-iters-negative", "C-zero", "alphas-x",
+    ids=["topics-abc", "topics-step-0", "topics-no-end", "topics-dash",
+         "topics-negative-end", "topics-reversed", "lda-iters-negative", "C-zero", "alphas-x",
          "C-inf", "C-subnormal", "simulate-L-nan", "simulate-L-inf", "sweep-L-inf",
          "sweep-L-nan"],
 )

@@ -157,8 +157,9 @@ def test_draw_matches_generator_choice(weights, seed):
     p = np.array(weights)
     p /= p.sum()
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = np.full_like(p, np.nan)  # one work buffer for every draw, as in infer_topic
     for _ in range(200):
-        assert _draw(ours.random(), p) == int(theirs.choice(len(p), p=p))
+        assert _draw(ours.random(), p, cdf) == int(theirs.choice(len(p), p=p))
     # both consumed the stream identically
     assert ours.random() == theirs.random()
 
@@ -167,11 +168,12 @@ def test_draw_normalizes_a_cdf_that_ends_below_one():
     p = np.full(7, 0.3)
     p /= p.sum()
     assert p.cumsum()[-1] < 1.0  # rounding leaves a gap below 1
+    cdf = np.empty_like(p)
     # as in choice, the largest uniform below 1 lands on the last index
-    assert _draw(np.nextafter(1.0, 0.0), p) == 6
-    assert _draw(0.0, p) == 0
+    assert _draw(np.nextafter(1.0, 0.0), p, cdf) == 6
+    assert _draw(0.0, p, cdf) == 0
     # a uniform equal to a cumulative value goes right, as in choice
-    assert _draw(0.25, np.array([0.25, 0.75])) == 1
+    assert _draw(0.25, np.array([0.25, 0.75]), np.empty(2)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +216,11 @@ def mini_test_docs(mini_records):
 
 # K=4 at 20 iterations is the README and benchmark model; from K=8 on,
 # numpy sums p eight lanes at a time instead of left to right.
-@pytest.mark.parametrize("K,iters,step", [(4, 20, 4), (8, 1, 50), (9, 1, 50), (16, 1, 50), (50, 1, 50)])
+# alpha = 50/K is 25 at K=2 and 50/3, not representable, at K=3.
+@pytest.mark.parametrize(
+    "K,iters,step",
+    [(4, 20, 4), (8, 1, 50), (9, 1, 50), (16, 1, 50), (50, 1, 50), (2, 1, 50), (3, 1, 50)],
+)
 def test_fold_in_at_default_sweeps_bitwise_equal_to_choice_reference(
     mini_training_docs, mini_test_docs, K, iters, step
 ):
