@@ -29,8 +29,8 @@ def topological_order(children, key=None) -> list:
     ``children`` maps each node to the nodes it blocks, each of which is
     a key as well.  Among ready nodes the smallest ``key(node)`` goes
     first, or the smallest node when there is no key.  Nodes on a cycle,
-    or below one, never become ready and are left out.  The depth
-    snapshot, the solver and the DABT pool all order bugs with this.
+    or below one, never become ready and are left out.  The solver and
+    the DABT pool order bugs with this; ``is_acyclic`` counts it.
     """
     rank = key or (lambda node: node)
     waiting = dict.fromkeys(children, 0)
@@ -64,10 +64,6 @@ class DependencyGraph:
     parents: dict = field(default_factory=dict)  # blocked -> set of blockers
     resolved: set = field(default_factory=set)
     rejected_arcs: list = field(default_factory=list)
-
-    @property
-    def n_arcs(self) -> int:
-        return sum(len(kids) for kids in self.children.values())
 
     def _ensure_node(self, bug: int) -> None:
         if bug in self.resolved:
@@ -136,21 +132,25 @@ class DependencyGraph:
         """Mean depth and mean degree over open nodes; zeros when empty.
 
         A node's depth is the longest chain of unresolved blockers above
-        it: 0 without blockers, else 1 + the deepest blocker's depth.
-        One memoized pass in topological order makes this O(V log V + E).
+        it: 0 without blockers, else 1 + the deepest blocker's depth, which
+        is its layer in one Kahn pass that also counts arcs: O(V + E).
         mean_degree = |arcs| / |nodes| (half the mean incident degree).
         """
         n = len(self.children)
         if n == 0:
             return GraphMetrics(0.0, 0.0, 0, 0)
-        arcs = self.n_arcs
-        depth = {}
-        for node in topological_order(self.children):
-            depth[node] = 1 + max((depth[p] for p in self.parents[node]), default=-1)
-        total_depth = sum(depth.values())
-        return GraphMetrics(
-            mean_depth=total_depth / n,
-            mean_degree=arcs / n,
-            n_nodes=n,
-            n_arcs=arcs,
-        )
+        waiting = {node: len(ps) for node, ps in self.parents.items()}
+        layer = [node for node, k in waiting.items() if not k]
+        arcs = total_depth = depth = 0
+        while layer:  # a node is ready one layer below its deepest blocker
+            total_depth += depth * len(layer)
+            depth, below = depth + 1, []
+            for node in layer:
+                kids = self.children[node]
+                arcs += len(kids)
+                for kid in kids:
+                    waiting[kid] -= 1
+                    if not waiting[kid]:
+                        below.append(kid)
+            layer = below
+        return GraphMetrics(total_depth / n, arcs / n, n, arcs)

@@ -22,9 +22,9 @@ unnormalised weights: the first index whose running sum exceeds ``u``
 times their total.  The fold-in reads ``phi`` by rows (``phi.T[ids]``,
 once per doc), keeps the doc's topic counts in a list and ``counts +
 alpha`` in an array whose one changed entry is recomputed after each
-move, computes ``p`` in numpy into two work buffers made once per doc,
-and repeats ``choice``'s arithmetic (``_draw``) without its per-call
-overhead or allocation.
+move, computes ``p`` and its running sum in numpy into two work buffers
+made once per doc, and bisects that sum as a list (``_draw``) with the
+division and test of ``choice``, without its per-call overhead.
 tests/test_costmodel.py keeps numpy + ``choice`` loops as references.
 """
 
@@ -69,12 +69,12 @@ def _doc_word_ids(doc, vocab):
 
 def _draw(u, p, cdf) -> int:
     """The index ``rng.choice(len(p), p=p)`` returns when its single
-    ``rng.random()`` draw is ``u``: the same arithmetic (``cumsum``, then
-    divide by its last element), written into the work buffer ``cdf``
-    of ``p``'s length, without ``choice``'s per-call validation."""
+    ``rng.random()`` draw is ``u``: ``cumsum`` into the buffer ``cdf``,
+    then the first ``c_i`` with ``u < c_i / c[-1]``, ``choice``'s test
+    (``u * c[-1] < c_i`` can round otherwise), without its validation."""
     np.add.accumulate(p, out=cdf)
-    np.divide(cdf, cdf[-1], out=cdf)
-    return int(cdf.searchsorted(u, side="right"))
+    c = cdf.tolist()
+    return bisect_right(c, u, key=c[-1].__rtruediv__)
 
 
 def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
@@ -211,9 +211,9 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
     entry is recomputed as ``counts[k] + alpha`` (never stepped by one,
     which would give other bits, as ``50/K`` need not be a binary
     fraction); ``p`` and the draw's ``cdf`` are written into two ``(K,)``
-    buffers made once per doc, by the ufuncs that ``(counts + alpha) *
-    column``, ``p /= p.sum()`` and ``choice`` apply, in their order, so
-    every draw is the same to the bit.
+    buffers made once per doc, by the ufuncs of ``(counts + alpha) *
+    column``, ``p /= p.sum()`` and ``cumsum``, in their order; with
+    ``_draw``'s division and test, every draw is ``choice``'s to the bit.
     """
     ids = _doc_word_ids(doc, vocab)
     if not ids:

@@ -88,7 +88,7 @@ def test_remove_arc():
     g = _graph([(1, 2)])
     g.apply_event(REMOVE_ARC, 1, 2)
     assert g.parents[2] == set()
-    assert g.n_arcs == 0
+    assert g.metrics_snapshot().n_arcs == 0
 
 
 def test_depth_on_chain():
@@ -160,6 +160,9 @@ def test_snapshot_depth_matches_path_enumeration(events):
     snap = g.metrics_snapshot()
     depths = [oracle_depth(g, node) for node in g.children]
     assert snap.mean_depth == (sum(depths) / len(depths) if depths else 0.0)
+    arcs = sum(len(kids) for kids in g.children.values())
+    assert (snap.n_nodes, snap.n_arcs) == (len(g.children), arcs)
+    assert snap.mean_degree == (arcs / len(g.children) if g.children else 0.0)
 
 
 @st.composite

@@ -147,8 +147,10 @@ _BIG = st.floats(min_value=1e-6, max_value=1.0)
 _TINY = st.floats(min_value=1e-300, max_value=1e-200)
 
 
+# Zero weights (a phi entry may be 0) repeat a cumulative value: the draw
+# must land past the whole run of equal values, as choice does.
 @given(
-    weights=st.lists(st.one_of(_BIG, _TINY), min_size=2, max_size=60).filter(
+    weights=st.lists(st.one_of(_BIG, _TINY, st.just(0.0)), min_size=2, max_size=60).filter(
         lambda w: max(w) >= 1e-6
     ),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -174,6 +176,8 @@ def test_draw_normalizes_a_cdf_that_ends_below_one():
     assert _draw(0.0, p, cdf) == 0
     # a uniform equal to a cumulative value goes right, as in choice
     assert _draw(0.25, np.array([0.25, 0.75]), np.empty(2)) == 1
+    # past the whole run of equal values that zero weights leave
+    assert _draw(0.25, np.array([0.25, 0.0, 0.0, 0.75]), np.empty(4)) == 3
 
 
 @pytest.fixture(scope="module")
