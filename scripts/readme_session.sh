@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run the README quick-start session into a fresh directory, with the
-# other three policies simulated as well so that every policy's files are
-# covered and `report` reads all five result files back, then solve the
+# Run the README quick-start session into a fresh directory: one
+# `simulate` replays all five policies at alpha 0.5 so that every
+# policy's files are covered, `report` reads the five result files back,
+# and a second `simulate` adds DABT at alpha 0 and 1.  Then solve the
 # four bundled backlog pools with both exact variants, and print a sha256
 # manifest of every file it writes (names relative to that directory, so
 # two runs compare with diff).  Command output other than the solutions
@@ -28,13 +29,14 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     "$@" validate "$data"
     "$@" prepare "${common[@]}"
     "$@" train "${common[@]}" --topics 4 --lda-iters 20
+    policies=(dabt cbr actual costriage rabt)
+    "$@" simulate "${common[@]}" --policy "${policies[@]}" --end 730
     results=()
-    for policy in dabt cbr actual costriage rabt; do
-        "$@" simulate "${common[@]}" --policy "$policy" --end 730
+    for policy in "${policies[@]}"; do
         results+=("$out/run/result_${policy}_a0.5.json")
     done
     "$@" report --out "$out/run" "${results[@]}"
-    "$@" sweep "${common[@]}" --alphas 0,0.5,1 --end 730
+    "$@" simulate "${common[@]}" --policy dabt --alpha 0 1 --end 730
 } >&2
 # The exact search's assignments and node counts at backlog scale
 for size in 59 62 66 77; do

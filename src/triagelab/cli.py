@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: validate, prepare, train, simulate, report, sweep, solve.
+Subcommands: validate, prepare, train, simulate, report, solve.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
@@ -52,14 +51,6 @@ def _add_train_flags(parser):
     parser.add_argument("--seed", type=_flag(int, "--seed"), default=0)
     parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"),
                         default=pipeline.DEFAULT_GIBBS_ITERS)
-
-
-def _add_replay_flags(parser):
-    parser.add_argument("--seed", type=_flag(int, "--seed"), default=0,
-                        help="recorded in result_*.json only: the replay draws no random numbers")
-    parser.add_argument("--L", type=_flag(float, "--L"),
-                        help="capacity horizon override (default: training Q3)")
-    parser.add_argument("--end", type=_flag(int, "--end"))
 
 
 def _parse_topic_grid(spec: str):
@@ -128,49 +119,59 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sim_config(args, policy, alpha, records, summary) -> SimConfig:
+def _sim_configs(args, records, summary) -> list[SimConfig]:
+    """One replay config per (policy, alpha) pair, in the order given."""
     horizon = args.L if args.L is not None else summary.horizon_L
     if horizon is None:
         raise ValidationError("no cleaned training bug to set the horizon L; pass --L")
     end_day = args.end if args.end is not None else max(
         r.reported_at for r in records
     ) + 30
-    return SimConfig(
-        policy=policy,
-        boundary_day=args.boundary,
-        end_day=end_day,
-        alpha=alpha,
-        seed=args.seed,
-        horizon_L=float(horizon),
-    )
+    return [
+        SimConfig(
+            policy=policy,
+            boundary_day=args.boundary,
+            end_day=end_day,
+            alpha=alpha,
+            seed=args.seed,
+            horizon_L=float(horizon),
+        )
+        for policy in args.policy for alpha in args.alpha
+    ]
 
 
 def cmd_simulate(args) -> int:
     records = _load_corpus(args)
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
-    config = _sim_config(args, args.policy, args.alpha, records, summary)
+    configs = _sim_configs(args, records, summary)
     models = pipeline.load_models(args.out, profiles, args.boundary)
-    result = pipeline.run_policy(config, records, cleaned, models, profiles)
-    tag = metrics_mod.run_tag(config.policy, config.alpha)
-    with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
-        fh.write(pipeline.result_to_json(result))
-    with open(os.path.join(args.out, f"decisions_{tag}.jsonl"), "w") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    with open(os.path.join(args.out, f"daily_{tag}.csv"), "w") as fh:
-        fh.write("day,mean_depth,mean_degree,n_nodes,n_arcs\n")
-        for row in result.daily:
-            fh.write(
-                f"{row['day']},{row['mean_depth']:.6g},{row['mean_degree']:.6g},"
-                f"{row['n_nodes']},{row['n_arcs']}\n"
-            )
-    report = metrics_mod.compute_report(result)
-    with open(os.path.join(args.out, f"report_{tag}.json"), "w") as fh:
-        fh.write(report.to_json())
-    print(
-        f"{config.policy}: assigned {report.n_assigned}, "
-        f"overdue {report.pct_overdue:.1f}%, accuracy {report.accuracy_pct:.1f}%"
-    )
+    corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
+    # one table for every run; the actual policy replays history and
+    # reads no table rows
+    end_day = args.boundary if set(args.policy) == {"actual"} else configs[0].end_day
+    table = pipeline.feature_table(models, corpus, args.boundary, end_day)
+    for config in configs:
+        result = run_simulation(config, corpus, table, profiles)
+        tag = metrics_mod.run_tag(config.policy, config.alpha)
+        with open(os.path.join(args.out, f"result_{tag}.json"), "w") as fh:
+            fh.write(pipeline.result_to_json(result))
+        with open(os.path.join(args.out, f"decisions_{tag}.jsonl"), "w") as fh:
+            for entry in result.log:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        with open(os.path.join(args.out, f"daily_{tag}.csv"), "w") as fh:
+            fh.write("day,mean_depth,mean_degree,n_nodes,n_arcs\n")
+            for row in result.daily:
+                fh.write(
+                    f"{row['day']},{row['mean_depth']:.6g},{row['mean_degree']:.6g},"
+                    f"{row['n_nodes']},{row['n_arcs']}\n"
+                )
+        report = metrics_mod.compute_report(result)
+        with open(os.path.join(args.out, f"report_{tag}.json"), "w") as fh:
+            fh.write(report.to_json())
+        print(
+            f"{tag}: assigned {report.n_assigned}, "
+            f"overdue {report.pct_overdue:.1f}%, accuracy {report.accuracy_pct:.1f}%"
+        )
     return 0
 
 
@@ -184,26 +185,6 @@ def cmd_report(args) -> int:
     with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
         fh.write(csv_text)
     print(table)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    alphas = [_cast(a, float, f"--alphas {args.alphas!r}") for a in args.alphas.split(",")]
-    records = _load_corpus(args)
-    cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
-    config = _sim_config(args, "dabt", alphas[0], records, summary)
-    models = pipeline.load_models(args.out, profiles, args.boundary)
-    corpus = pipeline.replay_corpus(records, cleaned, args.boundary)
-    table = pipeline.feature_table(models, corpus, args.boundary, config.end_day)
-    rows = []
-    for alpha in sorted(set(alphas)):
-        result = run_simulation(replace(config, alpha=alpha), corpus, table, profiles)
-        report = metrics_mod.compute_report(result)
-        rows.append((alpha, report.accuracy_pct, report.pct_overdue))
-    csv_text = metrics_mod.sweep_to_csv(rows)
-    with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
-        fh.write(csv_text)
-    print(csv_text.strip())
     return 0
 
 
@@ -238,23 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("simulate", help="run one policy over the test phase")
+    p = sub.add_parser("simulate", help="replay the test phase under each policy and alpha")
     _add_common(p)
-    p.add_argument("--policy", choices=POLICY_NAMES, default="dabt")
-    p.add_argument("--alpha", type=_flag(float, "--alpha"), default=0.5)
-    _add_replay_flags(p)
+    p.add_argument("--policy", nargs="+", choices=POLICY_NAMES, default=["dabt"])
+    p.add_argument("--alpha", nargs="+", type=_flag(float, "--alpha"), default=[0.5])
+    p.add_argument("--seed", type=_flag(int, "--seed"), default=0,
+                   help="recorded in result_*.json only: the replay draws no random numbers")
+    p.add_argument("--L", type=_flag(float, "--L"),
+                   help="capacity horizon override (default: training Q3)")
+    p.add_argument("--end", type=_flag(int, "--end"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="recompute reports and compare runs")
     _add_out(p)
     p.add_argument("results", nargs="+", help="result_*.json files")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("sweep", help="DABT alpha sensitivity series")
-    _add_common(p)
-    p.add_argument("--alphas", default="0,0.25,0.5,0.75,1")
-    _add_replay_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("solve", help="solve a standalone instance JSON")
     p.add_argument("instance")

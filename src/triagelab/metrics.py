@@ -160,10 +160,3 @@ def compare_policies(reports) -> tuple[str, str]:
         )
     return csv_buf.getvalue(), "\n".join(lines)
 
-
-def sweep_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("alpha,accuracy_pct,pct_overdue\n")
-    for alpha, acc, overdue in rows:
-        buf.write(f"{alpha},{acc:.6g},{overdue:.6g}\n")
-    return buf.getvalue()

@@ -35,7 +35,7 @@ from .costmodel import (
 )
 from .errors import ValidationError
 from .schema import Spec
-from .simulator import FeatureTable, ReplayCorpus, SimConfig, SimResult, run_simulation
+from .simulator import FeatureTable, ReplayCorpus, SimConfig, SimResult
 from .suitability import DEFAULT_C, LinearModel, predict_suitability, train_classifier
 from .textprep import Vocabulary, build_vocabulary, preprocess_text, tfidf_transform
 
@@ -132,14 +132,6 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     C[topics == GLOBAL_TOPIC] = matrix.global_mean
     S = predict_suitability(models.linear_model, X)
     return FeatureTable(dev_ids=tuple(models.dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
-
-
-def run_policy(config: SimConfig, all_records, cleaned, models: TrainedModels, profiles) -> SimResult:
-    corpus = replay_corpus(all_records, cleaned, config.boundary_day)
-    # the actual policy replays history and reads no table rows
-    end_day = config.boundary_day if config.policy == "actual" else config.end_day
-    table = feature_table(models, corpus, config.boundary_day, end_day)
-    return run_simulation(config, corpus, table, profiles)
 
 
 # --- artifact persistence ----------------------------------------------

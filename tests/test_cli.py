@@ -8,7 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triagelab import pipeline
 from triagelab.cli import dispatch
+from triagelab.corpus import record_to_obj
 from triagelab.costmodel import CF, OBSERVED
 from triagelab.minicorpus import MiniCorpusSpec, generate, write_jsonl
 from triagelab.solver import AssignmentInstance, InstanceBug
@@ -119,12 +121,50 @@ def test_alphas_equal_to_six_digits_write_distinct_runs(workdir, tmp_path, capsy
     assert header == "metric,dabt_a0.5,dabt_a0.5000001"
 
 
-def test_sweep(workdir):
+def test_simulate_alpha_series(workdir, tmp_path, capsys):
     _, _, out, args = workdir
-    assert dispatch(["sweep"] + args + ["--alphas", "0,1", "--end", "240"]) == 0
-    lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "alpha,accuracy_pct,pct_overdue"
-    assert len(lines) == 3
+    capsys.readouterr()
+    assert dispatch(["simulate"] + args + ["--alpha", "0", "1", "--end", "240"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["dabt_a0", "dabt_a1"]
+    for tag, alpha in (("a0", 0.0), ("a1", 1.0)):
+        for kind, ext in (("decisions", "jsonl"), ("daily", "csv"), ("report", "json")):
+            assert (out / f"{kind}_dabt_{tag}.{ext}").exists()
+        result = json.loads((out / f"result_dabt_{tag}.json").read_text())
+        assert result["config"]["alpha"] == alpha
+    results = [str(out / "result_dabt_a0.json"), str(out / "result_dabt_a1.json")]
+    assert dispatch(["report", "--out", str(tmp_path)] + results) == 0
+    header = (tmp_path / "comparison.csv").read_text().splitlines()[0]
+    assert header == "metric,dabt_a0,dabt_a1"
+
+
+def test_one_simulate_equals_one_command_per_run(workdir, tmp_path, monkeypatch):
+    """One command over every policy and three alphas writes the files
+    that fifteen single-run commands write, from one feature table."""
+    _, data, out, _ = workdir
+    policies, alphas = ["actual", "cbr", "costriage", "rabt", "dabt"], ["0", "0.5", "1"]
+    single, together = tmp_path / "single", tmp_path / "together"
+    for d in (single, together):
+        d.mkdir()
+        shutil.copy(out / "model.json", d)
+
+    def run(d, *flags):
+        return dispatch(["simulate", "--data", str(data), "--boundary", "120",
+                         "--out", str(d), "--end", "240", *flags])
+
+    for policy in policies:
+        for alpha in alphas:
+            assert run(single, "--policy", policy, "--alpha", alpha) == 0
+    built = []
+    real = pipeline.feature_table
+    monkeypatch.setattr(pipeline, "feature_table", lambda *a: built.append(a) or real(*a))
+    assert run(together, "--policy", *policies, "--alpha", *alphas) == 0
+    assert len(built) == 1
+    names = sorted(p.name for p in together.iterdir())
+    assert names == sorted(p.name for p in single.iterdir())
+    assert len(names) == 1 + 4 * 15
+    for name in names:
+        assert (together / name).read_bytes() == (single / name).read_bytes(), name
 
 
 def test_train_with_more_topics_than_terms(workdir, tmp_path):
@@ -276,11 +316,11 @@ def _edit(path, change):
 
 
 def _replays_refuse(data, out, capsys, boundary="120"):
-    """The one error line of ``simulate`` and of ``sweep`` on the models
-    in ``out``, each of which must exit 1."""
+    """The one error line of ``simulate`` with one run and with four on
+    the models in ``out``, each of which must exit 1."""
     capsys.readouterr()
     errors = []
-    for command in (["simulate"], ["sweep", "--alphas", "0.5"]):
+    for command in (["simulate"], ["simulate", "--policy", "dabt", "cbr", "--alpha", "0", "1"]):
         code = dispatch(command + ["--data", str(data), "--boundary", boundary,
                                    "--out", str(out), "--end", "240"])
         assert code == 1
@@ -502,6 +542,70 @@ def test_schema_breaking_change_is_one_error_line(workdir, schema_breaks, data):
     assert name in text, text
 
 
+_DAY_FIELDS = ("reported_at", "assigned_at", "resolved_at")
+_HISTORY_FIELDS = ("bug_id", "summary", "description", "component", *_DAY_FIELDS,
+                   "actual_assignee", "status_final", "dependency_events")
+_WRONG_TYPES = (None, True, "x", "7.5", 6.5, [], [1], {}, {"day": 1},
+                [[1, "ADD_BLOCKS"]], [[1, "MERGE", 2]], [["x", "ADD_BLOCKS", 2]])
+
+
+@st.composite
+def _history_edit(draw, base, objs):
+    """One mutation of one bug of ``objs``, copies of the JSONL objects
+    ``base``, applied in place: a dropped key, a wrong type, NaN, 2**63,
+    a repeated id, a shifted day or an arc to a bug the history lacks."""
+    i = draw(st.integers(0, len(objs) - 1), label="bug")
+    obj, was = objs[i], base[i]
+    kind = draw(st.sampled_from(["drop", "type", "nan", "2**63", "duplicate", "shift", "arc"]),
+                label="kind")
+    field = draw(st.sampled_from(_HISTORY_FIELDS), label="field")
+    if kind == "drop":
+        obj.pop(field, None)
+    elif kind == "type":
+        obj[field] = draw(st.sampled_from(_WRONG_TYPES), label="value")
+    elif kind in ("nan", "2**63"):
+        obj[field] = math.nan if kind == "nan" else 2**63
+    elif kind == "duplicate":
+        obj["bug_id"] = draw(st.sampled_from(base), label="other")["bug_id"]
+    elif kind == "shift":
+        day = draw(st.sampled_from(_DAY_FIELDS), label="day")
+        obj[day] = was.get(day, was["reported_at"]) + draw(st.integers(-400, 400), label="by")
+    else:
+        unknown = max(o["bug_id"] for o in base) + 1
+        action = draw(st.sampled_from(["ADD_BLOCKS", "REMOVE_BLOCKS"]), label="action")
+        day = was["reported_at"] + draw(st.integers(-5, 5), label="on")
+        obj["dependency_events"] = was["dependency_events"] + [[day, action, unknown]]
+
+
+@pytest.fixture(scope="module")
+def history_objs():
+    return [record_to_obj(r) for r in generate(SMALL)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_malformed_history_is_one_error_line_or_a_run(tmp_path_factory, history_objs, data):
+    """A bug history with one to three mutated fields makes ``validate``
+    and ``prepare`` exit 0, or exit 1 with one ``error:`` line; never a
+    traceback."""
+    objs = [dict(obj) for obj in history_objs]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        data.draw(_history_edit(history_objs, objs))
+    root = tmp_path_factory.getbasetemp()
+    path = root / "mutated.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    for argv in (["validate", str(path)],
+                 ["prepare", "--data", str(path), "--boundary", "120",
+                  "--out", str(root / "mutated")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        text = err.getvalue()
+        assert code in (0, 1), (argv[0], code, text)
+        if code == 1:
+            assert text.startswith("error: ") and text.count("\n") == 1, (argv[0], text)
+
+
 @pytest.mark.parametrize(
     "content", ["not json", '{"x": 1}', '{"config": {"policy": "dabt"}}', "[]"],
     ids=["not-json", "no-config", "partial-config", "list"],
@@ -574,15 +678,16 @@ def test_report_malformed_result_rows_are_one_error_line(tmp_path, capsys, key, 
         ("train", ["--topics", "5-3"], "--topics '5-3': expected a range LO-HI[:STEP]"),
         ("train", ["--topics", "4", "--lda-iters", "-5"], "LDA iterations"),
         ("train", ["--topics", "4", "--C", "0"], "C must be positive"),
-        ("sweep", ["--alphas", "0,x"], "--alphas '0,x'"),
+        ("simulate", ["--alpha", "0", "x"], "--alpha: expected float, got 'x'"),
         # 1/(C*n) is 0 for C = inf and overflows to inf for a subnormal C
         ("train", ["--topics", "4", "--C", "inf"], "must be finite and positive"),
         ("train", ["--topics", "4", "--C", "1e-320"], "must be finite and positive"),
         # a NaN horizon never lets work start; an infinite one writes Infinity
         ("simulate", ["--policy", "cbr", "--L", "nan"], "horizon L must be finite"),
         ("simulate", ["--policy", "dabt", "--L", "inf"], "horizon L must be finite"),
-        ("sweep", ["--alphas", "0.5", "--L", "inf"], "horizon L must be finite"),
-        ("sweep", ["--alphas", "0.5", "--L", "nan"], "horizon L must be finite"),
+        # a sweep: two policies in one command
+        ("simulate", ["--policy", "dabt", "cbr", "--L", "inf"], "horizon L must be finite"),
+        ("simulate", ["--policy", "dabt", "cbr", "--L", "nan"], "horizon L must be finite"),
     ],
     ids=["topics-abc", "topics-step-0", "topics-no-end", "topics-dash",
          "topics-negative-end", "topics-reversed", "lda-iters-negative", "C-zero", "alphas-x",

@@ -5,8 +5,10 @@ and its cost looked up one developer column at a time."""
 import numpy as np
 
 from triagelab import pipeline
+from triagelab.cli import dispatch
 from triagelab.costmodel import GLOBAL_TOPIC, infer_topic
-from triagelab.simulator import ReplayCorpus, SimConfig
+from triagelab.minicorpus import write_jsonl
+from triagelab.simulator import ReplayCorpus
 from triagelab.textprep import preprocess_text, tfidf_transform
 
 from conftest import MINI_BOUNDARY, MINI_END, make_bug
@@ -66,7 +68,10 @@ def test_out_of_vocabulary_bug_costs_the_global_mean(mini_env):
     _assert_matches_reference(table, models, corpus.history)
 
 
-def test_actual_run_builds_no_rows(mini_env, monkeypatch):
+def test_actual_run_builds_no_rows(mini_env, monkeypatch, tmp_path):
+    data = tmp_path / "bugs.jsonl"
+    write_jsonl(mini_env.records, data)
+    pipeline.save_models(mini_env.models, tmp_path)
     built = []
     real = pipeline.feature_table
 
@@ -75,15 +80,9 @@ def test_actual_run_builds_no_rows(mini_env, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(pipeline, "feature_table", recording)
-    config = SimConfig(
-        policy="actual",
-        boundary_day=MINI_BOUNDARY,
-        end_day=MINI_END,
-        horizon_L=mini_env.horizon,
-    )
-    result = pipeline.run_policy(config, mini_env.records, mini_env.cleaned, mini_env.models,
-                                 mini_env.profiles)
+    assert dispatch(["simulate", "--data", str(data), "--boundary", str(MINI_BOUNDARY),
+                     "--out", str(tmp_path), "--end", str(MINI_END), "--policy", "actual"]) == 0
     assert [table.bug_ids for table in built] == [()]
-    assert pipeline.result_to_json(result) == pipeline.result_to_json(
+    assert (tmp_path / "result_actual_a0.5.json").read_text() == pipeline.result_to_json(
         mini_env.run("actual")[0]
     )

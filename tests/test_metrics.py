@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from triagelab.metrics import compare_policies, compute_report, run_tag, sweep_to_csv
+from triagelab.metrics import compare_policies, compute_report, run_tag
 from triagelab.simulator import SimConfig, SimResult
 
 
@@ -93,12 +93,3 @@ def test_compare_policies_labels_distinct_policies_by_name():
 )
 def test_run_tag_is_short_when_exact_and_full_otherwise(alpha, tag):
     assert run_tag("dabt", alpha) == tag
-
-
-def test_sweep_csv_format():
-    text = sweep_to_csv([(0.0, 50.0, 10.0), (1.0, 75.0, 12.5)])
-    assert text.splitlines() == [
-        "alpha,accuracy_pct,pct_overdue",
-        "0.0,50,10",
-        "1.0,75,12.5",
-    ]
