@@ -2,11 +2,13 @@
 # Run the README quick-start session into a fresh directory: one
 # `simulate` replays all five policies at alpha 0.5 so that every
 # policy's files are covered, `report` reads the five result files back,
-# and a second `simulate` adds DABT at alpha 0 and 1.  Then solve the
-# four bundled backlog pools with both exact variants, and print a sha256
-# manifest of every file it writes (names relative to that directory, so
-# two runs compare with diff).  Command output other than the solutions
-# goes to stderr.
+# and a second `simulate` adds DABT at alpha 0 and 1.  A second model,
+# with 12 topics in run12, leaves cells of its cost grid unobserved, so
+# its DABT and CosTriage replays cover the collaborative fill.  Then
+# solve the four bundled backlog pools with both exact variants, and
+# print a sha256 manifest of every file it writes (names relative to that
+# directory, so two runs compare with diff).  Command output other than
+# the solutions goes to stderr.
 #
 # usage: scripts/readme_session.sh OUT_DIR [COMMAND...]
 #   COMMAND runs the CLI; it defaults to the installed `triagelab`
@@ -37,6 +39,9 @@ common=(--data "$data" --boundary 365 --out "$out/run")
     done
     "$@" report --out "$out/run" "${results[@]}"
     "$@" simulate "${common[@]}" --policy dabt --alpha 0 1 --end 730
+    run12=(--data "$data" --boundary 365 --out "$out/run12")
+    "$@" train "${run12[@]}" --topics 12 --lda-iters 20
+    "$@" simulate "${run12[@]}" --policy dabt costriage --end 730
 } >&2
 # The exact search's assignments and node counts at backlog scale
 for size in 59 62 66 77; do
@@ -47,4 +52,4 @@ for size in 59 62 66 77; do
 done
 
 cd "$out"
-sha256sum bugs.jsonl run/*
+sha256sum bugs.jsonl run/* run12/*

@@ -18,19 +18,18 @@ from .policies import POLICY_NAMES
 from .simulator import SimConfig, run_simulation
 from .solver import AssignmentInstance, brute_force_oracle, solve_dabt, solve_rabt
 
-def _cast(raw, cast, what):
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValidationError(f"{what}: expected {cast.__name__}, got {raw!r}") from None
-
 
 def _flag(cast, flag):
     """An argparse ``type=`` for ``flag``.  argparse would turn the
     ValueError of a bad value into its usage line and exit 2; the
     ValidationError raised instead reaches ``dispatch``, which prints one
     ``error:`` line and exits 1."""
-    return lambda raw: _cast(raw, cast, flag)
+    def parse(raw):
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValidationError(f"{flag}: expected {cast.__name__}, got {raw!r}") from None
+    return parse
 
 
 def _add_out(parser):
@@ -45,32 +44,13 @@ def _add_common(parser):
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--topics", default=",".join(map(str, pipeline.DEFAULT_TOPIC_GRID)),
-                        help="topic-count grid, e.g. '4' or '5-50:5' or '2,8'")
+    parser.add_argument("--topics", nargs="+", type=_flag(int, "--topics"),
+                        default=pipeline.DEFAULT_TOPIC_GRID,
+                        help="topic counts to choose among, e.g. 4 or 2 8")
     parser.add_argument("--C", type=_flag(float, "--C"), default=pipeline.DEFAULT_C)
     parser.add_argument("--seed", type=_flag(int, "--seed"), default=0)
     parser.add_argument("--lda-iters", type=_flag(int, "--lda-iters"),
                         default=pipeline.DEFAULT_GIBBS_ITERS)
-
-
-def _parse_topic_grid(spec: str):
-    def num(x):
-        return _cast(x, int, f"--topics {spec!r}")
-
-    if "," in spec:
-        return tuple(num(x) for x in spec.split(","))
-    if "-" in spec:
-        span, _, step = spec.partition(":")
-        lo, _, hi = span.partition("-")
-        step = num(step or "5")
-        if step < 1:
-            raise ValidationError(f"--topics {spec!r}: step must be at least 1")
-        # a missing LO or HI, a negative HI or HI below LO gives no count
-        grid = tuple(range(num(lo), num(hi) + 1, step)) if lo and hi else ()
-        if not grid:
-            raise ValidationError(f"--topics {spec!r}: expected a range LO-HI[:STEP] with LO <= HI")
-        return grid
-    return (num(spec),)
 
 
 def _load_corpus(args):
@@ -99,12 +79,11 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    topic_grid = _parse_topic_grid(args.topics)
     records = _load_corpus(args)
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     train, _ = corpus_mod.split_train_test(cleaned, args.boundary)
     settings = pipeline.TrainSettings(
-        topic_grid=topic_grid,
+        topic_grid=args.topics,
         C=args.C,
         seed=args.seed,
         lda_iters=args.lda_iters,

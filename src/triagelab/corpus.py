@@ -9,7 +9,6 @@ per-developer fix counts.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -94,13 +93,6 @@ class DatasetSummary:
             indent=2,
             sort_keys=True,
         )
-
-    def write_cleaning_log(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "kept_count"])
-            for step, count in enumerate(self.counts_by_step):
-                writer.writerow([step, count])
 
 
 def quartiles(sample) -> tuple[float, float]:

@@ -7,11 +7,11 @@ A training bug's topic is its dominant topic in the fitted mixture
 (``infer_topic``).  The cost model is one (developer, topic) grid:
 ``build_cost_matrix`` gives each cell the arithmetic mean of the
 developer's training fixing times on that topic, NaN where they have
-none; ``fill_missing_cf`` fills those cells by a user-based cosine
-collaborative filter with deterministic fallbacks (topic column mean,
-then global mean) and labels every cell with how it was filled.
-``model.json`` holds the filled grid and the labels, so each cell's
-cost is written once.
+none.  ``model.json`` holds that grid, ``null`` for NaN, and nothing
+computed from it: ``fill_missing_cf`` fills the NaN cells when
+``pipeline.feature_table`` builds a replay's costs, by a user-based
+cosine collaborative filter with deterministic fallbacks (topic column
+mean, then global mean).
 
 Every Gibbs draw takes one uniform ``u`` from the generator, as
 ``Generator.choice`` does; both samplers draw the uniforms of a sweep
@@ -44,16 +44,10 @@ DEFAULT_GIBBS_ITERS = 1000
 DEFAULT_INFER_SWEEPS = 50
 BETA_LDA = 0.01
 
-OBSERVED = "OBSERVED"
-CF = "CF"
-GLOBAL_MEAN = "GLOBAL_MEAN"
-PROVENANCE = (OBSERVED, CF, GLOBAL_MEAN)  # how a cost cell was filled
-
 
 @dataclass
 class TopicModel:
     phi: np.ndarray  # (K, V); rows sum to 1
-    alpha_lda: float
     seed: int
     # (D, K) training mixture, for selection and the training bugs' topics
     doc_topic: np.ndarray | None = None
@@ -61,6 +55,10 @@ class TopicModel:
     @property
     def K(self) -> int:
         return len(self.phi)
+
+    @property
+    def alpha_lda(self) -> float:
+        return 50.0 / self.K  # the fit's own expression
 
 
 def _doc_word_ids(doc, vocab):
@@ -143,7 +141,7 @@ def fit_lda(docs, vocab, K: int, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS
     n_dk = np.array(n_dk)
     phi = (n_kw + beta) / (n_k + V * beta)[:, None]
     theta = (n_dk + alpha) / (n_dk.sum(axis=1) + K * alpha)[:, None]
-    return TopicModel(phi=phi, alpha_lda=alpha, seed=seed, doc_topic=theta)
+    return TopicModel(phi=phi, seed=seed, doc_topic=theta)
 
 
 def _symmetric_kl(p, q):
@@ -245,25 +243,6 @@ def infer_topic(model: TopicModel, doc, vocab, sweeps: int = DEFAULT_INFER_SWEEP
     return int(np.argmax(counts))  # argmax takes the smallest tied index
 
 
-@dataclass
-class CostMatrix:
-    filled: np.ndarray  # (D, K), complete and positive; rows in the models' developer order
-    provenance: np.ndarray  # (D, K) of OBSERVED, CF or GLOBAL_MEAN: how a cell was filled
-
-    @property
-    def K(self) -> int:
-        return self.filled.shape[1]
-
-    @property
-    def observed(self) -> np.ndarray:
-        """(D, K) mask of the cells that hold a training mean."""
-        return self.provenance == OBSERVED
-
-    @property
-    def global_mean(self) -> float:
-        return float(np.mean(self.filled[self.observed]))
-
-
 def build_cost_matrix(train_records, topics, dev_ids, K: int) -> np.ndarray:
     """(D, K) mean fixing days of each of the sorted ``dev_ids`` on each
     topic; NaN where the developer fixed no training bug of that topic.
@@ -301,15 +280,16 @@ def _similarities(observed: np.ndarray, mask: np.ndarray) -> list:
     return sim
 
 
-def fill_missing_cf(observed: np.ndarray) -> CostMatrix:
-    """The complete cost matrix from the ``observed`` grid of
-    ``build_cost_matrix``, rows in its developer order; observed cells
-    are never altered.
+def fill_missing_cf(observed: np.ndarray) -> tuple[np.ndarray, float]:
+    """(filled, global mean): the complete cost grid from the ``observed``
+    grid of ``build_cost_matrix``, rows in its developer order, and the
+    mean of its observed cells, the cost of a bug without a topic;
+    observed cells are never altered.
 
     Missing (d, k): similarity-weighted average of other developers'
     observed topic-k costs, summed in developer order; falls back to the
-    topic column mean (labelled CF, the uniform-weight degenerate case),
-    then to the global mean.
+    topic column mean (the uniform-weight degenerate case), then to the
+    global mean.
     """
     mask = ~np.isnan(observed)
     if not mask.any():
@@ -318,7 +298,6 @@ def fill_missing_cf(observed: np.ndarray) -> CostMatrix:
     sim = _similarities(observed, mask)
     costs = observed.tolist()
     filled = observed.copy()
-    provenance = np.full(observed.shape, OBSERVED, dtype=object)
     for i, k in zip(*np.nonzero(~mask)):
         num = den = 0.0
         for j in np.flatnonzero(mask[:, k]):
@@ -326,11 +305,11 @@ def fill_missing_cf(observed: np.ndarray) -> CostMatrix:
                 num += sim[i][j] * costs[j][k]
                 den += sim[i][j]
         if den > 0:
-            filled[i, k], provenance[i, k] = num / den, CF
+            filled[i, k] = num / den
         elif mask[:, k].any():
-            filled[i, k], provenance[i, k] = np.mean(observed[mask[:, k], k]), CF
+            filled[i, k] = np.mean(observed[mask[:, k], k])
         else:
-            filled[i, k], provenance[i, k] = global_mean, GLOBAL_MEAN
+            filled[i, k] = global_mean
     if not np.all(filled > 0):
         raise ValidationError("filled cost matrix must be strictly positive")
-    return CostMatrix(filled=filled, provenance=provenance)
+    return filled, global_mean

@@ -1,14 +1,14 @@
 """End-to-end wiring: clean -> train -> replay -> report.
 
 ``prepare`` cleans the corpus and profiles the active developers;
-``save_prepared`` writes the cleaning summary, its log and the profiles
-for people to read.  ``train_models`` fits the vocabulary, the
-suitability classifier, the topic model and the cost matrix, and
-``save_models`` writes them into one ``model.json``, each trained fact
+``save_prepared`` writes the cleaning summary and the profiles for
+people to read.  ``train_models`` fits the vocabulary, the suitability
+classifier, the topic model and the grid of observed cost means, and
+``save_models`` writes them into one ``model.json``, each measured fact
 once, checked on load against ``MODEL_SCHEMA``.  A replay computes the
 profiles from the data again and takes the models from ``load_models``,
 which refuses a file trained at another boundary or for other
-developers.
+developers; ``feature_table`` fills the grid's unobserved cells.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from .corpus import clean_bugs, developer_profiles, split_train_test
 from .costmodel import (
     DEFAULT_GIBBS_ITERS,
     GLOBAL_TOPIC,
-    OBSERVED,
-    PROVENANCE,
     TopicModel,
-    CostMatrix,
     build_cost_matrix,
     fill_missing_cf,
     fitted_topics,
@@ -50,7 +47,7 @@ class TrainedModels:
     linear_model: LinearModel
     vocab: Vocabulary
     topic_model: TopicModel
-    cost_matrix: CostMatrix
+    cost: np.ndarray  # (D, K) observed mean fixing days, NaN where none
     boundary_day: int  # the last training day
 
     @property
@@ -79,9 +76,9 @@ def prepare(records, boundary_day):
 
 
 def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings) -> TrainedModels:
-    """Fit vocabulary, suitability classifier, topic model, and cost
-    matrix on the cleaned training records, those reported up to
-    ``boundary_day``."""
+    """Fit vocabulary, suitability classifier, topic model, and the grid
+    of observed cost means on the cleaned training records, those
+    reported up to ``boundary_day``."""
     if not profiles:
         raise ValidationError("no active developers to train on")
     train = [r for r in cleaned_train if r.actual_assignee in profiles]
@@ -93,12 +90,11 @@ def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings)
         docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
     )
     topics = fitted_topics(topic_model, docs, vocab)
-    cost = fill_missing_cf(build_cost_matrix(train, topics, linear.dev_ids, topic_model.K))
     return TrainedModels(
         linear_model=linear,
         vocab=vocab,
         topic_model=topic_model,
-        cost_matrix=cost,
+        cost=build_cost_matrix(train, topics, linear.dev_ids, topic_model.K),
         boundary_day=boundary_day,
     )
 
@@ -115,12 +111,12 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     (boundary_day, end_day], i.e. every bug that enters a replay's pool.
 
     Each bug's text is preprocessed once and feeds both the classifier
-    and the topic fold-in; its cost row is the filled cost matrix's
-    column for its topic, or the global mean for GLOBAL_TOPIC.  The
-    columns are the models' one developer order, ``dev_ids`` in
-    ``model.json``.
+    and the topic fold-in; its cost row is its topic's column of the cost
+    grid as ``fill_missing_cf`` fills it, or the global mean for
+    GLOBAL_TOPIC.  The columns are the models' one developer order,
+    ``dev_ids`` in ``model.json``.
     """
-    matrix, vocab, history = models.cost_matrix, models.vocab, corpus.history
+    vocab, history = models.vocab, corpus.history
     bug_ids = sorted(
         b for b in corpus.assignable_ids
         if boundary_day < history[b].reported_at <= end_day
@@ -128,8 +124,9 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
     docs = [preprocess_text(history[b].summary, history[b].description, b) for b in bug_ids]
     X = np.array([tfidf_transform(doc, vocab) for doc in docs]).reshape(len(docs), len(vocab))
     topics = np.array([infer_topic(models.topic_model, doc, vocab) for doc in docs], dtype=int)
-    C = matrix.filled.T[topics]
-    C[topics == GLOBAL_TOPIC] = matrix.global_mean
+    filled, global_mean = fill_missing_cf(models.cost)
+    C = filled.T[topics]
+    C[topics == GLOBAL_TOPIC] = global_mean
     S = predict_suitability(models.linear_model, X)
     return FeatureTable(dev_ids=tuple(models.dev_ids), bug_ids=tuple(bug_ids), S=S, C=C)
 
@@ -138,10 +135,11 @@ def feature_table(models: TrainedModels, corpus: ReplayCorpus, boundary_day, end
 
 MODEL_FILE = "model.json"
 
-# Each trained fact once.  dev_ids orders the classifier's and the cost
+# Each measured fact once.  dev_ids orders the classifier's and the cost
 # grid's rows; a term's position is its column in weights and phi; phi's
 # rows are the topics, the cost grid's columns.  weights holds each
-# developer's nonzero weights as [column, value] pairs.
+# developer's nonzero weights as [column, value] pairs; cost holds each
+# developer's mean fixing days on a topic, null where they fixed none.
 MODEL_SCHEMA = Spec("obj", {
     "boundary_day": Spec("int"),
     "dev_ids": Spec("list", Spec("int"), unique=(None,)),
@@ -152,12 +150,9 @@ MODEL_SCHEMA = Spec("obj", {
     "weights": Spec("list", Spec("list", Spec("list", (Spec("int", min=0, below="terms"),
                                                        Spec("num"))), unique=(0,)),
                     length="dev_ids"),
-    "alpha_lda": Spec("num", above=0),
     "seed": Spec("int", min=0),
     "phi": Spec("list", Spec("list", Spec("num", min=0), length="terms"), min=1),
-    "cost": Spec("list", Spec("list", Spec("num", above=0), length="phi"), length="dev_ids"),
-    "provenance": Spec("list", Spec("list", Spec("str", one_of=PROVENANCE), length="phi"),
-                       length="dev_ids"),
+    "cost": Spec("list", Spec("list", Spec("num?", above=0), length="phi"), length="dev_ids"),
 })
 
 
@@ -170,11 +165,9 @@ def models_to_json(models: TrainedModels) -> str:
         "terms": [[t, vocab.doc_freq[t]] for t in vocab.terms],
         "bias": linear.bias.tolist(),
         "weights": [[[int(i), float(w[i])] for i in np.flatnonzero(w)] for w in linear.weights],
-        "alpha_lda": models.topic_model.alpha_lda,
         "seed": models.topic_model.seed,
         "phi": models.topic_model.phi.tolist(),
-        "cost": models.cost_matrix.filled.tolist(),
-        "provenance": models.cost_matrix.provenance.tolist(),
+        "cost": [[None if np.isnan(c) else c for c in row] for row in models.cost.tolist()],
     }, indent=2)
 
 
@@ -184,9 +177,9 @@ def models_from_json(text) -> TrainedModels:
     phi = np.array(obj["phi"], dtype=float)
     if not ((phi.sum(axis=1) > 0).all() and (phi.sum(axis=0) > 0).all()):
         raise ValidationError("every phi row and column must have a positive sum")
-    provenance = np.array(obj["provenance"], dtype=object)
-    if not (provenance == OBSERVED).any():
-        raise ValidationError(f"provenance: no {OBSERVED} cell, which the global mean needs")
+    cost = np.array(obj["cost"], dtype=float)  # null -> NaN
+    if np.isnan(cost).all():
+        raise ValidationError("cost: no observed cell, which the global mean needs")
     dev_ids, terms = obj["dev_ids"], obj["terms"]
     weights = np.zeros((len(dev_ids), len(terms)))
     for row, pairs in zip(weights, obj["weights"]):
@@ -195,8 +188,8 @@ def models_from_json(text) -> TrainedModels:
     return TrainedModels(
         linear_model=LinearModel(dev_ids, weights, np.array(obj["bias"], dtype=float)),
         vocab=Vocabulary({t: i for i, (t, _) in enumerate(terms)}, dict(terms), obj["n_docs"]),
-        topic_model=TopicModel(phi, obj["alpha_lda"], obj["seed"]),
-        cost_matrix=CostMatrix(np.array(obj["cost"], dtype=float), provenance),
+        topic_model=TopicModel(phi, obj["seed"]),
+        cost=cost,
         boundary_day=obj["boundary_day"],
     )
 
@@ -209,12 +202,11 @@ def profiles_to_json(profiles) -> str:
 
 
 def save_prepared(summary, profiles, out_dir) -> None:
-    """Write what ``prepare`` computes: the cleaning summary, its
-    per-step log and the developer profiles."""
+    """Write what ``prepare`` computes: the cleaning summary and the
+    developer profiles."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         fh.write(summary.to_json())
-    summary.write_cleaning_log(os.path.join(out_dir, "cleaning_log.csv"))
     with open(os.path.join(out_dir, "dev_profiles.json"), "w") as fh:
         fh.write(profiles_to_json(profiles))
 

@@ -4,11 +4,11 @@ that checks a parsed file against its table.
 A table is a tree of ``Spec``s.  An object's keys are all required, and
 a key its table does not list is an error unless the object is
 ``open``.  A number is an ``int`` or a finite ``float``, never a
-``bool`` and never a string.  A bound applies to a number, or to a
-list's length.  A bound may name a key of the file's top-level object:
-a number stands for itself, a list for its length.  The walker visits
-keys in table order, so a table lists a key before the keys whose specs
-name it.
+``bool`` and never a string; a ``?`` kind also takes ``null``, which no
+rule applies to.  A bound applies to a number, or to a list's length.
+A bound may name a key of the file's top-level object: a number stands
+for itself, a list for its length.  The walker visits keys in table
+order, so a table lists a key before the keys whose specs name it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ _KINDS = {  # kind: (the types json.loads gives, what an error says it expected)
     "int": ((int,), "an integer"),
     "int?": ((int, type(None)), "an integer or null"),
     "num": ((int, float), "a finite number"),
+    "num?": ((int, float, type(None)), "a finite number or null"),
     "str": ((str,), "a string"),
     "bool": ((bool,), "true or false"),
     "list": ((list,), "a list"),
@@ -65,6 +66,8 @@ def check(spec: Spec, value, root=None, where=""):
     kind = type(value)
     if kind not in spec.types or (kind is float and not math.isfinite(value)):
         _fail(where, f"expected {spec.expected}, got {reprlib.repr(value)}")
+    if value is None:
+        return value
     for test, sign, bound in spec.bounds:
         measured, what = (len(value), "length ") if kind is list else (value, "")
         text = ""

@@ -12,7 +12,7 @@ import pytest
 
 from triagelab import pipeline
 from triagelab.corpus import BugRecord, split_train_test
-from triagelab.costmodel import OBSERVED, CostMatrix, TopicModel
+from triagelab.costmodel import TopicModel
 from triagelab.metrics import compute_report
 from triagelab.minicorpus import MiniCorpusSpec, generate
 from triagelab.simulator import SimConfig, run_simulation
@@ -43,7 +43,7 @@ def make_bug(bug_id, *, reported=1, assigned=None, resolved=None, dev=None,
 
 def models_around(**parts):
     """TrainedModels holding the given ``parts`` (vocab, linear_model,
-    topic_model, cost_matrix) and plain stand-ins of matching shape for
+    topic_model, cost) and plain stand-ins of matching shape for
     the others, so that one part can round-trip through model.json."""
     dev_ids, V, K = [1, 2], 2, 2
     if "vocab" in parts:
@@ -52,15 +52,15 @@ def models_around(**parts):
         dev_ids, V = parts["linear_model"].dev_ids, parts["linear_model"].weights.shape[1]
     if "topic_model" in parts:
         K, V = parts["topic_model"].phi.shape
-    if "cost_matrix" in parts:
-        D, K = parts["cost_matrix"].filled.shape
+    if "cost" in parts:
+        D, K = parts["cost"].shape
         dev_ids = list(range(1, D + 1))
     terms, D = [f"t{i}" for i in range(V)], len(dev_ids)
     stand_ins = dict(
         vocab=Vocabulary({t: i for i, t in enumerate(terms)}, dict.fromkeys(terms, 1), 1),
         linear_model=LinearModel(list(dev_ids), np.zeros((D, V)), np.zeros(D)),
-        topic_model=TopicModel(np.full((K, V), 1 / V), 1.0, 0),
-        cost_matrix=CostMatrix(np.ones((D, K)), np.full((D, K), OBSERVED, dtype=object)),
+        topic_model=TopicModel(np.full((K, V), 1 / V), 0),
+        cost=np.ones((D, K)),
         boundary_day=0,
     )
     return pipeline.TrainedModels(**dict(stand_ins, **parts))

@@ -12,7 +12,7 @@ import pytest
 
 from triagelab import pipeline
 from triagelab.corpus import clean_bugs
-from triagelab.costmodel import build_cost_matrix, fitted_topics
+from triagelab.costmodel import build_cost_matrix, fill_missing_cf, fitted_topics
 from triagelab.policies import decide_cbr, decide_costriage
 from triagelab.simulator import run_simulation, SimConfig
 from triagelab.solver import (
@@ -190,15 +190,14 @@ def test_model_invariants(mini_env):
     models = mini_env.models
     phi_ok = bool(np.all(np.abs(models.topic_model.phi.sum(axis=1) - 1.0) <= 1e-9))
     # the observed means, recomputed from the fitted topics of the training bugs
-    cm = models.cost_matrix
     train = [r for r in mini_env.train if r.actual_assignee in mini_env.profiles]
     docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
     observed = build_cost_matrix(
-        train, fitted_topics(models.topic_model, docs, models.vocab), models.dev_ids, cm.K
+        train, fitted_topics(models.topic_model, docs, models.vocab), models.dev_ids,
+        models.topic_model.K
     )
-    seen = ~np.isnan(observed)
-    cost_ok = (bool(np.all(cm.filled > 0)) and np.array_equal(cm.observed, seen)
-               and np.array_equal(cm.filled[seen], observed[seen]))
+    cost_ok = (np.array_equal(models.cost, observed, equal_nan=True)
+               and bool(np.all(fill_missing_cf(models.cost)[0] > 0)))
     test_bugs = [r for r in mini_env.cleaned if r.reported_at > MINI_BOUNDARY]
     rows = mini_env.table.rows([r.bug_id for r in test_bugs[:50]])
     suit_ok = bool(np.all(mini_env.table.S[rows].max(axis=1) == 1.0))

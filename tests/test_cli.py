@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from triagelab import pipeline
 from triagelab.cli import dispatch
 from triagelab.corpus import record_to_obj
-from triagelab.costmodel import CF, OBSERVED
 from triagelab.minicorpus import MiniCorpusSpec, generate, write_jsonl
 from triagelab.solver import AssignmentInstance, InstanceBug
 
@@ -51,9 +50,9 @@ def test_validate_ok(workdir, capsys):
 
 def test_prepare_wrote_artifacts(workdir):
     _, _, out, _ = workdir
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["counts_by_step"][0] >= summary["counts_by_step"][-1]
-    assert (out / "cleaning_log.csv").read_text().startswith("step,kept_count")
+    counts = json.loads((out / "summary.json").read_text())["counts_by_step"]
+    assert len(counts) == 5 and counts == sorted(counts, reverse=True)  # input, 4 steps
+    assert not (out / "cleaning_log.csv").exists()
     assert (out / "dev_profiles.json").exists()
 
 
@@ -65,7 +64,7 @@ def test_train_writes_what_prepare_writes(workdir, tmp_path):
     assert dispatch(["prepare"] + common + [str(prepared)]) == 0
     assert dispatch(["train"] + common + [str(trained), "--topics", "4",
                                           "--lda-iters", "1"]) == 0
-    for name in ("summary.json", "cleaning_log.csv", "dev_profiles.json"):
+    for name in ("summary.json", "dev_profiles.json"):
         expected = (prepared / name).read_bytes()
         assert (out / name).read_bytes() == expected, name
         assert (trained / name).read_bytes() == expected, name
@@ -172,7 +171,7 @@ def test_train_with_more_topics_than_terms(workdir, tmp_path):
     V = len(json.loads((out / "model.json").read_text())["terms"])
     other = tmp_path / "out"
     assert dispatch(["train", "--data", str(data), "--boundary", "120", "--out", str(other),
-                     "--topics", f"{V - 1}-{V + 1}:1", "--lda-iters", "1"]) == 0
+                     "--topics", str(V - 1), str(V), str(V + 1), "--lda-iters", "1"]) == 0
     trained = json.loads((other / "model.json").read_text())
     assert len(trained["terms"]) == V and {len(row) for row in trained["phi"]} == {V}
 
@@ -272,17 +271,15 @@ def _first_weights(obj, index):
 def _without_last_developer(obj):
     """model.json content for every developer but the last."""
     return dict(obj, **{key: obj[key][:-1]
-                        for key in ("dev_ids", "bias", "weights", "cost", "provenance")})
+                        for key in ("dev_ids", "bias", "weights", "cost")})
 
 
 def _with_observed_cells(obj):
     """model.json content that also lists each observed mean as a
     [dev_id, topic, value] cell, as the cost file did before the one
     grid."""
-    return dict(obj, observed=[[d, k, cost] for d, row, labels in
-                               zip(obj["dev_ids"], obj["cost"], obj["provenance"])
-                               for k, (cost, label) in enumerate(zip(row, labels))
-                               if label == OBSERVED])
+    return dict(obj, observed=[[d, k, cost] for d, row in zip(obj["dev_ids"], obj["cost"])
+                               for k, cost in enumerate(row) if cost is not None])
 
 
 def _at(obj, path, edit):
@@ -341,9 +338,8 @@ def _replays_refuse(data, out, capsys, boundary="120"):
         (lambda obj, _: _without_last_developer(obj), "data's active developers"),
         (_set(("cost", 0, 0), float("nan")), "cost[0][0]"),
         (_edit(("cost", 0), lambda row: [-3.0] * len(row)), "cost[0][0]"),
-        (_edit(("provenance",), lambda rows: [[CF] * len(row) for row in rows]),
-         "no OBSERVED cell"),
-        (_edit(("provenance", 0), lambda row: row[:-1]), "provenance[0]"),
+        (_edit(("cost",), lambda rows: [[None] * len(row) for row in rows]),
+         "cost: no observed cell"),
         # the observed means in the cell-list format, a second copy
         (lambda obj, _: _with_observed_cells(obj), "unknown key 'observed'"),
         (_edit(("phi", 0), lambda row: [float("nan")] * len(row)), "phi[0][0]"),
@@ -357,9 +353,6 @@ def _replays_refuse(data, out, capsys, boundary="120"):
         (_set(("n_docs",), -3), "n_docs"),
         (_set(("seed",), -1), "seed"),
         (_set(("seed",), 1.5), "seed"),
-        (_set(("alpha_lda",), "x"), "alpha_lda"),
-        (_set(("alpha_lda",), -100), "alpha_lda"),
-        (_set(("alpha_lda",), float("nan")), "alpha_lda"),
         (_edit(("phi", 0), lambda row: [0.0] * len(row)), "positive sum"),
         (_edit(("phi",), lambda phi: [[0.0] + row[1:] for row in phi]), "positive sum"),
         # one more classifier row than developers
@@ -373,7 +366,6 @@ def _replays_refuse(data, out, capsys, boundary="120"):
         (_set(("cost", 0, 0), True), "cost[0][0]"),
         (_set(("bias", 0), True), "bias[0]"),
         (_set(("weights", 0, 0, 1), True), "weights[0][0][1]"),
-        (_set(("provenance", 0, 2), "BOGUS"), "provenance[0][2]"),
         (_set(("C",), "x"), "unknown key 'C'"),
         (_set(("epochs",), None), "unknown key 'epochs'"),
         (_set(("extra",), 1), "unknown key 'extra'"),
@@ -385,18 +377,22 @@ def _replays_refuse(data, out, capsys, boundary="120"):
         (_edit(("terms", 0), lambda term: {"term": term[0], "df": term[1]}),
          "terms[0]: expected a list"),
         (_edit(("terms", 0), lambda term: [term[0], 0, term[1]]), "terms[0]: expected length 2"),
+        # what model.json held before it kept only measured values
+        (lambda obj, _: dict(obj, provenance=[["OBSERVED"] * len(row) for row in obj["cost"]]),
+         "unknown key 'provenance'"),
+        (lambda obj, _: dict(obj, alpha_lda=50 / len(obj["phi"])), "unknown key 'alpha_lda'"),
     ],
     ids=["topic-K", "vocab-size", "phi-rows", "filled-width", "n_features", "developers",
-         "filled-nan", "filled-negative", "provenance-no-observed", "provenance-row-short",
-         "observed-cell-list", "phi-nan", "bias-nan",
-         "weight-index-negative", "weight-index-bool", "weight-index-repeated",
+         "filled-nan", "filled-negative", "cost-no-observed", "observed-cell-list", "phi-nan",
+         "bias-nan", "weight-index-negative", "weight-index-bool", "weight-index-repeated",
          "df-minus-1", "df-minus-5", "df-string", "n_docs-negative", "seed-negative",
-         "seed-float", "alpha-string", "alpha-negative", "alpha-nan", "phi-row-zero",
+         "seed-float", "phi-row-zero",
          "phi-column-zero", "classifier-extra-developer", "developer-repeated",
          "developer-id-string", "developer-id-float",
          "bias-string", "phi-true", "filled-true", "bias-true", "weight-true",
-         "provenance-bogus", "C-string", "epochs-null", "extra-key", "beta_lda",
-         "old-vocab_size", "old-n_features", "old-K", "term-object", "term-triple"],
+         "C-string", "epochs-null", "extra-key", "beta_lda",
+         "old-vocab_size", "old-n_features", "old-K", "term-object", "term-triple",
+         "provenance-key", "alpha_lda-key"],
 )
 def test_mismatched_model_files_are_one_error_line(workdir, tmp_path, capsys, edit, other):
     """A model.json whose parts disagree, such as 6 topics in phi beside
@@ -435,10 +431,11 @@ def _old_model_files(obj):
         "classifier.json": {"n_features": V, "developers": [
             {"dev_id": d, "bias": b, "weights": w}
             for d, b, w in zip(obj["dev_ids"], obj["bias"], obj["weights"])]},
-        "topic_model.json": {"K": K, "alpha_lda": obj["alpha_lda"], "seed": obj["seed"],
+        "topic_model.json": {"K": K, "alpha_lda": 50 / K, "seed": obj["seed"],
                              "vocab_size": V, "phi": obj["phi"]},
         "cost_matrix.json": {"dev_ids": obj["dev_ids"], "K": K, "filled": obj["cost"],
-                             "provenance": obj["provenance"]},
+                             "provenance": [["CF" if c is None else "OBSERVED" for c in row]
+                                            for row in obj["cost"]]},
     }
 
 
@@ -478,8 +475,8 @@ def _parts(value, path=()):
 def _schema_breaks(obj):
     """(kind, path, edit) for every change to one part of the model.json
     content ``obj`` that its schema forbids.  Every number the writer
-    writes as an integer must be one, and the file holds no bool, null
-    or numeric string."""
+    writes as an integer must be one, and the file holds no bool or
+    numeric string; its nulls are unobserved cost cells."""
     for path, value in _parts(obj):
         if isinstance(value, dict):
             yield "extra key", path, lambda d: dict(d, extra_key=0)
@@ -498,6 +495,8 @@ def _schema_breaks(obj):
                 changes.append(("numeric string", str(value)))
                 if not _matches(path, _ANY_NUMBER):
                     changes.append(("out of range", -1))
+            elif value is None:
+                changes.append(("out of range", -1))
             else:
                 changes.append(("number for a string", 1))
             for kind, new in changes:
@@ -670,12 +669,13 @@ def test_report_malformed_result_rows_are_one_error_line(tmp_path, capsys, key, 
 @pytest.mark.parametrize(
     "command,flags,message",
     [
-        ("train", ["--topics", "abc"], "--topics 'abc'"),
-        ("train", ["--topics", "5-50:0"], "step must be at least 1"),
-        ("train", ["--topics", "4-"], "--topics '4-': expected a range LO-HI[:STEP]"),
-        ("train", ["--topics", "-"], "--topics '-': expected a range LO-HI[:STEP]"),
-        ("train", ["--topics", "5--50"], "--topics '5--50': expected a range LO-HI[:STEP]"),
-        ("train", ["--topics", "5-3"], "--topics '5-3': expected a range LO-HI[:STEP]"),
+        ("train", ["--topics", "abc"], "--topics: expected int, got 'abc'"),
+        # the range forms of earlier releases are refused, not misread
+        ("train", ["--topics", "5-50:0"], "--topics: expected int, got '5-50:0'"),
+        ("train", ["--topics", "4-"], "--topics: expected int, got '4-'"),
+        ("train", ["--topics", "-"], "--topics: expected int, got '-'"),
+        ("train", ["--topics", "5--50"], "--topics: expected int, got '5--50'"),
+        ("train", ["--topics", "5-3"], "--topics: expected int, got '5-3'"),
         ("train", ["--topics", "4", "--lda-iters", "-5"], "LDA iterations"),
         ("train", ["--topics", "4", "--C", "0"], "C must be positive"),
         ("simulate", ["--alpha", "0", "x"], "--alpha: expected float, got 'x'"),

@@ -8,11 +8,8 @@ from triagelab import pipeline
 from triagelab.corpus import split_train_test
 from triagelab.costmodel import (
     BETA_LDA,
-    CF,
     DEFAULT_INFER_SWEEPS,
-    GLOBAL_MEAN,
     GLOBAL_TOPIC,
-    OBSERVED,
     _draw,
     arun_measure,
     build_cost_matrix,
@@ -295,10 +292,10 @@ def test_infer_topic_deterministic_and_oov_sentinel():
 
 
 def reference_fill_missing_cf(observed: dict, dev_ids, K):
-    """(filled, provenance by (dev_id, k), global mean) of the filler over
-    per-developer dicts that recomputes a cosine for every (missing cell,
-    other developer), as fill_missing_cf did before the cost matrix became
-    one grid; the exactness reference."""
+    """(filled, global mean) of the filler over per-developer dicts that
+    recomputes a cosine for every (missing cell, other developer), as
+    fill_missing_cf did before the cost matrix became one grid; the
+    exactness reference."""
     by_dev = {d: {} for d in dev_ids}
     for (d, k), v in observed.items():
         by_dev[d][k] = v
@@ -314,12 +311,10 @@ def reference_fill_missing_cf(observed: dict, dev_ids, K):
         return None if denom == 0 else float(a @ b / denom)
 
     filled = np.zeros((len(dev_ids), K))
-    provenance = {}
     for i, d in enumerate(dev_ids):
         for k in range(K):
             if (d, k) in observed:
                 filled[i, k] = observed[(d, k)]
-                provenance[(d, k)] = OBSERVED
                 continue
             num = den = 0.0
             for other in dev_ids:
@@ -332,16 +327,10 @@ def reference_fill_missing_cf(observed: dict, dev_ids, K):
                 den += sim
             if den > 0:
                 filled[i, k] = num / den
-                provenance[(d, k)] = CF
                 continue
             column = [by_dev[o][k] for o in dev_ids if k in by_dev[o]]
-            if column:
-                filled[i, k] = float(np.mean(column))
-                provenance[(d, k)] = CF
-            else:
-                filled[i, k] = global_mean
-                provenance[(d, k)] = GLOBAL_MEAN
-    return filled, provenance, global_mean
+            filled[i, k] = float(np.mean(column)) if column else global_mean
+    return filled, global_mean
 
 
 def _grid(rows):
@@ -372,14 +361,11 @@ def test_fill_matches_the_per_cell_reference_bit_for_bit(case):
     grid, dev_ids = case
     observed = {(d, k): float(grid[i, k]) for i, d in enumerate(dev_ids)
                 for k in range(grid.shape[1]) if not np.isnan(grid[i, k])}
-    filled, provenance, global_mean = reference_fill_missing_cf(observed, dev_ids, grid.shape[1])
-    matrix = fill_missing_cf(grid)
-    assert [v.hex() for v in matrix.filled.ravel().tolist()] == [
-        v.hex() for v in filled.ravel().tolist()]
-    assert matrix.provenance.tolist() == [
-        [provenance[(d, k)] for k in range(grid.shape[1])] for d in dev_ids]
-    assert matrix.global_mean.hex() == global_mean.hex()
-    assert matrix.filled.shape == (len(dev_ids), grid.shape[1]) and matrix.K == grid.shape[1]
+    filled, global_mean = reference_fill_missing_cf(observed, dev_ids, grid.shape[1])
+    got, got_mean = fill_missing_cf(grid)
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in filled.ravel().tolist()]
+    assert got_mean.hex() == global_mean.hex()
+    assert got.shape == grid.shape
 
 
 def test_build_cost_matrix_hand_means():
@@ -392,40 +378,36 @@ def test_build_cost_matrix_hand_means():
     observed = build_cost_matrix(records, [0, 0, 1, GLOBAL_TOPIC], [1, 2], K=3)
     assert np.array_equal(observed, _grid([[3.0, None, None], [None, 6.0, None]]),
                           equal_nan=True)
-    matrix = fill_missing_cf(observed)
-    assert matrix.observed.tolist() == [[True, False, False], [False, True, False]]
-    assert matrix.provenance[0, 0] == matrix.provenance[1, 1] == OBSERVED
-    assert matrix.global_mean == pytest.approx(4.5)
+    filled, global_mean = fill_missing_cf(observed)
+    assert (filled[0, 0], filled[1, 1]) == (3.0, 6.0)
+    assert global_mean == pytest.approx(4.5)
 
 
 def test_cf_fill_similarity_weighted_hand_value():
     observed = _grid([[2.0, 4.0], [2.0, None], [4.0, 8.0]])
-    filled = fill_missing_cf(observed)
+    filled, _ = fill_missing_cf(observed)
     # dev 2 topic 1: 1-D overlaps give cosine 1 to both dev 1 and dev 3
     # -> (4 + 8) / 2 = 6
-    assert filled.filled[1, 1] == pytest.approx(6.0)
-    assert filled.provenance[1, 1] == CF
+    assert filled[1, 1] == pytest.approx(6.0)
     # observed cells untouched
     seen = ~np.isnan(observed)
-    assert np.array_equal(filled.filled[seen], observed[seen])
-    assert np.array_equal(filled.observed, seen)
+    assert np.array_equal(filled[seen], observed[seen])
 
 
 def test_cf_fill_column_mean_and_global_fallbacks():
-    filled = fill_missing_cf(_grid([[3.0, 5.0, None], [None, None, None]]))
+    filled, global_mean = fill_missing_cf(_grid([[3.0, 5.0, None], [None, None, None]]))
     # dev 2 has no observations: no similarity, column-mean fallback
-    assert filled.filled[1, 0] == pytest.approx(3.0)
-    assert filled.provenance[1, 0] == CF
+    assert filled[1, 0] == pytest.approx(3.0)
     # topic 2 observed nowhere: global mean for every developer
-    assert filled.filled[:, 2].tolist() == pytest.approx([4.0, 4.0])
-    assert filled.provenance[:, 2].tolist() == [GLOBAL_MEAN, GLOBAL_MEAN]
-    assert np.all(filled.filled > 0)
+    assert global_mean == pytest.approx(4.0)
+    assert filled[:, 2].tolist() == [global_mean, global_mean]
+    assert np.all(filled > 0)
 
 
 def test_cost_global_topic_sentinel_maps_to_global_mean():
-    matrix = fill_missing_cf(_grid([[2.0, 6.0]]))
+    _, global_mean = fill_missing_cf(_grid([[2.0, 6.0]]))
     # feature_table gives a GLOBAL_TOPIC bug this cost for every developer
-    assert matrix.global_mean == pytest.approx(4.0)
+    assert global_mean == pytest.approx(4.0)
 
 
 def test_empty_matrix_rejected():
@@ -434,22 +416,24 @@ def test_empty_matrix_rejected():
 
 
 def test_cost_matrix_json_roundtrip():
-    matrix = fill_missing_cf(_grid([[2.0, None], [None, 3.0]]))
-    models = models_around(cost_matrix=matrix)
+    cost = _grid([[2.0, None], [None, 3.0]])
+    models = models_around(cost=cost)
     text = pipeline.models_to_json(models)
     loaded = pipeline.models_from_json(text)
-    again = loaded.cost_matrix
     assert loaded.linear_model.dev_ids == models.linear_model.dev_ids
-    assert again.filled.tobytes() == matrix.filled.tobytes()
-    assert np.array_equal(again.provenance, matrix.provenance)
+    assert loaded.cost.tobytes() == cost.tobytes()  # NaN where null
     assert pipeline.models_to_json(loaded) == text
     obj = json.loads(text)
     assert list(obj) == list(pipeline.MODEL_SCHEMA.of)
-    # the global mean reads the OBSERVED cells, so a grid needs one
-    with pytest.raises(ValidationError, match="no OBSERVED cell"):
-        pipeline.models_from_json(json.dumps(dict(obj, provenance=[[CF, CF], [CF, GLOBAL_MEAN]])))
-    with pytest.raises(ValidationError, match="unknown key 'observed'"):
-        pipeline.models_from_json(json.dumps(dict(obj, observed=[[1, 0, 2.0], [2, 1, 3.0]])))
+    assert obj["cost"] == [[2.0, None], [None, 3.0]]
+    # the global mean reads the observed cells, so a grid needs one
+    with pytest.raises(ValidationError, match="cost: no observed cell"):
+        pipeline.models_from_json(json.dumps(dict(obj, cost=[[None, None], [None, None]])))
+    # what the file once held besides the measured grid is refused
+    for key, value in (("provenance", [["OBSERVED", "CF"], ["CF", "OBSERVED"]]),
+                       ("alpha_lda", 25.0), ("observed", [[1, 0, 2.0], [2, 1, 3.0]])):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            pipeline.models_from_json(json.dumps({**obj, key: value}))
 
 
 def test_topic_model_json_roundtrip():

@@ -2,30 +2,34 @@
 preprocessed, vectorized, scored and min-max normalized on its own,
 and its cost looked up one developer column at a time."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 
 from triagelab import pipeline
 from triagelab.cli import dispatch
-from triagelab.costmodel import GLOBAL_TOPIC, infer_topic
+from triagelab.costmodel import GLOBAL_TOPIC, fill_missing_cf, infer_topic
 from triagelab.minicorpus import write_jsonl
 from triagelab.simulator import ReplayCorpus
 from triagelab.textprep import preprocess_text, tfidf_transform
 
-from conftest import MINI_BOUNDARY, MINI_END, make_bug
+from conftest import MINI_BOUNDARY, MINI_END, make_bug, round_trip
 
 
 def _reference_rows(models, rec):
     doc = preprocess_text(rec.summary, rec.description, rec.bug_id)
     vec = tfidf_transform(doc, models.vocab)
-    linear, matrix = models.linear_model, models.cost_matrix
+    linear = models.linear_model
+    filled, global_mean = fill_missing_cf(models.cost)
     decisions = linear.decision_values(vec)
     values = decisions[[linear.dev_ids.index(d) for d in models.dev_ids]]
     lo, hi = values.min(), values.max()
     s = np.ones(len(values)) if hi - lo == 0.0 else (values - lo) / (hi - lo)
     topic = infer_topic(models.topic_model, doc, models.vocab)
     c = np.array([
-        matrix.global_mean if topic == GLOBAL_TOPIC
-        else matrix.filled[linear.dev_ids.index(d), topic]
+        global_mean if topic == GLOBAL_TOPIC
+        else filled[linear.dev_ids.index(d), topic]
         for d in models.dev_ids
     ])
     return s, c, topic
@@ -64,7 +68,7 @@ def test_out_of_vocabulary_bug_costs_the_global_mean(mini_env):
     corpus = ReplayCorpus(records=records, assignable_ids={r.bug_id for r in records})
     table = pipeline.feature_table(models, corpus, MINI_BOUNDARY, MINI_END)
     assert _reference_rows(models, records[0])[2] == GLOBAL_TOPIC
-    assert np.all(table.C[table.rows([1])] == models.cost_matrix.global_mean)
+    assert np.all(table.C[table.rows([1])] == fill_missing_cf(models.cost)[1])
     _assert_matches_reference(table, models, corpus.history)
 
 
@@ -86,3 +90,29 @@ def test_actual_run_builds_no_rows(mini_env, monkeypatch, tmp_path):
     assert (tmp_path / "result_actual_a0.5.json").read_text() == pipeline.result_to_json(
         mini_env.run("actual")[0]
     )
+
+
+def test_unobserved_cells_reach_the_replay_through_the_file(mini_env):
+    """A cell without a training mean is null in model.json, and the
+    table fills it from the file as from the models in memory: a topic
+    no developer fixed costs the global mean, a lone missing cell the
+    collaborative filter's value."""
+    cost = mini_env.models.cost.copy()
+    cost[1, 0] = np.nan
+    cost[:, 2] = np.nan
+    models = replace(mini_env.models, cost=cost)
+    text = pipeline.models_to_json(models)
+    assert [[c is None for c in row] for row in json.loads(text)["cost"]] == \
+        np.isnan(cost).tolist()
+    table = pipeline.feature_table(models, mini_env.corpus, MINI_BOUNDARY, MINI_END)
+    again = pipeline.feature_table(round_trip(models), mini_env.corpus, MINI_BOUNDARY, MINI_END)
+    assert (again.S.tobytes(), again.C.tobytes()) == (table.S.tobytes(), table.C.tobytes())
+    filled, global_mean = fill_missing_cf(cost)
+    history, seen = mini_env.corpus.history, {}
+    for i, bug_id in enumerate(table.bug_ids):
+        seen.setdefault(_reference_rows(models, history[bug_id])[2], i)
+        if 0 in seen and 2 in seen:
+            break
+    assert table.C[seen[2]].tolist() == [global_mean] * len(models.dev_ids)
+    assert table.C[seen[0], 1] == filled[1, 0] != global_mean
+    assert table.C[seen[0], 1] != mini_env.table.C[seen[0], 1]

@@ -64,12 +64,11 @@ def test_actual_replays_a_bug_whose_assignee_has_no_profile():
     assert entry["accurate"] is False
 
 
-def _assert_observed_cells(matrix, observed):
-    """``matrix`` labels OBSERVED exactly the cells of the ``observed``
-    grid that are not NaN, and holds their means unchanged."""
-    seen = ~np.isnan(observed)
-    assert np.array_equal(matrix.observed, seen)
-    assert matrix.filled[seen].tobytes() == observed[seen].tobytes()
+def _assert_observed_cells(cost, observed):
+    """The models' ``cost`` grid is the ``observed`` grid: NaN in the same
+    cells, and the same means in the others."""
+    assert np.array_equal(np.isnan(cost), np.isnan(observed))
+    assert cost.tobytes() == observed.tobytes()
 
 
 def _fold_in_forbidden(*args, **kwargs):
@@ -96,9 +95,9 @@ def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
     )
     topics = models.topic_model.doc_topic.argmax(axis=1).tolist()
     _assert_observed_cells(
-        models.cost_matrix, build_cost_matrix(records, topics[:-1] + [GLOBAL_TOPIC], [1, 2, 3], 2)
+        models.cost, build_cost_matrix(records, topics[:-1] + [GLOBAL_TOPIC], [1, 2, 3], 2)
     )
-    assert not models.cost_matrix.observed[2].any()  # dev 3
+    assert np.isnan(models.cost[2]).all()  # dev 3
 
 
 def _mini_training(env):
@@ -113,7 +112,7 @@ def test_mini_cost_cells_average_the_fitted_topics(mini_env):
     assert model.doc_topic.shape == (len(train), model.K)
     assert all(any(t in vocab.index for t in doc.tokens) for doc in docs)
     topics = model.doc_topic.argmax(axis=1).tolist()
-    _assert_observed_cells(mini_env.models.cost_matrix,
+    _assert_observed_cells(mini_env.models.cost,
                            build_cost_matrix(train, topics, mini_env.models.dev_ids, model.K))
 
 
