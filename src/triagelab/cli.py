@@ -82,13 +82,8 @@ def cmd_train(args) -> int:
     records = _load_corpus(args)
     cleaned, summary, profiles = pipeline.prepare(records, args.boundary)
     train, _ = corpus_mod.split_train_test(cleaned, args.boundary)
-    settings = pipeline.TrainSettings(
-        topic_grid=args.topics,
-        C=args.C,
-        seed=args.seed,
-        lda_iters=args.lda_iters,
-    )
-    models = pipeline.train_models(train, profiles, args.boundary, settings)
+    models = pipeline.train_models(train, args.boundary, topic_grid=args.topics, C=args.C,
+                                   seed=args.seed, lda_iters=args.lda_iters)
     pipeline.save_models(models, args.out)
     pipeline.save_prepared(summary, profiles, args.out)
     print(
@@ -101,8 +96,6 @@ def cmd_train(args) -> int:
 def _sim_configs(args, records, summary) -> list[SimConfig]:
     """One replay config per (policy, alpha) pair, in the order given."""
     horizon = args.L if args.L is not None else summary.horizon_L
-    if horizon is None:
-        raise ValidationError("no cleaned training bug to set the horizon L; pass --L")
     end_day = args.end if args.end is not None else max(
         r.reported_at for r in records
     ) + 30

@@ -11,7 +11,9 @@ none.  ``model.json`` holds that grid, ``null`` for NaN, and nothing
 computed from it: ``fill_missing_cf`` fills the NaN cells when
 ``pipeline.feature_table`` builds a replay's costs, by a user-based
 cosine collaborative filter with deterministic fallbacks (topic column
-mean, then global mean).
+mean, then global mean).  Its cosines, like the selection's mixture, are
+``np.add.reduce`` sums, not BLAS products, so no filled cost depends on
+the CPU's OpenBLAS kernel.
 
 Every Gibbs draw takes one uniform ``u`` from the generator, as
 ``Generator.choice`` does; both samplers draw the uniforms of a sweep
@@ -160,7 +162,7 @@ def arun_measure(model: TopicModel, doc_lengths) -> float:
     sv = np.pad(sv, (0, model.K - len(sv)))
     cm1 = np.sort(sv / sv.sum())[::-1]
     lengths = np.asarray(doc_lengths, dtype=float)
-    mix = lengths @ model.doc_topic
+    mix = np.add.reduce(lengths[:, None] * model.doc_topic, axis=0)
     cm2 = np.sort(mix / mix.sum())[::-1]
     return _symmetric_kl(cm1, cm2)
 
@@ -274,9 +276,9 @@ def _similarities(observed: np.ndarray, mask: np.ndarray) -> list:
             shared = mask[i] & mask[j]
             if shared.any():
                 a, b = observed[i, shared], observed[j, shared]
-                denom = np.linalg.norm(a) * np.linalg.norm(b)
+                denom = np.sqrt(np.add.reduce(a * a)) * np.sqrt(np.add.reduce(b * b))
                 if denom != 0:
-                    sim[i][j] = sim[j][i] = float(a @ b / denom)
+                    sim[i][j] = sim[j][i] = float(np.add.reduce(a * b) / denom)
     return sim
 
 

@@ -12,7 +12,6 @@ class ParseError(TriageError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-        self.line_no = line_no
 
 
 class ValidationError(TriageError):

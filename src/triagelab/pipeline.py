@@ -1,14 +1,15 @@
 """End-to-end wiring: clean -> train -> replay -> report.
 
-``prepare`` cleans the corpus and profiles the active developers;
-``save_prepared`` writes the cleaning summary and the profiles for
-people to read.  ``train_models`` fits the vocabulary, the suitability
-classifier, the topic model and the grid of observed cost means, and
-``save_models`` writes them into one ``model.json``, each measured fact
-once, checked on load against ``MODEL_SCHEMA``.  A replay computes the
-profiles from the data again and takes the models from ``load_models``,
-which refuses a file trained at another boundary or for other
-developers; ``feature_table`` fills the grid's unobserved cells.
+``prepare`` cleans the corpus and profiles the active developers, and
+refuses, for every command that cleans a corpus, one with no cleaned
+training bug; ``save_prepared`` writes the cleaning summary and the
+profiles for people to read.  ``train_models`` fits the vocabulary, the
+suitability classifier, the topic model and the grid of observed cost
+means, and ``save_models`` writes them into one ``model.json``, each
+measured fact once, checked on load against ``MODEL_SCHEMA``.  A replay
+computes the profiles from the data again and takes the models from
+``load_models``, which refuses a file trained at another boundary or for
+other developers; ``feature_table`` fills the grid's unobserved cells.
 """
 
 from __future__ import annotations
@@ -55,46 +56,40 @@ class TrainedModels:
         return self.linear_model.dev_ids
 
 
-@dataclass
-class TrainSettings:
-    topic_grid: tuple = DEFAULT_TOPIC_GRID
-    C: float = DEFAULT_C
-    seed: int = 0
-    lda_iters: int = DEFAULT_GIBBS_ITERS
-
-
 def prepare(records, boundary_day):
     """Clean the corpus and profile the active developers.
 
     Returns (cleaned, summary, profiles).  Cleaning keeps only active
     developers' bugs, so profiles maps every developer with a cleaned
-    training bug to the components of their training-phase fixes.
+    training bug to the components of their training-phase fixes.  A
+    corpus with no cleaned training bug, and so nothing to train, replay
+    or size the horizon L on, raises ValidationError.
     """
     cleaned, summary = clean_bugs(records, boundary_day)
     train, _ = split_train_test(cleaned, boundary_day)
+    if not train:
+        steps = " -> ".join(map(str, summary.counts_by_step))
+        raise ValidationError(f"no bug reported by --boundary {boundary_day} survives cleaning "
+                              f"(bugs kept per step: {steps}); nothing to train on")
     return cleaned, summary, developer_profiles(train)
 
 
-def train_models(cleaned_train, profiles, boundary_day, settings: TrainSettings) -> TrainedModels:
+def train_models(cleaned_train, boundary_day, *, topic_grid=DEFAULT_TOPIC_GRID, C=DEFAULT_C,
+                 seed=0, lda_iters=DEFAULT_GIBBS_ITERS) -> TrainedModels:
     """Fit vocabulary, suitability classifier, topic model, and the grid
     of observed cost means on the cleaned training records, those
     reported up to ``boundary_day``."""
-    if not profiles:
-        raise ValidationError("no active developers to train on")
-    train = [r for r in cleaned_train if r.actual_assignee in profiles]
-    docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
+    docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in cleaned_train]
     vocab = build_vocabulary(docs)
     X = np.array([tfidf_transform(doc, vocab) for doc in docs])
-    linear = train_classifier(X, [r.actual_assignee for r in train], C=settings.C)
-    topic_model = select_topic_count(
-        docs, vocab, settings.topic_grid, seed=settings.seed, iters=settings.lda_iters
-    )
+    linear = train_classifier(X, [r.actual_assignee for r in cleaned_train], C=C)
+    topic_model = select_topic_count(docs, vocab, topic_grid, seed=seed, iters=lda_iters)
     topics = fitted_topics(topic_model, docs, vocab)
     return TrainedModels(
         linear_model=linear,
         vocab=vocab,
         topic_model=topic_model,
-        cost=build_cost_matrix(train, topics, linear.dev_ids, topic_model.K),
+        cost=build_cost_matrix(cleaned_train, topics, linear.dev_ids, topic_model.K),
         boundary_day=boundary_day,
     )
 

@@ -1,8 +1,9 @@
 """Daily triage policies behind a uniform decision interface.
 
 Each policy turns the day's open, unassigned bugs into a DailyDecision:
-who gets what, at which estimated cost, and which bugs wait.  The
-model-driven policies read row-aligned arrays: ``bug_ids`` in ascending
+who gets what, at which estimated cost, and which bugs wait.  Only
+``decide_actual`` reads the day, to match history's assignment days.
+The model-driven policies read row-aligned arrays: ``bug_ids`` in ascending
 order, and ``S`` (suitability) and ``C`` (estimated days) with one row
 per bug and one column per developer in ``dev_ids`` order.  CBR and
 CosTriage assign everything immediately (no capacity or precedence);
@@ -31,20 +32,19 @@ POLICY_NAMES = ("actual", "cbr", "costriage", "rabt", "dabt")
 
 @dataclass(frozen=True)
 class DailyDecision:
-    day: int
     assignments: tuple  # ((bug_id, dev_id, estimated_cost_days), ...)
     deferred: tuple  # bug ids to call back on later days
 
 
-def _assign_columns(day, bug_ids, dev_ids, C, cols) -> DailyDecision:
+def _assign_columns(bug_ids, dev_ids, C, cols) -> DailyDecision:
     assignments = tuple(
         (bug_id, dev_ids[j], float(C[i, j]))
         for i, (bug_id, j) in enumerate(zip(bug_ids, cols))
     )
-    return DailyDecision(day=day, assignments=assignments, deferred=())
+    return DailyDecision(assignments=assignments, deferred=())
 
 
-def decide_cbr(day, bug_ids, dev_ids, S, C) -> DailyDecision:
+def decide_cbr(bug_ids, dev_ids, S, C) -> DailyDecision:
     """Every open bug goes to its most suitable developer, immediately.
 
     No capacity or precedence checks; ties toward the smallest dev_id
@@ -52,16 +52,16 @@ def decide_cbr(day, bug_ids, dev_ids, S, C) -> DailyDecision:
     annotate it with the chosen developer's estimated days so the
     simulator can schedule the completion.
     """
-    return _assign_columns(day, bug_ids, dev_ids, C, S.argmax(axis=1))
+    return _assign_columns(bug_ids, dev_ids, C, S.argmax(axis=1))
 
 
-def decide_costriage(day, bug_ids, dev_ids, S, C, alpha: float) -> DailyDecision:
+def decide_costriage(bug_ids, dev_ids, S, C, alpha: float) -> DailyDecision:
     """argmax of the suitability/cost trade-off per bug, no constraints.
 
     alpha=1 reduces to CBR; alpha=0 picks the cheapest developer.
     """
     cols = combined_score(S, C, alpha).argmax(axis=1)
-    return _assign_columns(day, bug_ids, dev_ids, C, cols)
+    return _assign_columns(bug_ids, dev_ids, C, cols)
 
 
 def decide_actual(day, open_bugs, history) -> DailyDecision:
@@ -78,13 +78,11 @@ def decide_actual(day, open_bugs, history) -> DailyDecision:
             assignments.append((bug_id, rec.actual_assignee, float(rec.fixing_time)))
         else:
             deferred.append(bug_id)
-    return DailyDecision(
-        day=day, assignments=tuple(assignments), deferred=tuple(deferred)
-    )
+    return DailyDecision(assignments=tuple(assignments), deferred=tuple(deferred))
 
 
 def decide_knapsack(
-    day, bug_ids, dev_ids, S, C, capacities, graph, alpha: float, variant: str
+    bug_ids, dev_ids, S, C, capacities, graph, alpha: float, variant: str
 ) -> DailyDecision:
     """Build the day's assignment instance and solve it exactly.
 
@@ -138,6 +136,4 @@ def decide_knapsack(
     )
     assigned_ids = {b for b, _ in solution.assignments}
     deferred += [b for b in candidates if b not in assigned_ids]
-    return DailyDecision(
-        day=day, assignments=assignments, deferred=tuple(sorted(deferred))
-    )
+    return DailyDecision(assignments=assignments, deferred=tuple(sorted(deferred)))

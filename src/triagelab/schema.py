@@ -38,14 +38,13 @@ _BOUNDS = {"min": (operator.ge, ">= "), "max": (operator.le, "<= "),
 class Spec:
     """A JSON value's kind and rules.  ``of`` holds a list's item spec (a
     tuple: its items' specs by position, for a list of that length) or an
-    object's specs by key.  Rules: the bounds of ``_BOUNDS``; ``one_of``,
-    the allowed values; ``unique``, the item keys whose values may not
-    repeat in a list (an index or key, or None for the item itself); and
-    ``open``."""
+    object's specs by key.  Rules: the bounds of ``_BOUNDS``; ``unique``,
+    the item keys whose values may not repeat in a list (an index or key,
+    or None for the item itself); and ``open``."""
 
-    def __init__(self, kind, of=None, one_of=None, unique=(), open=False, **bounds):
+    def __init__(self, kind, of=None, unique=(), open=False, **bounds):
         self.types, self.expected = _KINDS[kind]
-        self.of, self.one_of, self.unique, self.open = of, one_of, unique, open
+        self.of, self.unique, self.open = of, unique, open
         if type(of) is tuple:
             bounds["length"] = len(of)
         self.bounds = [(*_BOUNDS[name], bound) for name, bound in bounds.items()]
@@ -77,8 +76,6 @@ def check(spec: Spec, value, root=None, where=""):
                 f" ({bound})", named)
         if not test(measured, bound):
             _fail(where, f"expected {what}{sign}{bound}{text}, got {reprlib.repr(measured)}")
-    if spec.one_of is not None and value not in spec.one_of:
-        _fail(where, f"{reprlib.repr(value)} is not in {spec.one_of}")
     if kind is dict:
         extra = [key for key in value if key not in spec.of]
         if extra and not spec.open:

@@ -165,13 +165,13 @@ class Replay:
         rows = table.rows(feasible)
         S, C = table.S[rows], table.C[rows]
         if cfg.policy == "cbr":
-            return decide_cbr(day, feasible, table.dev_ids, S, C)
+            return decide_cbr(feasible, table.dev_ids, S, C)
         if cfg.policy == "costriage":
-            return decide_costriage(day, feasible, table.dev_ids, S, C, cfg.alpha)
+            return decide_costriage(feasible, table.dev_ids, S, C, cfg.alpha)
         capacities = list(self.T.values())
         variant = "RABT" if cfg.policy == "rabt" else "DABT"
         return decide_knapsack(
-            day, feasible, table.dev_ids, S, C, capacities, self.graph, cfg.alpha, variant
+            feasible, table.dev_ids, S, C, capacities, self.graph, cfg.alpha, variant
         )
 
     def step_day(self):

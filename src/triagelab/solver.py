@@ -49,9 +49,8 @@ face).  ``AssignmentInstance.__post_init__`` checks that every id is an
 int and no number a bool, which numpy would read as 0 or 1, and the
 rows' lengths, then builds and validates, once, the (bugs x developers)
 arrays ``S`` and ``C``, the capacities ``caps`` and the precedence by
-row; every reader (``contributions``, ``check_feasible``,
-``objective_value``, the search and the oracle) reads these, not the
-rows.
+row; every reader (``contributions``, ``check_feasible``, the search
+and the oracle) reads these, not the rows.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
-from operator import add, itemgetter
+from operator import add
 
 import numpy as np
 
@@ -252,27 +251,13 @@ def check_feasible(instance: AssignmentInstance, assignments, variant: str = DAB
                 )
 
 
-def objective_value(instance: AssignmentInstance, assignments, variant: str = DABT) -> float:
-    """Objective of a feasible assignment set (error if infeasible), summed
-    left to right by plain float addition, as the search sums it."""
-    check_feasible(instance, assignments, variant)
-    contrib = instance.contributions(variant)
-    bug_index = {b.bug_id: i for i, b in enumerate(instance.bugs)}
-    dev_index = {d: j for j, (d, _) in enumerate(instance.developers)}
-    return reduce(add, (float(contrib[bug_index[b], dev_index[d]]) for b, d in assignments), 0.0)
-
-
 def _search_order(instance: AssignmentInstance, contrib: np.ndarray, with_precedence: bool):
     """Bug positions in topological order; among ready bugs the smallest
-    key (-best contribution, bug id) goes first.  A bug on no arc is always
-    ready, so it goes just before the first bug on an arc whose key, or an
-    earlier one's, exceeds its own: a stable sort by those running maxima."""
+    key (-best contribution, bug id) goes first."""
     keys = list(zip((-contrib.max(axis=1)).tolist(), [b.bug_id for b in instance.bugs]))
     children = instance.children if with_precedence else {}
-    linked = topological_order(children, key=keys.__getitem__)
-    placed = list(zip(accumulate([keys[i] for i in linked], max), linked))
-    placed += [(key, i) for i, key in enumerate(keys) if i not in children]
-    return [i for _, i in sorted(placed, key=itemgetter(0))]
+    return topological_order({i: children.get(i, ()) for i in range(len(keys))},
+                             key=keys.__getitem__)
 
 
 def _allowed_devs(parents, chosen):

@@ -5,7 +5,9 @@ raw score per active developer.  Raw scores are min-max normalized per
 bug, so each row has max 1 and only the within-bug ordering matters.
 Training is full-batch subgradient descent on the hinge loss with a
 fixed epoch budget, which makes identical inputs give identical
-weights.
+weights.  Every product is ``np.add.reduce`` of an elementwise product,
+numpy's own summation, never a BLAS call, so the weights and scores do
+not depend on the kernel OpenBLAS picks for the CPU.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class LinearModel:
     bias: np.ndarray  # (n_devs,)
 
     def decision_values(self, row: np.ndarray) -> np.ndarray:
-        return self.weights @ row + self.bias
+        return np.add.reduce(self.weights * row, axis=1) + self.bias
 
 
 def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel:
@@ -54,14 +56,17 @@ def train_classifier(X: np.ndarray, labels, C: float = DEFAULT_C) -> LinearModel
         )
     weights = np.zeros((len(dev_ids), n_terms))
     bias = np.zeros(len(dev_ids))
+    work = np.empty_like(X)
     for row, dev in enumerate(dev_ids):
-        y = np.where(labels == dev, 1.0, -1.0)
+        # y * x is exact (y is +-1), so the sums below round as y times the
+        # same sums over x would
+        yX = np.where(labels == dev, 1.0, -1.0)[:, None] * X
         w = np.zeros(n_terms + 1)
         for t in range(1, EPOCHS + 1):
-            margins = y * (X @ w)
+            margins = np.add.reduce(np.multiply(yX, w, out=work), axis=1)
             violating = margins < 1.0
             grad = lam * np.concatenate([w[:-1], [0.0]])  # bias unregularized
-            grad -= (y[violating] @ X[violating]) / n
+            grad -= np.add.reduce(yX[violating], axis=0) / n
             w -= grad / (lam * t)
         if not np.all(np.isfinite(w)):
             raise ValidationError("training diverged to non-finite weights")

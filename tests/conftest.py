@@ -21,7 +21,7 @@ from triagelab.textprep import Vocabulary
 
 MINI_BOUNDARY = 365
 MINI_END = 730
-FAST_TRAIN = pipeline.TrainSettings(topic_grid=(4,), lda_iters=150)
+FAST_TRAIN = {"topic_grid": (4,), "lda_iters": 150}
 
 
 def make_bug(bug_id, *, reported=1, assigned=None, resolved=None, dev=None,
@@ -124,7 +124,7 @@ def mini_env(mini_records):
     shared by every cached policy run."""
     cleaned, summary, profiles = pipeline.prepare(mini_records, MINI_BOUNDARY)
     train, _ = split_train_test(cleaned, MINI_BOUNDARY)
-    models = pipeline.train_models(train, profiles, MINI_BOUNDARY, FAST_TRAIN)
+    models = pipeline.train_models(train, MINI_BOUNDARY, **FAST_TRAIN)
     corpus = pipeline.replay_corpus(mini_records, cleaned, MINI_BOUNDARY)
     table = pipeline.feature_table(models, corpus, MINI_BOUNDARY, MINI_END)
     cache = {}

@@ -136,8 +136,8 @@ def test_reduction_identities(mini_env):
     ids = sorted(r.bug_id for r in test_bugs)
     rows = table.rows(ids)
     S, C = table.S[rows], table.C[rows]
-    ct = decide_costriage(0, ids, table.dev_ids, S, C, alpha=1.0)
-    cbr = decide_cbr(0, ids, table.dev_ids, S, C)
+    ct = decide_costriage(ids, table.dev_ids, S, C, alpha=1.0)
+    cbr = decide_cbr(ids, table.dev_ids, S, C)
     ok_b = [(b, d) for b, d, _ in ct.assignments] == [
         (b, d) for b, d, _ in cbr.assignments
     ]
@@ -215,7 +215,7 @@ def test_model_invariants(mini_env):
 
 
 def test_determinism_byte_identical(mini_env):
-    models2 = pipeline.train_models(mini_env.train, mini_env.profiles, MINI_BOUNDARY, FAST_TRAIN)
+    models2 = pipeline.train_models(mini_env.train, MINI_BOUNDARY, **FAST_TRAIN)
     m1, m2 = mini_env.models, models2
     artifacts_ok = pipeline.models_to_json(m1) == pipeline.models_to_json(m2)
     config = SimConfig(

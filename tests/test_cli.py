@@ -2,9 +2,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import platform
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +18,8 @@ from triagelab.cli import dispatch
 from triagelab.corpus import record_to_obj
 from triagelab.minicorpus import MiniCorpusSpec, generate, write_jsonl
 from triagelab.solver import AssignmentInstance, InstanceBug
+
+from conftest import MINI_BOUNDARY, MINI_END
 
 SMALL = MiniCorpusSpec(
     seed=3,
@@ -793,10 +800,54 @@ def test_report_repeated_run_is_one_error_line(tmp_path, capsys):
     assert "dabt_a0.5" in _one_error_line(capsys)
 
 
-def test_simulate_without_cleaned_training_bug_needs_L(workdir, tmp_path, capsys):
-    _, _, out, _ = workdir
+@pytest.mark.parametrize("command", ["prepare", "train", "simulate"])
+def test_corpus_without_cleaned_training_bug_is_one_refusal(tmp_path, capsys, command):
+    """prepare refuses such a corpus once, for every command that cleans
+    one; no flag, --L included, would give it anything to train on."""
     data = tmp_path / "late.jsonl"
     write_jsonl(generate(SMALL)[-5:], data)  # reported after the boundary only
-    args = ["--data", str(data), "--boundary", "120", "--out", str(out), "--end", "240"]
-    assert dispatch(["simulate"] + args) == 1
-    assert "--L" in _one_error_line(capsys)
+    args = ["--data", str(data), "--boundary", "120", "--out", str(tmp_path / "out")]
+    assert dispatch([command] + args) == 1
+    assert _one_error_line(capsys) == (
+        "error: no bug reported by --boundary 120 survives cleaning "
+        "(bugs kept per step: 5 -> 5 -> 0 -> 0 -> 0); nothing to train on\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def _dynamic_arch_openblas():
+    """Whether numpy's BLAS is an x86-64 OpenBLAS that picks its kernel at
+    run time, so that OPENBLAS_CORETYPE can force another one."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not an x86-64 DYNAMIC_ARCH OpenBLAS")
+def test_same_bytes_under_a_forced_openblas_kernel(mini_records, tmp_path):
+    """The README corpus trained with 12 topics, whose cost grid leaves
+    cells to the collaborative fill, and replayed under DABT: the
+    classifier's weights and every filled cost give the same bytes under
+    OpenBLAS's Prescott kernel, forced, as under the kernel it picks for
+    this CPU."""
+    data = tmp_path / "bugs.jsonl"
+    write_jsonl(mini_records, data)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    files = []
+    for coretype in ("Prescott", None):
+        out = tmp_path / str(coretype)
+        common = ["--data", str(data), "--boundary", str(MINI_BOUNDARY), "--out", str(out)]
+        for args in (["train", *common, "--topics", "12", "--lda-iters", "20"],
+                     ["simulate", *common, "--policy", "dabt", "--end", str(MINI_END)]):
+            subprocess.run([sys.executable, "-m", "triagelab.cli", *args], check=True,
+                           capture_output=True, timeout=300,
+                           env=dict(env, OPENBLAS_CORETYPE=coretype) if coretype else env)
+        files.append([(out / name).read_bytes() for name in ("model.json", "result_dabt_a0.5.json")])
+    assert None in sum(json.loads(files[1][0])["cost"], [])  # the fill has cells to fill
+    assert files[0] == files[1]

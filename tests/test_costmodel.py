@@ -307,8 +307,8 @@ def reference_fill_missing_cf(observed: dict, dev_ids, K):
             return None
         a = np.array([obs_a[k] for k in shared])
         b = np.array([obs_b[k] for k in shared])
-        denom = np.linalg.norm(a) * np.linalg.norm(b)
-        return None if denom == 0 else float(a @ b / denom)
+        denom = np.sqrt(np.add.reduce(a * a)) * np.sqrt(np.add.reduce(b * b))
+        return None if denom == 0 else float(np.add.reduce(a * b) / denom)
 
     filled = np.zeros((len(dev_ids), K))
     for i, d in enumerate(dev_ids):

@@ -87,12 +87,9 @@ def test_training_topics_come_from_the_fit_without_fold_in(monkeypatch):
     ]
     records.append(make_bug(99, reported=1, assigned=1, resolved=5, dev=3,
                             summary="zebra quokka", description="narwhal"))
-    profiles = dict.fromkeys((1, 2, 3), frozenset({"core"}))
     monkeypatch.setattr(pipeline, "infer_topic", _fold_in_forbidden)
     monkeypatch.setattr(costmodel, "infer_topic", _fold_in_forbidden)
-    models = pipeline.train_models(
-        records, profiles, 1, pipeline.TrainSettings(topic_grid=(2,), lda_iters=5)
-    )
+    models = pipeline.train_models(records, 1, topic_grid=(2,), lda_iters=5)
     topics = models.topic_model.doc_topic.argmax(axis=1).tolist()
     _assert_observed_cells(
         models.cost, build_cost_matrix(records, topics[:-1] + [GLOBAL_TOPIC], [1, 2, 3], 2)

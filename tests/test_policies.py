@@ -32,7 +32,7 @@ def _costs(bug_ids, per_dev):
 
 def test_cbr_picks_argmax_with_smallest_dev_tie():
     ids, S = _rows({1: {1: 0.4, 2: 1.0}, 2: {1: 1.0, 2: 1.0}})
-    decision = decide_cbr(5, ids, (1, 2), S, _costs(ids, {1: 7.0, 2: 8.0}))
+    decision = decide_cbr(ids, (1, 2), S, _costs(ids, {1: 7.0, 2: 8.0}))
     assert decision.assignments == ((1, 2, 8.0), (2, 1, 7.0))
     assert decision.deferred == ()
 
@@ -40,15 +40,15 @@ def test_cbr_picks_argmax_with_smallest_dev_tie():
 def test_cbr_cost_lookup_annotates_but_never_steers():
     ids, S = _rows({1: {1: 1.0, 2: 0.9}})
     C = _costs(ids, {1: 50.0, 2: 0.1})  # dev 1 is far more expensive
-    decision = decide_cbr(5, ids, (1, 2), S, C)
+    decision = decide_cbr(ids, (1, 2), S, C)
     assert decision.assignments == ((1, 1, 50.0),)
 
 
 def test_costriage_alpha_one_equals_cbr():
     ids, S = _rows({1: {1: 0.4, 2: 1.0}, 2: {1: 1.0, 2: 0.2}})
     C = _costs(ids, {1: 9.0, 2: 1.0})
-    ct = decide_costriage(5, ids, (1, 2), S, C, alpha=1.0)
-    cbr = decide_cbr(5, ids, (1, 2), S, C)
+    ct = decide_costriage(ids, (1, 2), S, C, alpha=1.0)
+    cbr = decide_cbr(ids, (1, 2), S, C)
     assert [(b, d) for b, d, _ in ct.assignments] == [
         (b, d) for b, d, _ in cbr.assignments
     ]
@@ -56,20 +56,20 @@ def test_costriage_alpha_one_equals_cbr():
 
 def test_costriage_alpha_zero_picks_cheapest():
     ids, S = _rows({1: {1: 1.0, 2: 0.0}})
-    decision = decide_costriage(5, ids, (1, 2), S, _costs(ids, {1: 9.0, 2: 3.0}), alpha=0.0)
+    decision = decide_costriage(ids, (1, 2), S, _costs(ids, {1: 9.0, 2: 3.0}), alpha=0.0)
     assert decision.assignments == ((1, 2, 3.0),)
 
 
 def test_costriage_combined_score_hand_check():
     # alpha=0.5: dev1 = 0.5*1 + 0.5*(3/9) = 0.667; dev2 = 0.5*0.2 + 0.5*1 = 0.6
     ids, S = _rows({1: {1: 1.0, 2: 0.2}})
-    decision = decide_costriage(5, ids, (1, 2), S, _costs(ids, {1: 9.0, 2: 3.0}), alpha=0.5)
+    decision = decide_costriage(ids, (1, 2), S, _costs(ids, {1: 9.0, 2: 3.0}), alpha=0.5)
     assert decision.assignments == ((1, 1, 9.0),)
 
 
 def test_costriage_ties_go_to_smallest_dev():
     ids, S = _rows({1: {3: 1.0, 5: 1.0, 9: 0.2}})
-    decision = decide_costriage(5, ids, (3, 5, 9), S, _costs(ids, {3: 2.0, 5: 2.0, 9: 2.0}), alpha=0.5)
+    decision = decide_costriage(ids, (3, 5, 9), S, _costs(ids, {3: 2.0, 5: 2.0, 9: 2.0}), alpha=0.5)
     assert decision.assignments == ((1, 3, 2.0),)
 
 
@@ -97,7 +97,7 @@ def test_knapsack_rabt_ignores_dependencies():
     ids, S = _rows({2: {1: 1.0}})
     graph = _graph_with([(1, 2)], [1, 2])
     decision = decide_knapsack(
-        5, ids, (1,), S, _costs(ids, {1: 2.0}), [10.0], graph, 0.5, "RABT"
+        ids, (1,), S, _costs(ids, {1: 2.0}), [10.0], graph, 0.5, "RABT"
     )
     assert decision.assignments == ((2, 1, 2.0),)
 
@@ -106,7 +106,7 @@ def test_knapsack_dabt_defers_child_of_out_of_instance_parent():
     ids, S = _rows({2: {1: 1.0}})
     graph = _graph_with([(9, 2)], [2, 9])  # parent 9 open but not assignable
     decision = decide_knapsack(
-        5, ids, (1,), S, _costs(ids, {1: 2.0}), [10.0], graph, 0.5, "DABT"
+        ids, (1,), S, _costs(ids, {1: 2.0}), [10.0], graph, 0.5, "DABT"
     )
     assert decision.assignments == ()
     assert decision.deferred == (2,)
@@ -117,7 +117,7 @@ def test_knapsack_dabt_drop_cascades_to_grandchildren():
     ids, S = _rows({1: {1: 1.0}, 2: {1: 1.0}})
     graph = _graph_with([(9, 1), (1, 2)], [1, 2, 9])
     decision = decide_knapsack(
-        5, ids, (1,), S, _costs(ids, {1: 1.0}), [10.0], graph, 0.5, "DABT"
+        ids, (1,), S, _costs(ids, {1: 1.0}), [10.0], graph, 0.5, "DABT"
     )
     assert decision.assignments == ()
     assert sorted(decision.deferred) == [1, 2]
@@ -127,7 +127,7 @@ def test_knapsack_dabt_coassigns_parent_and_child():
     ids, S = _rows({1: {1: 1.0, 2: 0.9}, 2: {1: 1.0, 2: 0.9}})
     graph = _graph_with([(1, 2)], [1, 2])
     decision = decide_knapsack(
-        5, ids, (1, 2), S, _costs(ids, {1: 2.0, 2: 2.0}), [10.0, 10.0], graph, 0.5, "DABT"
+        ids, (1, 2), S, _costs(ids, {1: 2.0, 2: 2.0}), [10.0, 10.0], graph, 0.5, "DABT"
     )
     devs = {b: d for b, d, _ in decision.assignments}
     assert devs[1] == devs[2]
@@ -137,7 +137,7 @@ def test_knapsack_defers_what_does_not_fit():
     ids, S = _rows({1: {1: 1.0}, 2: {1: 1.0}})
     graph = _graph_with([], [1, 2])
     decision = decide_knapsack(
-        5, ids, (1,), S, _costs(ids, {1: 3.0}), [4.0], graph, 1.0, "RABT"
+        ids, (1,), S, _costs(ids, {1: 3.0}), [4.0], graph, 1.0, "RABT"
     )
     assert len(decision.assignments) == 1
     assert len(decision.deferred) == 1
@@ -146,7 +146,7 @@ def test_knapsack_defers_what_does_not_fit():
 def test_knapsack_unknown_variant_rejected():
     with pytest.raises(ValidationError):
         empty = np.zeros((0, 0))
-        decide_knapsack(5, [], (), empty, empty, [], DependencyGraph(), 0.5, "XYZ")
+        decide_knapsack([], (), empty, empty, [], DependencyGraph(), 0.5, "XYZ")
 
 
 def reference_dabt_pool(bug_ids, graph):
@@ -180,7 +180,7 @@ def dabt_instance(bug_ids, graph):
     bug_ids = sorted(bug_ids)
     S = np.ones((len(bug_ids), 1))
     with mock.patch.object(policies, "solve_dabt", capture):
-        decision = decide_knapsack(5, bug_ids, (1,), S, S, [10.0], graph, 0.5, "DABT")
+        decision = decide_knapsack(bug_ids, (1,), S, S, [10.0], graph, 0.5, "DABT")
     assert decision.deferred == tuple(bug_ids)  # the stub assigns nothing
     (instance,) = seen
     return [b.bug_id for b in instance.bugs], instance.precedence
@@ -248,9 +248,9 @@ def test_replay_hands_the_solver_binding_each_days_pool_and_arcs(mini_env, monke
         seen.append(instance)
         return solve(instance)
 
-    def deciding(day, bug_ids, dev_ids, S, C, capacities, graph, alpha, variant):
+    def deciding(bug_ids, dev_ids, S, C, capacities, graph, alpha, variant):
         want.append(reference_dabt_pool(bug_ids, graph) if policy == "dabt" else (sorted(bug_ids), []))
-        return decide(day, bug_ids, dev_ids, S, C, capacities, graph, alpha, variant)
+        return decide(bug_ids, dev_ids, S, C, capacities, graph, alpha, variant)
 
     monkeypatch.setattr(policies, name, recording)
     monkeypatch.setattr(simulator, "decide_knapsack", deciding)

@@ -110,7 +110,7 @@ def test_rabt_batch_over_capacity_is_refused(monkeypatch):
     stub = Stub(suit={1: 1.0, 2: 0.5}, costs={1: 1.0, 2: 1.0})
     monkeypatch.setattr(
         simulator, "decide_knapsack",
-        lambda day, bugs, *rest: DailyDecision(day, tuple((b, 1, 6.0) for b in bugs), ()),
+        lambda bugs, *rest: DailyDecision(tuple((b, 1, 6.0) for b in bugs), ()),
     )
     with pytest.raises(ValidationError, match="exceeds developer 1"):
         stub.run(_config("rabt"), _corpus(records, {1}))
