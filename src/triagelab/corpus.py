@@ -82,17 +82,13 @@ class DatasetSummary:
     active_dev_ids: frozenset = field(default_factory=frozenset)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "counts_by_step": self.counts_by_step,
-                "boundary_day": self.boundary_day,
-                "horizon_L": self.horizon_L,
-                "max_fix_threshold": self.max_fix_threshold,
-                "active_dev_ids": sorted(self.active_dev_ids),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps({
+            "counts_by_step": self.counts_by_step,
+            "boundary_day": self.boundary_day,
+            "horizon_L": self.horizon_L,
+            "max_fix_threshold": self.max_fix_threshold,
+            "active_dev_ids": sorted(self.active_dev_ids),
+        }, sort_keys=True)
 
 
 def quartiles(sample) -> tuple[float, float]:

@@ -170,10 +170,13 @@ def arun_measure(model: TopicModel, doc_lengths) -> float:
 def select_topic_count(docs, vocab, candidate_Ks, seed: int = 0, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
     """Fit each candidate K and return the fitted model minimizing the
     divergence measure (its ``K`` is the chosen count); ties break
-    toward the smaller K."""
+    toward the smaller K.  A single candidate is fitted and returned
+    unmeasured."""
     candidates = sorted(set(candidate_Ks))
     if not candidates:
         raise ValidationError("empty candidate grid")
+    if len(candidates) == 1:
+        return fit_lda(docs, vocab, candidates[0], seed=seed, iters=iters)
     lengths = [len(_doc_word_ids(d, vocab)) for d in docs]
     best = None
     best_measure = None

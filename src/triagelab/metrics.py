@@ -36,11 +36,7 @@ class MetricsReport:
     mean_bdg_degree: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True)
 
 
 def compute_report(result) -> MetricsReport:

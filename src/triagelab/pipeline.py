@@ -10,6 +10,8 @@ measured fact once, checked on load against ``MODEL_SCHEMA``.  A replay
 computes the profiles from the data again and takes the models from
 ``load_models``, which refuses a file trained at another boundary or for
 other developers; ``feature_table`` fills the grid's unobserved cells.
+Every JSON file is written on one line (``json.dumps`` without
+``indent``); readers take any whitespace.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def models_to_json(models: TrainedModels) -> str:
         "seed": models.topic_model.seed,
         "phi": models.topic_model.phi.tolist(),
         "cost": [[None if np.isnan(c) else c for c in row] for row in models.cost.tolist()],
-    }, indent=2)
+    })
 
 
 def models_from_json(text) -> TrainedModels:
@@ -193,7 +195,7 @@ def profiles_to_json(profiles) -> str:
     return json.dumps([
         {"dev_id": dev, "components_experienced": sorted(components)}
         for dev, components in sorted(profiles.items())
-    ], indent=2)
+    ])
 
 
 def save_prepared(summary, profiles, out_dir) -> None:
@@ -247,7 +249,7 @@ def load_models(out_dir, profiles, boundary_day) -> TrainedModels:
 
 
 def result_to_json(result: SimResult) -> str:
-    return json.dumps(dict(vars(result), config=asdict(result.config)), indent=2, sort_keys=True)
+    return json.dumps(dict(vars(result), config=asdict(result.config)), sort_keys=True)
 
 
 # The log and daily fields that metrics.compute_report reads, as a

@@ -184,18 +184,12 @@ class AssignmentInstance:
         return combined_score(self.S, self.C, self.alpha)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "developers": [[d, cap] for d, cap in self.developers],
-                "bugs": [
-                    {"bug_id": b.bug_id, "s": list(b.s), "c": list(b.c)}
-                    for b in self.bugs
-                ],
-                "precedence": [list(arc) for arc in self.precedence],
-            },
-            indent=2,
-        )
+        return json.dumps({
+            "alpha": self.alpha,
+            "developers": [[d, cap] for d, cap in self.developers],
+            "bugs": [{"bug_id": b.bug_id, "s": list(b.s), "c": list(b.c)} for b in self.bugs],
+            "precedence": [list(arc) for arc in self.precedence],
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "AssignmentInstance":
@@ -216,14 +210,11 @@ class AssignmentSolution:
     node_count: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "assignments": [list(a) for a in self.assignments],
-                "objective_value": self.objective_value,
-                "node_count": self.node_count,
-            },
-            indent=2,
-        )
+        return json.dumps({
+            "assignments": [list(a) for a in self.assignments],
+            "objective_value": self.objective_value,
+            "node_count": self.node_count,
+        })
 
 
 def check_feasible(instance: AssignmentInstance, assignments, variant: str = DABT) -> None:

@@ -457,6 +457,63 @@ def test_old_model_files_ask_for_train(workdir, tmp_path, capsys):
         assert err.endswith(": missing artifact model.json; run `train` first\n"), err
 
 
+_RESULTS = ["result_dabt_a0.5.json", "result_cbr_a0.5.json"]
+
+
+def _simulate(d, data):
+    """Replay DABT and CBR from the model in ``d``, writing ``_RESULTS`` there."""
+    return ["simulate", "--data", str(data), "--boundary", "120", "--out", str(d),
+            "--end", "240", "--policy", "dabt", "cbr"]
+
+
+# Each kind of JSON file a command reads: its names in the directory, how
+# it is parsed and written back, and the command that reads it there.
+_READ_FILES = {
+    "instance": (["pool.json"], AssignmentInstance.from_json, AssignmentInstance.to_json,
+                 lambda d, data: ["solve", str(d / "pool.json")]),
+    "model": ([pipeline.MODEL_FILE], pipeline.models_from_json, pipeline.models_to_json,
+              _simulate),
+    "result": (_RESULTS, pipeline.result_from_json, pipeline.result_to_json,
+               lambda d, data: ["report", "--out", str(d), *(str(d / name) for name in _RESULTS)]),
+}
+
+
+@pytest.fixture(scope="module")
+def one_line_files(workdir, tmp_path_factory):
+    """A directory holding a trained model, two replays' results and a
+    backlog pool, each as one line of JSON."""
+    _, data, out, _ = workdir
+    d = tmp_path_factory.mktemp("one_line")
+    shutil.copy(out / pipeline.MODEL_FILE, d)
+    shutil.copy(Path(__file__).parent / "data" / "backlog_pool_59.json", d / "pool.json")
+    assert dispatch(_simulate(d, data)) == 0
+    return d, data
+
+
+@pytest.mark.parametrize("kind", sorted(_READ_FILES))
+def test_indented_files_read_as_one_line_files(one_line_files, tmp_path, capsys, kind):
+    # every version before one-line files wrote them with indent=2: they
+    # parse to the same objects, and the command that reads them writes
+    # the same bytes and prints the same text
+    source, data = one_line_files
+    names, parse, write, command = _READ_FILES[kind]
+    runs = []
+    for indent in (None, 2):
+        d = tmp_path / f"indent{indent}"
+        d.mkdir()
+        for name in names:
+            text = json.dumps(json.loads((source / name).read_text()), indent=indent)
+            (d / name).write_text(text)
+        parsed = [write(parse((d / name).read_text())) for name in names]
+        capsys.readouterr()
+        assert dispatch(command(d, data)) == 0
+        written = {p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.name not in names}
+        runs.append((parsed, written, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(source / name).read_text() for name in names]
+    assert runs[0][1] or runs[0][2]  # the command wrote or printed something
+
+
 # Lists whose length no other key fixes, so one entry fewer is still a
 # valid file, and numbers that may take any finite value.  A "*" in a
 # pattern matches any one step of a path.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triagelab import pipeline
+from triagelab import costmodel, pipeline
 from triagelab.corpus import split_train_test
 from triagelab.costmodel import (
     BETA_LDA,
@@ -180,13 +180,9 @@ def test_draw_normalizes_a_cdf_that_ends_below_one():
 @pytest.fixture(scope="module")
 def mini_training_docs(mini_records):
     """The docs and vocabulary train_models fits LDA on, for the mini corpus."""
-    cleaned, _, profiles = pipeline.prepare(mini_records, MINI_BOUNDARY)
+    cleaned, _, _ = pipeline.prepare(mini_records, MINI_BOUNDARY)
     train, _ = split_train_test(cleaned, MINI_BOUNDARY)
-    docs = [
-        preprocess_text(r.summary, r.description, r.bug_id)
-        for r in train
-        if r.actual_assignee in profiles
-    ]
+    docs = [preprocess_text(r.summary, r.description, r.bug_id) for r in train]
     return docs, build_vocabulary(docs)
 
 
@@ -253,6 +249,20 @@ def test_topic_count_selection_prefers_planted_count():
         again.K, again.alpha_lda, again.seed, again.phi.shape)
     assert np.array_equal(model.phi, again.phi)
     assert np.array_equal(model.doc_topic, again.doc_topic)
+
+
+@pytest.mark.parametrize("grid", [(2,), (2, 8)])
+def test_topic_count_is_measured_only_when_there_is_a_choice(monkeypatch, grid):
+    docs, _ = _planted_docs()
+    vocab = build_vocabulary(docs, min_df=1)
+    measured = []
+    measure = costmodel.arun_measure
+    monkeypatch.setattr(costmodel, "arun_measure",
+                        lambda model, lengths: measured.append(model.K) or measure(model, lengths))
+    model = select_topic_count(docs, vocab, grid, seed=0, iters=120)
+    assert measured == ([] if len(grid) == 1 else list(grid))
+    assert model.K == 2
+    assert np.array_equal(model.phi, fit_lda(docs, vocab, 2, seed=0, iters=120).phi)
 
 
 def test_arun_measure_finite_and_deterministic():
